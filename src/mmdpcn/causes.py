@@ -92,6 +92,7 @@ def infer_cause(pooled: PooledStateMagnitude, model: LayerModel, hp: HyperParams
             kkt = float(np.max(np.abs(resid)))
         else:
             kkt = 0.0
+        trace.final_residual = kkt
         if kkt <= hp.inner_tol:
             trace.converged = True
             break
@@ -147,6 +148,7 @@ def infer_cause_topdown(pooled: PooledStateMagnitude, preference, model: LayerMo
             kkt = float(np.max(np.abs(resid)))
         else:
             kkt = 0.0
+        trace.final_residual = kkt
         if kkt <= hp.inner_tol:
             trace.converged = True
             break

@@ -5,10 +5,6 @@ class DimensionMismatch(ValueError):
     """Operands have incompatible shapes."""
 
 
-class NonConvergence(RuntimeError):
-    """An iterative solver exhausted its iteration budget."""
-
-
 class NonFinite(ArithmeticError):
     """A computation produced NaN or Inf."""
 

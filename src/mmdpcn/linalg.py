@@ -1,16 +1,12 @@
-"""Dense linear-algebra substrate: conjugate gradients and column normalization.
+"""Dense linear-algebra substrate: input coercion and column normalization.
 
 All arrays are 64-bit floats in C (row-major) order. Everything here is a
 pure function; inputs are never mutated.
 """
 
-from __future__ import annotations
-
-from typing import Callable
-
 import numpy as np
 
-from .errors import NonConvergence, NonFinite, ZeroColumn
+from .errors import NonFinite, ZeroColumn
 
 # Norm below which a column counts as zero and cannot be normalized.
 ZERO_COLUMN_TOL = 1e-12
@@ -22,72 +18,6 @@ def as_float_array(a, name: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NonFinite(f"{name} contains NaN or Inf")
     return out
-
-
-def cg_solve(
-    apply: Callable[[np.ndarray], np.ndarray],
-    b: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int | None = None,
-    x0: np.ndarray | None = None,
-) -> np.ndarray:
-    """Solve ``apply(z) = b`` for a symmetric positive-definite operator.
-
-    Plain conjugate gradients, optionally warm-started from ``x0``.
-    Terminates when ``||apply(z) - b||_2 <= tol * max(1, ||b||_2)``.
-
-    Raises NonConvergence if the tolerance is unmet after ``max_iter``
-    iterations (default: the dimension of the system), and NonFinite if an
-    iterate picks up NaN/Inf. Callers with a dense representation of the
-    operator may fall back to a direct solve on NonConvergence.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    b = np.asarray(b, dtype=np.float64)
-    n = b.shape[0]
-    if max_iter is None:
-        max_iter = n
-
-    threshold = tol * max(1.0, float(np.linalg.norm(b)))
-    if x0 is None:
-        x = np.zeros(n)
-        r = b.copy()
-    else:
-        x = np.asarray(x0, dtype=np.float64).copy()
-        r = b - apply(x)
-    rnorm = float(np.linalg.norm(r))
-    if rnorm <= threshold:
-        return x
-    p = r.copy()
-    rs = rnorm * rnorm
-
-    for _ in range(max_iter):
-        ap = apply(p)
-        pap = float(p @ ap)
-        if not np.isfinite(pap):
-            raise NonFinite("CG broke down: non-finite curvature p'Ap")
-        if pap <= 0:
-            # Operator is not PD on this direction; bail to the caller.
-            raise NonConvergence("CG encountered non-positive curvature")
-        alpha = rs / pap
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = float(r @ r)
-        if not np.isfinite(rs_new):
-            raise NonFinite("CG iterate diverged to NaN/Inf")
-        if rs_new <= threshold * threshold:
-            # The recursion residual drifts from the true one; confirm before
-            # returning so the advertised bound actually holds.
-            r = b - apply(x)
-            rs_new = float(r @ r)
-            if rs_new <= threshold * threshold:
-                return x
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-
-    if float(np.linalg.norm(apply(x) - b)) <= threshold:
-        return x
-    raise NonConvergence(f"CG did not reach tol={tol:g} in {max_iter} iterations")
 
 
 def column_normalize(m: np.ndarray) -> np.ndarray:

@@ -3,21 +3,17 @@
 Two pieces make the updates closed-form: a smoothed absolute value whose
 gradient is a clipped linear map, and a quadratic upper bound on the l1
 penalty that touches it at the current iterate.  Minimizing the bound turns
-each update into a diagonally reweighted least-squares solve, which the
-matrix inversion lemma reduces to a system of the (small) input dimension.
+each update into a diagonally reweighted least-squares solve,
+(C^T C + diag(1/r)) x = rhs.  Components with r_k = 0 stay exactly zero, so
+the system is solved directly on the live support S = {k : r_k > 0}: a
+scaled |S| x |S| system built from the Gram matrix C^T C.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import NonConvergence
-from .linalg import as_float_array, cg_solve
-
-# Below this input dimension the inner system is factored densely; above it,
-# conjugate gradients win because only matrix-vector products are needed.
-DENSE_CUTOFF = 32
+from .linalg import as_float_array
 
 
 def soft_clip(e: np.ndarray, margin: float) -> np.ndarray:
@@ -91,35 +87,29 @@ def reweight(v: np.ndarray, weight: float) -> ReweightDiagonal:
     return ReweightDiagonal(np.abs(v) / weight, weight)
 
 
-def _woodbury(c: np.ndarray, r: np.ndarray, rhs: np.ndarray,
-              dense_cutoff: int,
-              inner_start: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Apply T(C,R) = R - R C^T (I + C R C^T)^-1 C R to rhs.
+def _solve_on_support(gram: np.ndarray, r: np.ndarray,
+                      rhs: np.ndarray) -> np.ndarray:
+    """Solve (C^T C + diag(1/r)) x = rhs on the support S of r; zero elsewhere.
 
-    Returns (result, inner) where inner is the solution of the inner
-    system, reusable as a warm start when R changes slowly.
+    gram is C^T C.  With h = sqrt(r_S), x_S = h z where
+    (I + diag(h) G_SS diag(h)) z = h rhs_S; the eigenvalues are at least 1
+    however small r gets.
     """
-    p = c.shape[0]
-    t = r * rhs
-    if not np.any(t):
-        return np.zeros_like(rhs), np.zeros(p)
-    b = c @ t
-    if p > dense_cutoff:
-        apply = lambda z: z + c @ (r * (c.T @ z))
-        try:
-            inner = cg_solve(apply, b, tol=1e-10, max_iter=4 * p, x0=inner_start)
-        except NonConvergence:
-            m = np.eye(p) + (c * r) @ c.T
-            inner = np.linalg.solve(m, b)
-    else:
-        m = np.eye(p) + (c * r) @ c.T
-        inner = np.linalg.solve(m, b)
-    return t - r * (c.T @ inner), inner
+    x = np.zeros_like(rhs)
+    s = np.flatnonzero(r)
+    if s.size == 0:
+        return x
+    h = np.sqrt(r[s])
+    m = gram[np.ix_(s, s)]
+    m *= h[:, None]
+    m *= h
+    m.flat[::s.size + 1] += 1.0
+    x[s] = h * np.linalg.solve(m, h * rhs[s])
+    return x
 
 
-def woodbury_apply(c: np.ndarray, r, rhs: np.ndarray,
-                   dense_cutoff: int = DENSE_CUTOFF) -> np.ndarray:
-    """Solve the reweighted normal equations through the input-dimension system.
+def woodbury_apply(c: np.ndarray, r, rhs: np.ndarray) -> np.ndarray:
+    """Solve the reweighted normal equations on the support of r.
 
     Equals (C^T C + W)^-1 rhs on the support of r (W the diagonal majorizer
     weights); components with r_k = 0 come back exactly zero.
@@ -133,5 +123,4 @@ def woodbury_apply(c: np.ndarray, r, rhs: np.ndarray,
         raise ValueError("dictionary, diagonal, and rhs sizes are inconsistent")
     if np.any(r < 0):
         raise ValueError("reweight diagonal must be nonnegative")
-    result, _ = _woodbury(c, r, rhs, dense_cutoff, None)
-    return result
+    return _solve_on_support(c.T @ c, r, rhs)

@@ -82,12 +82,15 @@ class LayerModel:
     dictionary: (input_dim, state_dim), maps states to measurements.
     transition: (state_dim, state_dim), predicts states across time.
     coupling:   (state_dim, cause_dim), gates state magnitudes by causes.
+    gram:       (state_dim, state_dim), dictionary^T dictionary, derived at
+                construction for the state solves and never serialized.
     """
 
     dims: LayerDims
     transition: np.ndarray
     coupling: np.ndarray
     dictionary: np.ndarray
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k, d, p = self.dims.state_dim, self.dims.cause_dim, self.dims.input_dim
@@ -100,6 +103,7 @@ class LayerModel:
             raise DimensionMismatch(f"coupling must be {(k, d)}, got {self.coupling.shape}")
         if self.dictionary.shape != (p, k):
             raise DimensionMismatch(f"dictionary must be {(p, k)}, got {self.dictionary.shape}")
+        self.gram = self.dictionary.T @ self.dictionary
 
 
 def _clamped(values: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:

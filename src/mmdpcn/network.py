@@ -190,6 +190,10 @@ def infer_variables(frames, layers, grid: tuple, sweeps: int = 10,
     iteration) or "fista" (accelerated proximal gradient at the benchmark
     learning rate and the same stopping tolerance), which exists for
     like-for-like timing comparisons.
+
+    Raises ConfigError, before any solve, when there is no layer or the
+    grid does not cut the frames into layer 1's patch count and patch
+    length.
     """
     if state_solver not in ("mm", "fista"):
         raise ValueError(f"unknown state solver: {state_solver}")
@@ -198,6 +202,16 @@ def infer_variables(frames, layers, grid: tuple, sweeps: int = 10,
 
     frames = np.asarray(frames, dtype=np.float64)
     n_layers = len(layers)
+    if n_layers == 0:
+        raise ConfigError("at least one layer is required")
+    if frames.shape[0] > 0:
+        dims = layers[0].model.dims
+        count, length = decompose_frame(frames[0], grid, 0).patches.shape
+        if (count, length) != (dims.patch_count, dims.input_dim):
+            raise ConfigError(
+                f"grid {grid[0]}x{grid[1]} cuts frames into {count} patches of "
+                f"length {length}; layer 1 expects {dims.patch_count} of "
+                f"length {dims.input_dim}")
     starts = {int(s) for s in segment_starts}
     result = InferenceResult()
 

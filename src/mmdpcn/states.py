@@ -1,9 +1,10 @@
 """Sparse state inference by reweighted least squares.
 
 Each iteration rebuilds the quadratic bound on the sparsity penalty at the
-current iterate and solves the resulting normal equations through the
-input-dimension system.  Components that reach exact zero stay zero, which
-is what produces genuinely sparse codes without a shrinkage step.
+current iterate and solves the resulting normal equations directly on the
+live support, using the layer's cached Gram matrix.  Components that reach
+exact zero stay zero, which is what produces genuinely sparse codes without
+a shrinkage step, and which keeps every solve no larger than the support.
 """
 
 import time
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
 from .linalg import as_float_array
-from .majorize import DENSE_CUTOFF, _woodbury, smooth_l1, soft_clip
+from .majorize import _solve_on_support, smooth_l1, soft_clip
 from .model import HyperParams, LayerModel, StateVector
 
 
@@ -23,7 +24,9 @@ class SolveTrace:
 
     objective_per_iter starts with the objective at the initial point, then
     holds one value per update.  sparsity_per_iter is the percentage of
-    exactly-zero components at the same checkpoints.
+    exactly-zero components at the same checkpoints.  final_residual is the
+    stationarity residual the solver tested against its tolerance after the
+    last update (nan for solvers that do not measure one).
     """
 
     objective_per_iter: list = field(default_factory=list)
@@ -31,6 +34,7 @@ class SolveTrace:
     wall_time: float = 0.0
     iterations: int = 0
     converged: bool = False
+    final_residual: float = float("nan")
 
 
 def _pct_zero(x: np.ndarray) -> float:
@@ -54,14 +58,15 @@ def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
                 x_init=None) -> tuple[StateVector, SolveTrace]:
     """Infer one patch's sparse state given the previous frame's state.
 
-    Iterates x <- T(C, R)(C^T y - lam*a) with R rebuilt from the current
-    iterate, where a is the clipped gradient of the smoothed innovation
-    penalty.  When the temporal weight is active, the solve carries the
-    curvature bound lam/margin of the smoothed term on its diagonal (and
-    the matching pull toward the current iterate on the right-hand side);
-    this leaves the fixed points of the stationarity equation untouched but
-    makes every step minimize a true upper bound of the objective, so the
-    recorded objective cannot increase.
+    Iterates x <- (C^T C + diag(1/r))^-1 (C^T y - lam*a), solved on the
+    support of r, with r = |x|/mu rebuilt from the current iterate, where
+    a is the clipped gradient of the smoothed innovation penalty.  When the
+    temporal weight is active, the solve carries the curvature bound
+    lam/margin of the smoothed term on its diagonal (and the matching pull
+    toward the current iterate on the right-hand side); this leaves the
+    fixed points of the stationarity equation untouched but makes every
+    step minimize a true upper bound of the objective, so the recorded
+    objective cannot increase.
 
     Stops when the stationarity residual on the support,
     ||C^T(Cx - y) + mu*sign(x) + lam*a||_inf, falls below hp.inner_tol,
@@ -99,7 +104,6 @@ def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
     trace.objective_per_iter.append(f_cur)
     trace.sparsity_per_iter.append(_pct_zero(x))
 
-    inner = None
     for it in range(1, hp.max_inner_iter + 1):
         if lam > 0:
             alpha = soft_clip(innovation, margin)
@@ -111,7 +115,7 @@ def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
             rhs = cty
             r = np.abs(x) / mu
 
-        x_new, inner = _woodbury(c, r, rhs, DENSE_CUTOFF, inner)
+        x_new = _solve_on_support(model.gram, r, rhs)
         if not np.all(np.isfinite(x_new)):
             raise NonFinite("state iterate diverged to NaN/Inf")
 
@@ -145,6 +149,7 @@ def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
             kkt = float(np.max(np.abs(grad[support] + mu * np.sign(x[support]))))
         else:
             kkt = 0.0
+        trace.final_residual = kkt
         if kkt <= hp.inner_tol:
             trace.converged = True
             break

@@ -67,10 +67,14 @@ def test_scalar_first_iterates_pinned():
     model = scalar_model()
     init = np.array([1.0])
     hp1 = HyperParams(cause_sparsity=0.3, max_inner_iter=1, inner_tol=1e-300)
-    cv, _ = infer_cause(scalar_pooled(1.0), model, hp1, u_init=init)
+    cv, tr = infer_cause(scalar_pooled(1.0), model, hp1, u_init=init)
     u1 = math.exp(-1.0) / 0.3
     assert abs(cv.values[0] - u1) < 1e-12
     assert abs(cv.values[0] - 1.226) < 1e-3
+    # A capped solve reports the stationarity residual |beta - exp(-u)| it
+    # stopped at.
+    assert not tr.converged
+    assert abs(tr.final_residual - abs(0.3 - math.exp(-u1))) < 1e-12
     hp2 = HyperParams(cause_sparsity=0.3, max_inner_iter=2, inner_tol=1e-300)
     cv, _ = infer_cause(scalar_pooled(1.0), model, hp2, u_init=init)
     assert abs(cv.values[0] - (u1 / 0.3) * math.exp(-u1)) < 1e-12
@@ -82,6 +86,7 @@ def test_scalar_converges_to_log_fixed_point():
                          u_init=np.array([1.0]))
     assert abs(cv.values[0] - math.log(10.0 / 3.0)) < 1e-6
     assert tr.converged
+    assert tr.final_residual <= hp.inner_tol
 
 
 def test_weak_drive_clamps_to_zero():
@@ -107,6 +112,13 @@ def test_topdown_soft_threshold_oracle():
                                  scalar_model(), hp)
     assert abs(cv.values[0] - 0.7) < 1e-6
     assert tr.converged
+    assert tr.final_residual <= hp.inner_tol
+    capped = HyperParams(cause_sparsity=0.3, inner_tol=1e-8, max_inner_iter=1)
+    cv, tr = infer_cause_topdown(scalar_pooled(0.0), np.array([1.0]),
+                                 scalar_model(), capped)
+    assert not tr.converged
+    assert tr.final_residual > capped.inner_tol
+    assert abs(tr.final_residual - abs(cv.values[0] - 0.7)) < 1e-12
 
 
 def test_topdown_matches_golden_section_oracle():

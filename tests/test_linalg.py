@@ -1,71 +1,8 @@
 import numpy as np
 import pytest
 
-from mmdpcn.errors import NonConvergence, NonFinite, ZeroColumn
-from mmdpcn.linalg import as_float_array, cg_solve, column_normalize
-
-
-def random_spd(rng, n):
-    q = rng.standard_normal((n, n))
-    return q @ q.T + n * np.eye(n)
-
-
-def test_cg_matches_dense_lu_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        n = int(rng.integers(1, 40))
-        a = random_spd(rng, n)
-        b = rng.standard_normal(n)
-        z = cg_solve(lambda v: a @ v, b, tol=1e-10, max_iter=20 * n)
-        assert np.allclose(z, np.linalg.solve(a, b), atol=1e-8, rtol=1e-8)
-
-
-def test_cg_residual_postcondition():
-    rng = np.random.default_rng(8)
-    for _ in range(25):
-        n = int(rng.integers(2, 30))
-        a = random_spd(rng, n)
-        b = rng.standard_normal(n) * float(rng.uniform(0.1, 50.0))
-        tol = 1e-8
-        z = cg_solve(lambda v: a @ v, b, tol=tol, max_iter=20 * n)
-        assert np.linalg.norm(a @ z - b) <= tol * max(1.0, np.linalg.norm(b))
-
-
-def test_cg_warm_start_from_solution_returns_immediately():
-    rng = np.random.default_rng(9)
-    a = random_spd(rng, 12)
-    b = rng.standard_normal(12)
-    exact = np.linalg.solve(a, b)
-    calls = []
-    z = cg_solve(lambda v: (calls.append(1), a @ v)[1], b, tol=1e-8, x0=exact)
-    assert np.allclose(z, exact)
-    # One application to form the initial residual, nothing more.
-    assert len(calls) == 1
-
-
-def test_cg_zero_rhs_returns_zero():
-    a = np.eye(5)
-    z = cg_solve(lambda v: a @ v, np.zeros(5))
-    assert np.array_equal(z, np.zeros(5))
-
-
-def test_cg_rejects_indefinite_operator():
-    b = np.ones(4)
-    with pytest.raises(NonConvergence):
-        cg_solve(lambda v: -v, b)
-
-
-def test_cg_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        cg_solve(lambda v: v, np.ones(3), tol=0.0)
-
-
-def test_cg_raises_when_budget_too_small():
-    rng = np.random.default_rng(10)
-    q = rng.standard_normal((30, 30))
-    a = q @ q.T + 1e-4 * np.eye(30)  # ill-conditioned on purpose
-    with pytest.raises(NonConvergence):
-        cg_solve(lambda v: a @ v, rng.standard_normal(30), tol=1e-14, max_iter=2)
+from mmdpcn.errors import NonFinite, ZeroColumn
+from mmdpcn.linalg import as_float_array, column_normalize
 
 
 def test_column_normalize_unit_columns():

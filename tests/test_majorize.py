@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmdpcn.majorize import (DENSE_CUTOFF, ReweightDiagonal, SmoothApprox,
+from mmdpcn.majorize import (ReweightDiagonal, SmoothApprox,
                              majorizer_value, reweight, smooth_l1, soft_clip,
                              woodbury_apply)
 
@@ -143,17 +143,31 @@ def test_woodbury_all_zero_diagonal():
     assert np.array_equal(woodbury_apply(c, np.zeros(4), np.ones(4)), np.zeros(4))
 
 
-def test_woodbury_cg_path_matches_dense_path():
-    # Above the cutoff the inner system goes through conjugate gradients;
-    # force both paths on the same instance and compare.
+def test_woodbury_support_solve_matches_dense_solve():
+    # Supports smaller than, equal to and larger than the input dimension,
+    # full and empty, with well- and ill-scaled weights: the support solve
+    # must match the reduced normal equations and keep dead components zero.
     rng = np.random.default_rng(7)
-    p, k = DENSE_CUTOFF + 8, DENSE_CUTOFF + 30
+    p, k = 12, 30
     c = rng.standard_normal((p, k)) / np.sqrt(p)
-    r = rng.uniform(0.05, 3.0, size=k)
     rhs = rng.standard_normal(k)
-    via_cg = woodbury_apply(c, r, rhs)
-    via_dense = woodbury_apply(c, r, rhs, dense_cutoff=10 * p)
-    assert np.allclose(via_cg, via_dense, atol=1e-8, rtol=1e-8)
+    ill_scaled = np.logspace(-9, 2, k)
+    rng.shuffle(ill_scaled)
+    for size in (p, p + 1, k, 0):
+        for scale in (rng.uniform(0.05, 3.0, size=k), ill_scaled):
+            r = np.zeros(k)
+            live = rng.choice(k, size=size, replace=False)
+            r[live] = scale[live]
+            out = woodbury_apply(c, r, rhs)
+            dead = r == 0
+            assert np.all(out[dead] == 0.0)
+            if size == 0:
+                continue
+            sub = c[:, ~dead]
+            expected = np.linalg.solve(sub.T @ sub + np.diag(1.0 / r[~dead]),
+                                       rhs[~dead])
+            err = np.linalg.norm(out[~dead] - expected) / np.linalg.norm(expected)
+            assert err <= 1e-10
 
 
 def test_woodbury_accepts_reweight_diagonal_and_validates():

@@ -3,7 +3,9 @@ import pytest
 
 from mmdpcn.errors import (ConfigError, DimensionMismatch, FormatError,
                            GridMismatch)
-from mmdpcn.learning import LearnConfig, fit_layer, init_model
+from mmdpcn.cli import _bench_model
+from mmdpcn.config import BenchSettings
+from mmdpcn.learning import LearnConfig, fit_layer, init_model, update_model
 from mmdpcn.model import HyperParams, LayerDims
 from mmdpcn.network import (InferenceResult, Layer, LayerSpec, NetworkConfig,
                             decompose_frame, infer_variables, load_network,
@@ -147,6 +149,34 @@ def test_save_load_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_every_model_carries_its_gram_matrix_and_files_omit_it(tmp_path):
+    def check(model):
+        c = model.dictionary
+        assert np.allclose(model.gram, c.T @ c, rtol=0.0, atol=1e-12)
+
+    layers = random_stack(seed=37)
+    for layer in layers:
+        check(layer.model)
+    model = layers[0].model
+    grads = tuple(np.ones_like(m) for m in
+                  (model.transition, model.coupling, model.dictionary))
+    check(update_model(model, grads, LearnConfig(), model))
+    check(_bench_model(BenchSettings(patch_dim=16, state_dim=20),
+                       np.random.default_rng(37)))
+
+    path = tmp_path / "net.dpcn"
+    save_network(layers, path)
+    for layer in load_network(path):
+        check(layer.model)
+    # Version 1 layout: header, then per layer dims, hyperparameters and the
+    # transition, coupling and dictionary only.
+    size = 8
+    for layer in layers:
+        p, k, d = layer.model.dictionary.shape + (layer.model.dims.cause_dim,)
+        size += 16 + 11 * 8 + 8 * (k * k + k * d + p * k)
+    assert path.stat().st_size == size
+
+
 def test_load_rejects_corrupt_files(tmp_path):
     layers = random_stack(seed=31)
     path = tmp_path / "net.dpcn"
@@ -198,6 +228,24 @@ def test_infer_variables_fista_solver_and_validation():
     assert result.states[1][0][0].values.shape == (6,)
     with pytest.raises(ValueError):
         infer_variables(frames, layers, (2, 2), state_solver="newton")
+
+
+def test_infer_variables_rejects_frames_the_model_was_not_trained_for():
+    rng = np.random.default_rng(38)
+    hp = HyperParams()
+    frames = np.zeros((2, 4, 4))
+    # A layer trained on a 4x4 grid of 4-pixel patches, given 2x2-grid
+    # frames that also cut into 4-pixel patches.
+    sixteen = [Layer(init_model(LayerDims(4, 6, 2, 16), rng), hp)]
+    with pytest.raises(ConfigError, match="4 patches of length 4; layer 1 "
+                                          "expects 16 of length 4"):
+        infer_variables(frames, sixteen, (2, 2))
+    # Right patch count, wrong patch length.
+    with pytest.raises(ConfigError, match="4 patches of length 16; layer 1 "
+                                          "expects 4 of length 4"):
+        infer_variables(np.zeros((2, 8, 8)), random_stack(seed=38), (2, 2))
+    with pytest.raises(ConfigError, match="at least one layer"):
+        infer_variables(frames, [], (2, 2))
 
 
 def test_segment_reset_matches_separate_inference():

@@ -64,9 +64,14 @@ def test_scalar_first_two_iterates_pinned():
     assert sv.values[1] == 0.0
     assert tr.iterations == 1
     hp2 = HyperParams(state_sparsity=0.3, temporal_sparsity=0.0, max_inner_iter=2)
-    sv, _ = infer_state(y, None, model, hp2, x_init=init)
+    sv, tr = infer_state(y, None, model, hp2, x_init=init)
     assert abs(sv.values[0] - 10.0 / 13.9) < 1e-12
     assert abs(sv.values[0] - 0.7194) < 1e-4
+    # A capped solve reports the stationarity residual |x - y + mu| it
+    # stopped at.
+    assert not tr.converged
+    assert tr.final_residual > hp2.inner_tol
+    assert abs(tr.final_residual - (sv.values[0] - 0.7)) < 1e-12
 
 
 def test_scalar_converges_to_soft_threshold_fixed_point():
@@ -77,6 +82,7 @@ def test_scalar_converges_to_soft_threshold_fixed_point():
                          x_init=np.array([1.0, 0.0]))
     assert abs(sv.values[0] - 0.7) < 1e-6
     assert tr.converged
+    assert tr.final_residual <= hp.inner_tol
 
 
 def test_zero_measurement_collapses_in_one_iteration():
