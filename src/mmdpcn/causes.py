@@ -14,7 +14,8 @@ import numpy as np
 from .errors import DimensionMismatch, NonFinite
 from .linalg import as_float_array
 from .model import (CauseVector, HyperParams, LayerModel, PooledStateMagnitude,
-                    StateVector, cause_energy, topdown_cause_energy)
+                    StateVector, _cause_values, cause_energy,
+                    topdown_cause_energy)
 from .states import SolveTrace, _pct_zero
 
 # Halvings of the step before giving up; by then the candidate coincides
@@ -26,12 +27,6 @@ def _drive(coupling: np.ndarray, pooled: np.ndarray, u: np.ndarray) -> np.ndarra
     """Downhill pull of the exponential term: coupling^T (pooled * exp(-coupling@u))."""
     z = np.clip(coupling @ u, -700.0, 700.0)
     return coupling.T @ (pooled * np.exp(-z))
-
-
-def _cause_values(u) -> np.ndarray:
-    if isinstance(u, CauseVector):
-        return u.values
-    return as_float_array(u, "cause")
 
 
 def _descend(u, full_step, clamp, energy):

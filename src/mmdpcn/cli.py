@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .baselines import BaselineConfig, adam_solve, fista_solve, ista_solve, \
     state_objective
-from .config import BenchSettings, parse_bench_config, parse_network_config
+from .config import BenchSettings, _parse_grid, parse_bench_config, \
+    parse_network_config
 from .errors import ConfigError, LengthMismatch
 from .frames import (format_float, read_frames_dir, read_labels_csv,
                      read_rten, write_frames, write_labels_csv,
@@ -70,17 +71,6 @@ def _manifest(args, inputs) -> RunManifest:
         version=f"v{__version__}",
         started_at=_now(),
     )
-
-
-def _parse_grid(raw: str):
-    try:
-        rows, cols = raw.lower().split("x")
-        rows, cols = int(rows), int(cols)
-    except ValueError:
-        raise ConfigError(f"--grid must look like 2x2, got {raw!r}") from None
-    if rows < 1 or cols < 1:
-        raise ConfigError("--grid dimensions must be positive")
-    return rows, cols
 
 
 # ---------------------------------------------------------------------------

@@ -89,22 +89,28 @@ def reweight(v: np.ndarray, weight: float) -> ReweightDiagonal:
 
 def _solve_on_support(gram: np.ndarray, r: np.ndarray,
                       rhs: np.ndarray) -> np.ndarray:
-    """Solve (C^T C + diag(1/r)) x = rhs on the support S of r; zero elsewhere.
+    """Solve (C^T C + diag(1/r_i)) x_i = rhs_i for every row i of r and rhs.
 
-    gram is C^T C.  With h = sqrt(r_S), x_S = h z where
-    (I + diag(h) G_SS diag(h)) z = h rhs_S; the eigenvalues are at least 1
-    however small r gets.
+    gram is C^T C; r and rhs are (n, k).  Each row is solved on its own
+    support S = {j : r_ij > 0} and is exactly zero elsewhere.  With
+    h = sqrt(r_S), x_S = h z where (I + diag(h) G_SS diag(h)) z = h rhs_S;
+    the eigenvalues are at least 1 however small r gets.  The rows are
+    separate solves because a zero-padded batched solve rounds differently
+    from the solve on each row's own support.
     """
-    x = np.zeros_like(rhs)
-    s = np.flatnonzero(r)
-    if s.size == 0:
-        return x
-    h = np.sqrt(r[s])
-    m = gram[np.ix_(s, s)]
-    m *= h[:, None]
-    m *= h
-    m.flat[::s.size + 1] += 1.0
-    x[s] = h * np.linalg.solve(m, h * rhs[s])
+    x = np.zeros(rhs.shape)
+    for x_i, r_i, rhs_i in zip(x, r, rhs):
+        s = r_i.nonzero()[0]
+        if s.size == 0:
+            continue
+        h = np.sqrt(r_i[s])
+        m = gram[s[:, None], s]
+        m *= h[:, None]
+        m *= h
+        m.flat[::s.size + 1] += 1.0
+        x_i[s] = h * np.linalg.solve(m, h * rhs_i[s])
+        # Free this row's system before the next row gathers its own.
+        del m
     return x
 
 
@@ -123,4 +129,4 @@ def woodbury_apply(c: np.ndarray, r, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("dictionary, diagonal, and rhs sizes are inconsistent")
     if np.any(r < 0):
         raise ValueError("reweight diagonal must be nonnegative")
-    return _solve_on_support(c.T @ c, r, rhs)
+    return _solve_on_support(c.T @ c, r[None, :], rhs[None, :])[0]

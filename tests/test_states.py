@@ -175,6 +175,72 @@ def test_batch_equals_sequential():
         assert batch_traces[i].objective_per_iter == tr.objective_per_iter
 
 
+def _assert_same_solve(batch_sv, batch_tr, sv, tr):
+    assert np.array_equal(batch_sv.values, sv.values)
+    assert np.array_equal(batch_sv.clamped, sv.clamped)
+    assert batch_tr.objective_per_iter == tr.objective_per_iter
+    assert batch_tr.sparsity_per_iter == tr.sparsity_per_iter
+    assert batch_tr.iterations == tr.iterations
+    assert batch_tr.converged == tr.converged
+    assert batch_tr.final_residual == tr.final_residual
+
+
+@pytest.mark.parametrize("temporal", [0.0, 0.2])
+@pytest.mark.parametrize("with_inits", [False, True])
+def test_batch_patches_stop_independently_and_match_solo_solves(temporal, with_inits):
+    rng = np.random.default_rng(15)
+    model, _ = random_instance(rng, p_max=12, k_max=20)
+    p, k = model.dims.input_dim, model.dims.state_dim
+    patches = rng.standard_normal((5, p))
+    prev = [rng.standard_normal(k) for _ in range(5)]
+    # An all-zero patch with nothing predicted for it converges within a few
+    # updates while the others run on to the cap.
+    patches[2] = 0.0
+    prev[2] = np.zeros(k)
+    inits = None
+    if with_inits:
+        inits = [rng.standard_normal(k) * (rng.random(k) < 0.7) for _ in range(5)]
+    # A large clamp threshold makes the guarded clamp fire along the way.
+    hp = HyperParams(state_sparsity=0.2, temporal_sparsity=temporal,
+                     clamp_state=3e-2, inner_tol=1e-9, max_inner_iter=40)
+    batch_states, batch_traces = infer_states_batch(
+        PatchBatch(0, patches), prev, model, hp, inits=inits)
+    solo = [infer_state(patches[i], prev[i], model, hp,
+                        None if inits is None else inits[i])
+            for i in range(5)]
+    for i, (sv, tr) in enumerate(solo):
+        _assert_same_solve(batch_states[i], batch_traces[i], sv, tr)
+    iterations = [tr.iterations for _, tr in solo]
+    assert solo[2][1].converged and iterations[2] < 10
+    assert any(not tr.converged for _, tr in solo)
+    assert max(iterations) == hp.max_inner_iter
+    # Clamping is the only way a component becomes zero mid-solve.
+    assert any(np.any(np.diff(tr.sparsity_per_iter) > 0) for _, tr in solo)
+
+
+def test_one_patch_and_empty_batches():
+    rng = np.random.default_rng(16)
+    model, y = random_instance(rng)
+    x_prev = rng.standard_normal(model.dims.state_dim)
+    hp = HyperParams(max_inner_iter=25)
+    states, traces = infer_states_batch(y[None, :], [x_prev], model, hp)
+    sv, tr = infer_state(y, x_prev, model, hp)
+    assert len(states) == len(traces) == 1
+    _assert_same_solve(states[0], traces[0], sv, tr)
+    empty = np.zeros((0, model.dims.input_dim))
+    assert infer_states_batch(empty, None, model, hp) == ([], [])
+    assert infer_states_batch(empty, [], model, hp, inits=[]) == ([], [])
+
+
+def test_batch_wall_time_is_an_equal_share():
+    rng = np.random.default_rng(17)
+    model, _ = random_instance(rng)
+    patches = rng.standard_normal((3, model.dims.input_dim))
+    _, traces = infer_states_batch(patches, None, model, HyperParams())
+    assert traces[0].wall_time > 0
+    assert all(tr.wall_time == traces[0].wall_time for tr in traces)
+
+
 def test_trace_bookkeeping():
     model = scalar_model()
     hp = HyperParams(temporal_sparsity=0.0, max_inner_iter=7, inner_tol=1e-300)
@@ -195,3 +261,14 @@ def test_dimension_errors():
         infer_state(np.ones(1), None, model, hp, x_init=np.ones(3))
     with pytest.raises(DimensionMismatch):
         infer_states_batch(np.ones((2, 1)), [np.ones(2)], model, hp)
+    with pytest.raises(DimensionMismatch):
+        infer_states_batch(np.ones((2, 2)), None, model, hp)
+
+
+def test_previous_state_of_wrong_length_is_rejected():
+    model = scalar_model()
+    hp = HyperParams(temporal_sparsity=0.1)
+    with pytest.raises(DimensionMismatch):
+        infer_state(np.ones(1), np.ones(3), model, hp)
+    with pytest.raises(DimensionMismatch):
+        infer_states_batch(np.ones((2, 1)), [np.ones(2), np.ones(3)], model, hp)
