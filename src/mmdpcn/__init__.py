@@ -14,14 +14,13 @@ from .causes import (TopDownPrediction, infer_cause, infer_cause_topdown,
                      top_down_prediction)
 from .config import BenchSettings, parse_bench_config, parse_network_config
 from .learning import FitReport, LearnConfig, fit_layer, init_model
-from .majorize import majorizer_value, reweight, smooth_l1, soft_clip, \
-    woodbury_apply
+from .majorize import smooth_l1, soft_clip
 from .metrics import (ClusterReport, adjusted_rand_index, completeness,
                       evaluate_clustering, kmeans, matching_accuracy,
                       pca_project, reconstruction_mse, sparsity)
 from .model import (CauseVector, HyperParams, LayerDims, LayerModel,
-                    PatchBatch, PooledStateMagnitude, StateVector,
-                    cause_energy, state_energy, total_energy)
+                    PatchBatch, PooledStateMagnitude, cause_energy,
+                    state_energy, total_energy)
 from .network import (InferenceResult, Layer, LayerSpec, NetworkConfig,
                       decompose_frame, infer_variables, load_network,
                       recompose_frame, reconstruct_frames, save_network,
@@ -33,15 +32,15 @@ __all__ = [
     "BaselineConfig", "BenchSettings", "CauseVector", "ClusterReport",
     "FitReport", "HyperParams", "InferenceResult", "Layer", "LayerDims",
     "LayerModel", "LayerSpec", "LearnConfig", "NetworkConfig", "PatchBatch",
-    "PooledStateMagnitude", "ShapesDataset", "SolveTrace", "StateVector",
+    "PooledStateMagnitude", "ShapesDataset", "SolveTrace",
     "TopDownPrediction", "adam_solve", "adjusted_rand_index", "cause_energy",
     "completeness", "decompose_frame", "evaluate_clustering", "fista_solve",
     "fit_layer", "generate_shapes", "infer_cause", "infer_cause_topdown",
     "infer_state", "infer_states_batch", "infer_variables", "init_model",
-    "ista_solve", "kmeans", "load_network", "majorizer_value",
-    "matching_accuracy", "parse_bench_config", "parse_network_config",
-    "pca_project", "recompose_frame", "reconstruct_frames",
-    "reconstruction_mse", "save_network", "smooth_l1", "soft_clip",
-    "sparsity", "state_energy", "state_objective", "top_down_prediction",
-    "total_energy", "train_network", "woodbury_apply",
+    "ista_solve", "kmeans", "load_network", "matching_accuracy",
+    "parse_bench_config", "parse_network_config", "pca_project",
+    "recompose_frame", "reconstruct_frames", "reconstruction_mse",
+    "save_network", "smooth_l1", "soft_clip", "sparsity", "state_energy",
+    "state_objective", "top_down_prediction", "total_energy",
+    "train_network",
 ]

@@ -15,10 +15,8 @@ import numpy as np
 from .errors import DimensionMismatch, NonFinite
 from .linalg import as_float_array
 from .majorize import smooth_l1, soft_clip
-from .model import HyperParams, LayerModel, StateVector
+from .model import HyperParams, LayerModel
 from .states import SolveTrace, _pct_zero
-
-_METHODS = ("ista", "fista", "adam")
 
 
 @dataclass(frozen=True)
@@ -30,7 +28,6 @@ class BaselineConfig:
     which is the fixed-iteration benchmark regime.
     """
 
-    method: str = "ista"
     step: float = 1e-2
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -39,8 +36,6 @@ class BaselineConfig:
     tol: float = 0.0
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
@@ -69,9 +64,8 @@ class _Problem:
         self.lam = hp.temporal_sparsity if x_prev is not None else 0.0
         self.prediction = None
         if self.lam > 0:
-            xp = x_prev.values if isinstance(x_prev, StateVector) else \
-                as_float_array(x_prev, "previous state")
-            self.prediction = model.transition @ xp
+            self.prediction = model.transition @ as_float_array(
+                x_prev, "previous state")
 
     def smooth_grad(self, x):
         """Gradient of the smooth part (reconstruction + smoothed innovation)."""
@@ -100,7 +94,7 @@ def _record(trace, prob, x):
 
 
 def ista_solve(y, model: LayerModel, hp: HyperParams, cfg: BaselineConfig,
-               x_prev=None) -> tuple[StateVector, SolveTrace]:
+               x_prev=None) -> tuple[np.ndarray, SolveTrace]:
     """Proximal gradient: x <- shrink(x - step*grad, step*mu)."""
     start = time.perf_counter()
     prob = _Problem(y, model, hp, x_prev)
@@ -119,11 +113,11 @@ def ista_solve(y, model: LayerModel, hp: HyperParams, cfg: BaselineConfig,
             break
 
     trace.wall_time = time.perf_counter() - start
-    return StateVector(x, x == 0.0), trace
+    return x, trace
 
 
 def fista_solve(y, model: LayerModel, hp: HyperParams, cfg: BaselineConfig,
-                x_prev=None) -> tuple[StateVector, SolveTrace]:
+                x_prev=None) -> tuple[np.ndarray, SolveTrace]:
     """Accelerated proximal gradient with the standard momentum sequence."""
     start = time.perf_counter()
     prob = _Problem(y, model, hp, x_prev)
@@ -147,11 +141,11 @@ def fista_solve(y, model: LayerModel, hp: HyperParams, cfg: BaselineConfig,
             break
 
     trace.wall_time = time.perf_counter() - start
-    return StateVector(x, x == 0.0), trace
+    return x, trace
 
 
 def adam_solve(y, model: LayerModel, hp: HyperParams, cfg: BaselineConfig,
-               x_prev=None) -> tuple[StateVector, SolveTrace]:
+               x_prev=None) -> tuple[np.ndarray, SolveTrace]:
     """Adam on the fully smoothed objective (state l1 smoothed as well).
 
     The trace still records the exact-l1 objective.  Values below the state
@@ -182,20 +176,12 @@ def adam_solve(y, model: LayerModel, hp: HyperParams, cfg: BaselineConfig,
     trace.objective_per_iter[-1] = prob.objective(x)
     trace.sparsity_per_iter[-1] = _pct_zero(x)
     trace.wall_time = time.perf_counter() - start
-    return StateVector(x, x == 0.0), trace
-
-
-def solve(method: str, y, model, hp, cfg: BaselineConfig, x_prev=None):
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {_METHODS}")
-    fn = {"ista": ista_solve, "fista": fista_solve, "adam": adam_solve}[method]
-    return fn(y, model, hp, cfg, x_prev=x_prev)
+    return x, trace
 
 
 def state_objective(x, y, model: LayerModel, hp: HyperParams, x_prev=None) -> float:
     """The common final-value yardstick used when comparing solvers."""
-    vals = x.values if isinstance(x, StateVector) else as_float_array(x, "state")
-    return _Problem(y, model, hp, x_prev).objective(vals)
+    return _Problem(y, model, hp, x_prev).objective(as_float_array(x, "state"))
 
 
 def lipschitz_step(model: LayerModel, hp: HyperParams, with_temporal: bool) -> float:
@@ -205,29 +191,3 @@ def lipschitz_step(model: LayerModel, hp: HyperParams, with_temporal: bool) -> f
         lip += hp.temporal_sparsity / hp.smooth_margin
     return 1.0 / lip
 
-
-def fista_state_batch(batch, prev, model: LayerModel, hp: HyperParams,
-                      step=None) -> list:
-    """Drop-in replacement for the reweighted state solver in a frame pass.
-
-    Solves every patch with momentum prox steps, stopping at the layer's
-    inner tolerance; used for timing comparisons at matched accuracy.  The
-    default step is the benchmark learning rate (BaselineConfig's default),
-    the same configuration the solver comparison runs; pass
-    lipschitz_step(model, hp, prev is not None) for the strongest
-    fixed-step variant instead.
-    """
-    patches = batch.patches if hasattr(batch, "patches") else \
-        as_float_array(batch, "patches")
-    kwargs = {} if step is None else {"step": step}
-    cfg = BaselineConfig(method="fista",
-                         max_iter=50 * hp.max_inner_iter,
-                         tol=hp.inner_tol, **kwargs)
-    out = []
-    for i in range(patches.shape[0]):
-        sv, _ = fista_solve(patches[i], model, hp, cfg,
-                            x_prev=None if prev is None else prev[i])
-        vals = sv.values.copy()
-        vals[np.abs(vals) < hp.clamp_state] = 0.0
-        out.append(StateVector(vals, vals == 0.0))
-    return out

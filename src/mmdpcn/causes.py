@@ -1,9 +1,12 @@
 """Cause inference: per-frame sparse variables that gate state magnitudes.
 
-The update is a diagonally scaled fixed-point step on the stationarity
-equation.  The step direction always points downhill on the cause
-objective, so a halving backtrack makes the recorded objective provably
-nonincreasing even on badly scaled inputs where the raw step overshoots.
+One kernel minimizes the cause objective, optionally plus a quadratic pull
+0.5*||u - preference||^2 toward what the layer above predicts.  Its update
+is a diagonally scaled fixed-point step on the stationarity equation; the
+step direction always points downhill, so a halving backtrack makes the
+recorded objective provably nonincreasing even on badly scaled inputs
+where the raw step overshoots.  infer_cause and infer_cause_topdown are
+its two entry points.
 """
 
 import time
@@ -14,8 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonFinite
 from .linalg import as_float_array
 from .model import (CauseVector, HyperParams, LayerModel, PooledStateMagnitude,
-                    StateVector, _cause_values, cause_energy,
-                    topdown_cause_energy)
+                    _cause_values, cause_energy)
 from .states import SolveTrace, _pct_zero
 
 # Halvings of the step before giving up; by then the candidate coincides
@@ -44,15 +46,16 @@ def _descend(u, full_step, clamp, energy):
     return u, e_cur
 
 
-def infer_cause(pooled: PooledStateMagnitude, model: LayerModel, hp: HyperParams,
-                u_init=None) -> tuple[CauseVector, SolveTrace]:
-    """Infer the frame's cause from the pooled state magnitudes.
+def _solve(pooled: PooledStateMagnitude, preference, model: LayerModel,
+           hp: HyperParams, u_init) -> tuple[CauseVector, SolveTrace]:
+    """The cause iteration, with a pull toward preference unless it is None.
 
-    Iterates u <- (|u|/beta) * drive(u) where drive is the gradient pull of
-    the exponential gating term.  Zero components are absorbing, so the
-    initial value must be nonzero (default 0.1 everywhere).  Stops when the
-    stationarity residual |beta*sign(u) - drive| on the support falls below
-    hp.inner_tol, or at hp.max_inner_iter.
+    With r = |u|/beta, each step moves toward r * drive(u), or with a
+    preference toward (r/(1+r)) * (preference + drive(u)), the diagonal
+    inverse of (I + W).  Zero components are absorbing, so the initial
+    value must be nonzero (default 0.1 everywhere).  Stops when the
+    stationarity residual on the support falls below hp.inner_tol, or at
+    hp.max_inner_iter.
     """
     start = time.perf_counter()
     b = model.coupling
@@ -61,73 +64,28 @@ def infer_cause(pooled: PooledStateMagnitude, model: LayerModel, hp: HyperParams
         raise DimensionMismatch(
             f"pooled magnitudes must have length {b.shape[0]}, got {pv.shape}")
     d = b.shape[1]
+    if preference is not None:
+        preference = as_float_array(preference, "cause preference")
+        if preference.shape != (d,):
+            raise DimensionMismatch(
+                f"preference must have length {d}, got {preference.shape}")
     beta = hp.cause_sparsity
 
     u = 0.1 * np.ones(d) if u_init is None else _cause_values(u_init).copy()
     if u.shape != (d,):
         raise DimensionMismatch(f"cause init must have length {d}")
 
-    energy = lambda v: cause_energy(v, pooled, model, hp)
-    trace = SolveTrace()
-    trace.objective_per_iter.append(energy(u))
-    trace.sparsity_per_iter.append(_pct_zero(u))
-
-    for it in range(1, hp.max_inner_iter + 1):
-        full = (np.abs(u) / beta) * _drive(b, pv, u)
-        if not np.all(np.isfinite(full)):
-            raise NonFinite("cause iterate diverged to NaN/Inf")
-        u, e_cur = _descend(u, full, hp.clamp_cause, energy)
-        trace.objective_per_iter.append(e_cur)
-        trace.sparsity_per_iter.append(_pct_zero(u))
-        trace.iterations = it
-
-        support = u != 0.0
-        if np.any(support):
-            resid = beta * np.sign(u[support]) - _drive(b, pv, u)[support]
-            kkt = float(np.max(np.abs(resid)))
-        else:
-            kkt = 0.0
-        trace.final_residual = kkt
-        if kkt <= hp.inner_tol:
-            trace.converged = True
-            break
-
-    trace.wall_time = time.perf_counter() - start
-    return CauseVector(u, u == 0.0), trace
-
-
-def infer_cause_topdown(pooled: PooledStateMagnitude, preference, model: LayerModel,
-                        hp: HyperParams, u_init=None) -> tuple[CauseVector, SolveTrace]:
-    """Cause inference with a quadratic pull toward a predicted preference.
-
-    Minimizes the cause objective plus 0.5*||u - preference||^2.  The
-    update becomes u <- (r/(1+r)) * (preference + drive(u)) with
-    r = |u|/beta, the diagonal inverse of (I + W).
-    """
-    start = time.perf_counter()
-    b = model.coupling
-    pv = pooled.values
-    u_hat = as_float_array(preference, "cause preference")
-    if pv.shape != (b.shape[0],):
-        raise DimensionMismatch(
-            f"pooled magnitudes must have length {b.shape[0]}, got {pv.shape}")
-    d = b.shape[1]
-    if u_hat.shape != (d,):
-        raise DimensionMismatch(f"preference must have length {d}, got {u_hat.shape}")
-    beta = hp.cause_sparsity
-
-    u = 0.1 * np.ones(d) if u_init is None else _cause_values(u_init).copy()
-    if u.shape != (d,):
-        raise DimensionMismatch(f"cause init must have length {d}")
-
-    energy = lambda v: topdown_cause_energy(v, pooled, u_hat, model, hp)
+    energy = lambda v: cause_energy(v, pooled, model, hp, preference)
     trace = SolveTrace()
     trace.objective_per_iter.append(energy(u))
     trace.sparsity_per_iter.append(_pct_zero(u))
 
     for it in range(1, hp.max_inner_iter + 1):
         r = np.abs(u) / beta
-        full = (r / (1.0 + r)) * (u_hat + _drive(b, pv, u))
+        if preference is None:
+            full = r * _drive(b, pv, u)
+        else:
+            full = (r / (1.0 + r)) * (preference + _drive(b, pv, u))
         if not np.all(np.isfinite(full)):
             raise NonFinite("cause iterate diverged to NaN/Inf")
         u, e_cur = _descend(u, full, hp.clamp_cause, energy)
@@ -137,10 +95,11 @@ def infer_cause_topdown(pooled: PooledStateMagnitude, preference, model: LayerMo
 
         support = u != 0.0
         if np.any(support):
-            resid = (u[support] - u_hat[support]
-                     + beta * np.sign(u[support])
-                     - _drive(b, pv, u)[support])
-            kkt = float(np.max(np.abs(resid)))
+            # Subgradient of the penalty and the pull, minus the drive.
+            pull = beta * np.sign(u[support])
+            if preference is not None:
+                pull = u[support] - preference[support] + pull
+            kkt = float(np.max(np.abs(pull - _drive(b, pv, u)[support])))
         else:
             kkt = 0.0
         trace.final_residual = kkt
@@ -149,7 +108,19 @@ def infer_cause_topdown(pooled: PooledStateMagnitude, preference, model: LayerMo
             break
 
     trace.wall_time = time.perf_counter() - start
-    return CauseVector(u, u == 0.0), trace
+    return CauseVector(u), trace
+
+
+def infer_cause(pooled: PooledStateMagnitude, model: LayerModel, hp: HyperParams,
+                u_init=None) -> tuple[CauseVector, SolveTrace]:
+    """Infer the frame's cause from the pooled state magnitudes alone."""
+    return _solve(pooled, None, model, hp, u_init)
+
+
+def infer_cause_topdown(pooled: PooledStateMagnitude, preference, model: LayerModel,
+                        hp: HyperParams, u_init=None) -> tuple[CauseVector, SolveTrace]:
+    """Cause inference with a quadratic pull toward a predicted preference."""
+    return _solve(pooled, preference, model, hp, u_init)
 
 
 @dataclass(frozen=True)
@@ -174,8 +145,7 @@ def top_down_prediction(upper_model: LayerModel, upper_x_prev, upper_u,
     temporal_sparsity > pool_gain * (1 + exp(-(coupling@u)_k)); everything
     else is zeroed before rendering through the dictionary.
     """
-    x_prev = upper_x_prev.values if isinstance(upper_x_prev, StateVector) \
-        else as_float_array(upper_x_prev, "upper state")
+    x_prev = as_float_array(upper_x_prev, "upper state")
     u = _cause_values(upper_u)
     k, d = upper_model.coupling.shape
     if x_prev.shape != (k,):

@@ -2,9 +2,10 @@
 
 Subcommands: gen-shapes, bench, train, cluster, reconstruct.  Every run
 writes a manifest.json next to its outputs.  Metric CSVs contain only
-seed-determined numbers so two runs with the same seed produce
-byte-identical files; anything measured with a clock goes into a separate
-timings.csv.
+seed-determined numbers, so same-seed runs at the same BLAS thread count
+produce byte-identical files; BLAS/LAPACK rounding in the state solves can
+depend on that count, and nothing here fixes it (perfbench/ pins 1 thread).
+Anything measured with a clock goes into a separate timings.csv.
 """
 
 import argparse
@@ -171,9 +172,7 @@ def run_benchmark(settings: BenchSettings, methods, seed: int, patches=None):
     hp = _bench_hp(settings)
     # ISTA/FISTA share the fixed gradient step; Adam, being learning-rate
     # adaptive, gets its own scale.
-    cfgs = {m: BaselineConfig(method=m,
-                              step=settings.adam_step if m == "adam"
-                              else settings.step,
+    cfgs = {m: BaselineConfig(step=settings.adam_step if m == "adam" else settings.step,
                               max_iter=settings.max_iter)
             for m in ("ista", "fista", "adam")}
     solvers = {"ista": ista_solve, "fista": fista_solve, "adam": adam_solve}
@@ -183,10 +182,10 @@ def run_benchmark(settings: BenchSettings, methods, seed: int, patches=None):
         y = patches[i]
         for m in methods:
             if m == "mm":
-                sv, trace = infer_state(y, None, model, hp)
+                x, trace = infer_state(y, None, model, hp)
             else:
-                sv, trace = solvers[m](y, model, hp, cfgs[m])
-            runs[m].append((state_objective(sv, y, model, hp), sv, trace))
+                x, trace = solvers[m](y, model, hp, cfgs[m])
+            runs[m].append((state_objective(x, y, model, hp), x, trace))
 
     # Reference objective per patch: best final value any method reached.
     refs = [min(runs[m][i][0] for m in methods)
@@ -196,9 +195,9 @@ def run_benchmark(settings: BenchSettings, methods, seed: int, patches=None):
     for m in methods:
         finals, spas, iters, walls = [], [], [], []
         traces = []
-        for i, (final, sv, trace) in enumerate(runs[m]):
+        for i, (final, x, trace) in enumerate(runs[m]):
             finals.append(final)
-            spas.append(sparsity(sv.values, hp.clamp_state))
+            spas.append(sparsity(x, hp.clamp_state))
             threshold = 1.01 * refs[i] if refs[i] > 0 else refs[i]
             hit = [j for j, v in enumerate(trace.objective_per_iter)
                    if v <= threshold]

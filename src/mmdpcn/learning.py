@@ -13,10 +13,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import column_normalize
+from .linalg import as_float_array, column_normalize
 from .majorize import soft_clip
 from .model import (HyperParams, LayerDims, LayerModel, PatchBatch,
-                    PooledStateMagnitude, states_matrix, total_energy)
+                    PooledStateMagnitude, _cause_values, total_energy)
 from .causes import infer_cause
 from .states import infer_states_batch
 
@@ -70,16 +70,16 @@ def grad_model(batch, states, prev_states, cause, pooled: PooledStateMagnitude,
     (transition, coupling, dictionary).
     """
     y = batch.patches if isinstance(batch, PatchBatch) else np.asarray(batch, dtype=np.float64)
-    x = states_matrix(states)
-    u = cause.values if hasattr(cause, "values") else np.asarray(cause, dtype=np.float64)
+    x = as_float_array(states, "states")
+    u = _cause_values(cause)
     if y.shape[0] != x.shape[0]:
-        raise DimensionMismatch(f"{y.shape[0]} patches but {x.shape[0]} state vectors")
+        raise DimensionMismatch(f"{y.shape[0]} patches but {x.shape[0]} state rows")
 
     residual = y - x @ model.dictionary.T
     d_dict = -(residual.T @ x)
 
     if prev_states is not None and hp.temporal_sparsity > 0:
-        x_prev = states_matrix(prev_states)
+        x_prev = as_float_array(prev_states, "previous states")
         innovation = x - x_prev @ model.transition.T
         alpha = soft_clip(innovation, hp.smooth_margin)
         d_trans = -hp.temporal_sparsity * (alpha.T @ x_prev)

@@ -111,17 +111,15 @@ def matching_accuracy(labels_true, labels_pred) -> float:
     return best / float(cont.sum())
 
 
-def pca_project(points, dims_out: int, seed: int = 0):
+def pca_project(points, dims_out: int):
     """Center and project onto the top principal directions.
 
     Returns (projected, rank_deficient).  When the centered data has fewer
     nonzero singular values than dims_out the missing coordinates are
     zero-padded and the flag is set.  The sign of each direction is fixed
     by making its largest-magnitude loading positive, so the output does
-    not depend on SVD sign ambiguity; the seed parameter is accepted for
-    interface symmetry but the projection is already deterministic.
+    not depend on SVD sign ambiguity.
     """
-    del seed
     pts = as_float_array(points, "points")
     if pts.ndim != 2:
         raise DimensionMismatch("points must be a 2-D array (n, dim)")

@@ -1,9 +1,15 @@
 """Domain types and objective evaluators for the layered sparse-coding model.
 
-One layer explains a batch of patch measurements y through three matrices:
-a dictionary (reconstructs patches from sparse states), a transition
-(predicts states from the previous frame's states), and a coupling
-(modulates state magnitudes through a nonnegative cause vector).
+One layer explains a frame's patch measurements y, one row per patch,
+through three matrices: a dictionary (reconstructs patches from sparse
+states), a transition (predicts states from the previous frame's states),
+and a coupling (modulates state magnitudes through a nonnegative cause
+vector).
+
+A frame's states are one (patch, state) float array and its cause is a
+CauseVector holding one vector; exact zeros are the sparsity, and nothing
+else marks them.  The cause objective takes an optional top-down
+preference, so plain and pulled cause solves descend one energy.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +18,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import as_float_array
-from .majorize import smooth_l1
 
 
 @dataclass(frozen=True)
@@ -106,53 +111,14 @@ class LayerModel:
         self.gram = self.dictionary.T @ self.dictionary
 
 
-def _clamped(values: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    out = values.copy()
-    mask = np.abs(out) < threshold
-    out[mask] = 0.0
-    return out, mask
-
-
-@dataclass
-class StateVector:
-    """Sparse per-patch code; entries under the clamp threshold are exact zeros."""
-
-    values: np.ndarray
-    clamped: np.ndarray
-
-    def __post_init__(self):
-        self.values = as_float_array(self.values, "state values")
-        self.clamped = np.asarray(self.clamped, dtype=bool)
-        if self.clamped.shape != self.values.shape:
-            raise DimensionMismatch("clamp mask must match value shape")
-        if np.any(self.values[self.clamped] != 0.0):
-            raise ValueError("clamped entries must be exactly zero")
-
-    @classmethod
-    def from_dense(cls, values, threshold: float) -> "StateVector":
-        vals, mask = _clamped(as_float_array(values, "state values"), threshold)
-        return cls(vals, mask)
-
-
 @dataclass
 class CauseVector:
     """Sparse per-frame variable gating the layer's states."""
 
     values: np.ndarray
-    clamped: np.ndarray
 
     def __post_init__(self):
         self.values = as_float_array(self.values, "cause values")
-        self.clamped = np.asarray(self.clamped, dtype=bool)
-        if self.clamped.shape != self.values.shape:
-            raise DimensionMismatch("clamp mask must match value shape")
-        if np.any(self.values[self.clamped] != 0.0):
-            raise ValueError("clamped entries must be exactly zero")
-
-    @classmethod
-    def from_dense(cls, values, threshold: float) -> "CauseVector":
-        vals, mask = _clamped(as_float_array(values, "cause values"), threshold)
-        return cls(vals, mask)
 
 
 @dataclass
@@ -185,17 +151,8 @@ class PooledStateMagnitude:
 
     @classmethod
     def pool(cls, states, pool_gain: float) -> "PooledStateMagnitude":
-        dense = states_matrix(states)
-        return cls(pool_gain * np.abs(dense).sum(axis=0))
-
-
-def states_matrix(states) -> np.ndarray:
-    """Coerce a list of StateVector (or an array) to a 2-d (patch, state) array."""
-    if isinstance(states, np.ndarray):
-        return states if states.ndim == 2 else states[None, :]
-    rows = [s.values if isinstance(s, StateVector) else np.asarray(s, dtype=np.float64)
-            for s in states]
-    return np.vstack([r[None, :] for r in rows])
+        """Pool a frame's (patch, state) array."""
+        return cls(pool_gain * np.abs(states).sum(axis=0))
 
 
 def _cause_values(cause) -> np.ndarray:
@@ -207,57 +164,39 @@ def _cause_values(cause) -> np.ndarray:
 def state_energy(batch, states, prev_states, model: LayerModel, hp: HyperParams) -> float:
     """Exact per-frame state objective: reconstruction + sparsity + innovation.
 
-    Sum over patches of 0.5*||y - dictionary@x||^2 + state_sparsity*||x||_1
-    plus temporal_sparsity*||x - transition@x_prev||_1.  Pass prev_states as
+    states and prev_states are (patch, state) arrays.  Sum over patches of
+    0.5*||y - dictionary@x||^2 + state_sparsity*||x||_1 plus
+    temporal_sparsity*||x - transition@x_prev||_1.  Pass prev_states as
     None to drop the temporal term (first frame of a sequence).
     """
-    return _state_energy(batch, states, prev_states, model, hp, smoothed=False)
-
-
-def smoothed_state_energy(batch, states, prev_states, model: LayerModel,
-                          hp: HyperParams) -> float:
-    """State objective with the innovation l1 replaced by its smoothed form.
-
-    This is the quantity the state iteration actually descends; it differs
-    from state_energy by at most temporal_sparsity * smooth_margin/2 per
-    innovation component.
-    """
-    return _state_energy(batch, states, prev_states, model, hp, smoothed=True)
-
-
-def _state_energy(batch, states, prev_states, model, hp, smoothed):
     y = batch.patches if isinstance(batch, PatchBatch) else as_float_array(batch, "patches")
-    if y.ndim == 1:
-        y = y[None, :]
-    x = states_matrix(states)
-    if y.shape[0] != x.shape[0]:
+    x = as_float_array(states, "states")
+    p, k = model.dictionary.shape
+    if y.ndim != 2 or y.shape[1] != p or x.shape != (y.shape[0], k):
         raise DimensionMismatch(
-            f"{y.shape[0]} patches but {x.shape[0]} state vectors")
-    if y.shape[1] != model.dictionary.shape[0] or x.shape[1] != model.dictionary.shape[1]:
-        raise DimensionMismatch("patch or state length does not match the dictionary")
+            f"patches {y.shape} and states {x.shape} do not fit a "
+            f"({p}, {k}) dictionary")
 
     residual = y - x @ model.dictionary.T
     total = 0.5 * float(np.sum(residual * residual))
     total += hp.state_sparsity * float(np.abs(x).sum())
 
     if prev_states is not None and hp.temporal_sparsity > 0:
-        x_prev = states_matrix(prev_states)
+        x_prev = as_float_array(prev_states, "previous states")
         if x_prev.shape != x.shape:
             raise DimensionMismatch("previous states must match current state shape")
         innovation = x - x_prev @ model.transition.T
-        if smoothed:
-            total += hp.temporal_sparsity * smooth_l1(innovation.ravel(), hp.smooth_margin)
-        else:
-            total += hp.temporal_sparsity * float(np.abs(innovation).sum())
+        total += hp.temporal_sparsity * float(np.abs(innovation).sum())
     return total
 
 
 def cause_energy(cause, pooled: PooledStateMagnitude, model: LayerModel,
-                 hp: HyperParams) -> float:
+                 hp: HyperParams, preference=None) -> float:
     """Exact per-frame cause objective.
 
     pooled^T (1 + exp(-coupling@u)) + cause_sparsity*||u||_1, with the pool
-    gain already folded into pooled.  The exponent is range-guarded so badly
+    gain already folded into pooled, plus 0.5*||u - preference||^2 when a
+    top-down preference is given.  The exponent is range-guarded so badly
     scaled models cannot overflow.
     """
     u = _cause_values(cause)
@@ -268,18 +207,13 @@ def cause_energy(cause, pooled: PooledStateMagnitude, model: LayerModel,
     z = np.clip(model.coupling @ u, -700.0, 700.0)
     total = float(pooled.values @ (1.0 + np.exp(-z)))
     total += hp.cause_sparsity * float(np.abs(u).sum())
+    if preference is not None:
+        u_hat = as_float_array(preference, "cause preference")
+        if u_hat.shape != u.shape:
+            raise DimensionMismatch("preference must match cause length")
+        diff = u - u_hat
+        total += 0.5 * float(diff @ diff)
     return total
-
-
-def topdown_cause_energy(cause, pooled: PooledStateMagnitude, preference: np.ndarray,
-                         model: LayerModel, hp: HyperParams) -> float:
-    """Cause objective plus a quadratic pull toward a predicted preference."""
-    u = _cause_values(cause)
-    u_hat = as_float_array(preference, "cause preference")
-    if u_hat.shape != u.shape:
-        raise DimensionMismatch("preference must match cause length")
-    diff = u - u_hat
-    return cause_energy(u, pooled, model, hp) + 0.5 * float(diff @ diff)
 
 
 def total_energy(batch, states, prev_states, cause, pooled, model: LayerModel,

@@ -15,11 +15,11 @@ import numpy as np
 from .errors import (ConfigError, DimensionMismatch, FormatError, GridMismatch,
                      ShapeError)
 from .linalg import as_float_array
-from .model import (CauseVector, HyperParams, LayerDims, LayerModel, PatchBatch,
-                    PooledStateMagnitude, StateVector)
+from .model import (HyperParams, LayerDims, LayerModel, PatchBatch,
+                    PooledStateMagnitude)
 from .causes import infer_cause, infer_cause_topdown, top_down_prediction
 from .learning import LearnConfig, fit_layer
-from .states import infer_states_batch
+from .states import _times_rows, infer_states_batch
 
 _MAGIC = b"DPCN"
 _VERSION = 1
@@ -161,7 +161,11 @@ def train_network(frames, cfg: NetworkConfig):
 
 @dataclass
 class InferenceResult:
-    """Per-frame, per-layer variables from a full inference pass."""
+    """Per-frame, per-layer variables from a full inference pass.
+
+    states[t][l] is layer l's (patch, state) array at frame t and
+    causes[t][l] its CauseVector.
+    """
 
     states: list = field(default_factory=list)
     causes: list = field(default_factory=list)
@@ -169,7 +173,6 @@ class InferenceResult:
 
 
 def infer_variables(frames, layers, grid: tuple, sweeps: int = 10,
-                    state_solver: str = "mm",
                     segment_starts=()) -> InferenceResult:
     """Infer states and causes for every frame with top-down refinement.
 
@@ -186,20 +189,10 @@ def infer_variables(frames, layers, grid: tuple, sweeps: int = 10,
     Inference over a segmented sequence is bit-identical to inferring each
     segment separately.
 
-    state_solver selects the state subproblem solver: "mm" (reweighted
-    iteration) or "fista" (accelerated proximal gradient at the benchmark
-    learning rate and the same stopping tolerance), which exists for
-    like-for-like timing comparisons.
-
     Raises ConfigError, before any solve, when there is no layer or the
     grid does not cut the frames into layer 1's patch count and patch
     length.
     """
-    if state_solver not in ("mm", "fista"):
-        raise ValueError(f"unknown state solver: {state_solver}")
-    if state_solver == "fista":
-        from .baselines import fista_state_batch
-
     frames = np.asarray(frames, dtype=np.float64)
     n_layers = len(layers)
     if n_layers == 0:
@@ -235,13 +228,9 @@ def infer_variables(frames, layers, grid: tuple, sweeps: int = 10,
                         for cv in cur_causes]
             batch = batch0
             for l, layer in enumerate(layers):
-                if state_solver == "mm":
-                    states, _ = infer_states_batch(
-                        batch, prev_states[l], layer.model, layer.hp,
-                        inits=cur_states[l])
-                else:
-                    states = fista_state_batch(
-                        batch, prev_states[l], layer.model, layer.hp)
+                states, _ = infer_states_batch(
+                    batch, prev_states[l], layer.model, layer.hp,
+                    inits=cur_states[l])
                 pooled = PooledStateMagnitude.pool(states, layer.hp.pool_gain)
 
                 if fresh:
@@ -286,13 +275,16 @@ def infer_variables(frames, layers, grid: tuple, sweeps: int = 10,
 
 def reconstruct_frames(frames_shape: tuple, layers, result: InferenceResult,
                        grid: tuple) -> np.ndarray:
-    """Render layer-1 reconstructions of every frame from inferred states."""
+    """Render layer-1 reconstructions of every frame from inferred states.
+
+    Each patch is the dictionary times that patch's state, one product per
+    patch, so it rounds exactly as the state solve's own reconstruction.
+    """
     t_count = len(result.states)
     out = np.zeros((t_count,) + tuple(frames_shape))
     c = layers[0].model.dictionary
     for t in range(t_count):
-        states = result.states[t][0]
-        patches = np.vstack([ (c @ sv.values)[None, :] for sv in states ])
+        patches = _times_rows(c, result.states[t][0])
         out[t] = recompose_frame(patches, grid, tuple(frames_shape))
     return out
 

@@ -6,12 +6,14 @@ live support, using the layer's cached Gram matrix.  Components that reach
 exact zero stay zero, which is what produces genuinely sparse codes without
 a shrinkage step, and which keeps every solve no larger than the support.
 
-One kernel runs the iteration for all patches of a frame at once.  The
-elementwise work and the per-patch sums act on the whole (patch, state)
+A frame's states are one (patch, state) float array: the patches come in
+as rows, previous states and warm starts are arrays of the same shape, and
+the result is one such array.  One kernel runs the iteration on all rows
+at once.  The elementwise work and the per-row sums act on the whole
 array; the matrix-vector products, the residual dot products and the
-support solves stay one per patch, because batched BLAS calls round
+support solves stay one per row, because batched BLAS calls round
 differently.  Every patch therefore gets exactly the iterates, objective
-values and stopping decision of a solve on its own, and a patch that
+values and stopping decision of a solve on its own, and a row that
 converges leaves the active set.  infer_state is a batch of one.
 """
 
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonFinite
 from .linalg import as_float_array
 from .majorize import _solve_on_support, soft_clip
-from .model import HyperParams, LayerModel, StateVector
+from .model import HyperParams, LayerModel
 
 
 @dataclass
@@ -51,16 +53,12 @@ def _pct_zero(x: np.ndarray) -> float:
     return 100.0 * float(np.count_nonzero(x == 0.0)) / x.shape[0]
 
 
-def _state_rows(vectors, n: int, k: int, name: str) -> np.ndarray:
-    """Stack n per-patch states (StateVectors or arrays) into an (n, k) array."""
-    if len(vectors) != n:
-        raise DimensionMismatch(f"{n} patches but {len(vectors)} {name}s")
-    rows = [v.values if isinstance(v, StateVector) else as_float_array(v, name)
-            for v in vectors]
-    for row in rows:
-        if row.shape != (k,):
-            raise DimensionMismatch(f"{name} must have length {k}, got {row.shape}")
-    return np.array(rows).reshape(n, k)
+def _rows(a, n: int, k: int, name: str) -> np.ndarray:
+    """Check that a holds n rows of length k, one per patch."""
+    a = as_float_array(a, name)
+    if a.shape != (n, k):
+        raise DimensionMismatch(f"{name} must be ({n}, {k}), got {a.shape}")
+    return a
 
 
 def _times_rows(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -196,10 +194,10 @@ def _solve_rows(y, x, prediction, model: LayerModel, hp: HyperParams):
 def _infer(patches, prev, model: LayerModel, hp: HyperParams, inits, start):
     """Check the per-patch inputs, solve, and share the elapsed time out."""
     n, k = patches.shape[0], model.dictionary.shape[1]
-    x_prev = None if prev is None else _state_rows(prev, n, k, "previous state")
-    x = 0.1 * np.ones((n, k)) if inits is None else _state_rows(inits, n, k, "state init")
+    x_prev = None if prev is None else _rows(prev, n, k, "previous states")
+    x = 0.1 * np.ones((n, k)) if inits is None else _rows(inits, n, k, "state inits")
     if n == 0:
-        return [], []
+        return np.zeros((0, k)), []
     prediction = None
     if x_prev is not None and hp.temporal_sparsity > 0:
         prediction = _times_rows(model.transition, x_prev)
@@ -207,11 +205,11 @@ def _infer(patches, prev, model: LayerModel, hp: HyperParams, inits, start):
     share = (time.perf_counter() - start) / n
     for tr in traces:
         tr.wall_time = share
-    return [StateVector(row, row == 0.0) for row in x], traces
+    return x, traces
 
 
 def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
-                x_init=None) -> tuple[StateVector, SolveTrace]:
+                x_init=None) -> tuple[np.ndarray, SolveTrace]:
     """Infer one patch's sparse state given the previous frame's state.
 
     Iterates x <- (C^T C + diag(1/r))^-1 (C^T y - lam*a), solved on the
@@ -228,9 +226,10 @@ def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
     ||C^T(Cx - y) + mu*sign(x) + lam*a||_inf, falls below hp.inner_tol,
     or after hp.max_inner_iter updates (converged flag false).
 
-    Pass x_prev=None to drop the temporal term (first frame).  x_init
-    defaults to 0.1 everywhere; starting from exact zeros is a fixed point
-    of the iteration and therefore useless.
+    Returns the state as a 1-d array; entries under hp.clamp_state are
+    exact zeros.  Pass x_prev=None to drop the temporal term (first
+    frame).  x_init defaults to 0.1 everywhere; starting from exact zeros
+    is a fixed point of the iteration and therefore useless.
     """
     start = time.perf_counter()
     y = as_float_array(y, "patch")
@@ -243,13 +242,13 @@ def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
 
 
 def infer_states_batch(batch, prev, model: LayerModel, hp: HyperParams,
-                       inits=None) -> tuple[list, list]:
+                       inits=None) -> tuple[np.ndarray, list]:
     """Infer states for every patch of one frame in one batched solve.
 
     batch is a PatchBatch or an (n, p) array; prev and inits are None or
-    per-patch lists.  Each patch's state and trace equal those of
-    infer_state on that patch alone, except wall_time, which is an equal
-    share of the batch's elapsed time.
+    (n, k) arrays.  Returns the (n, k) states and one trace per patch.
+    Each row and trace equal those of infer_state on that patch alone,
+    except wall_time, which is an equal share of the batch's elapsed time.
     """
     start = time.perf_counter()
     patches = batch.patches if hasattr(batch, "patches") else as_float_array(batch, "patches")

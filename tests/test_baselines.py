@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mmdpcn.baselines import (BaselineConfig, adam_solve, fista_solve,
-                              fista_state_batch, ista_solve, lipschitz_step,
-                              solve, state_objective)
+                              ista_solve, lipschitz_step, state_objective)
 from mmdpcn.linalg import column_normalize
 from mmdpcn.model import HyperParams, LayerDims, LayerModel
 from mmdpcn.states import infer_state
@@ -29,9 +28,7 @@ def random_instance(rng, p_max=10, k_max=16):
 
 
 def test_config_validation():
-    BaselineConfig(method="ista")
-    with pytest.raises(ValueError):
-        BaselineConfig(method="newton")
+    BaselineConfig()
     with pytest.raises(ValueError):
         BaselineConfig(step=0.0)
     with pytest.raises(ValueError):
@@ -47,32 +44,31 @@ def test_config_validation():
 def test_ista_scalar_converges_to_soft_threshold():
     model = scalar_model()
     hp = HyperParams(state_sparsity=0.3, temporal_sparsity=0.0)
-    cfg = BaselineConfig(method="ista", step=0.5, max_iter=500, tol=1e-10)
+    cfg = BaselineConfig(step=0.5, max_iter=500, tol=1e-10)
     sv, tr = ista_solve(np.array([1.0]), model, hp, cfg)
-    assert abs(sv.values[0] - 0.7) < 1e-6
-    assert sv.values[1] == 0.0
+    assert abs(sv[0] - 0.7) < 1e-6
+    assert sv[1] == 0.0
     assert tr.converged
 
 
 def test_ista_zero_measurement():
     model = scalar_model()
     hp = HyperParams(temporal_sparsity=0.0)
-    cfg = BaselineConfig(method="ista", step=0.5, max_iter=50, tol=1e-12)
+    cfg = BaselineConfig(step=0.5, max_iter=50, tol=1e-12)
     sv, _ = ista_solve(np.zeros(1), model, hp, cfg)
-    assert np.array_equal(sv.values, np.zeros(2))
+    assert np.array_equal(sv, np.zeros(2))
 
 
 def test_fista_zero_measurement_and_same_fixed_point():
     model = scalar_model()
     hp = HyperParams(state_sparsity=0.3, temporal_sparsity=0.0)
-    cfg = BaselineConfig(method="fista", step=0.5, max_iter=500, tol=1e-10)
+    cfg = BaselineConfig(step=0.5, max_iter=500, tol=1e-10)
     sv, _ = fista_solve(np.zeros(1), model, hp, cfg)
-    assert np.array_equal(sv.values, np.zeros(2))
+    assert np.array_equal(sv, np.zeros(2))
     f_sv, _ = fista_solve(np.array([1.0]), model, hp, cfg)
     i_sv, _ = ista_solve(np.array([1.0]), model, hp,
-                         BaselineConfig(method="ista", step=0.5,
-                                        max_iter=5000, tol=1e-12))
-    assert abs(f_sv.values[0] - i_sv.values[0]) < 1e-6
+                         BaselineConfig(step=0.5, max_iter=5000, tol=1e-12))
+    assert abs(f_sv[0] - i_sv[0]) < 1e-6
 
 
 def test_ista_objective_matches_mm_converged_value():
@@ -82,11 +78,11 @@ def test_ista_objective_matches_mm_converged_value():
         hp = HyperParams(state_sparsity=0.3, temporal_sparsity=0.0,
                          inner_tol=1e-10, max_inner_iter=2000, clamp_state=1e-8)
         mm_sv, _ = infer_state(y, None, model, hp)
-        f_mm = state_objective(mm_sv.values, y, model, hp)
+        f_mm = state_objective(mm_sv, y, model, hp)
         step = lipschitz_step(model, hp, with_temporal=False)
-        cfg = BaselineConfig(method="ista", step=step, max_iter=20000, tol=1e-10)
+        cfg = BaselineConfig(step=step, max_iter=20000, tol=1e-10)
         sv, _ = ista_solve(y, model, hp, cfg)
-        f_ista = state_objective(sv.values, y, model, hp)
+        f_ista = state_objective(sv, y, model, hp)
         assert abs(f_ista - f_mm) < 1e-4
 
 
@@ -96,7 +92,7 @@ def test_ista_objective_trace_nonincreasing_at_safe_step():
         model, y = random_instance(rng)
         hp = HyperParams(temporal_sparsity=0.0)
         step = lipschitz_step(model, hp, with_temporal=False)
-        cfg = BaselineConfig(method="ista", step=step, max_iter=100, tol=0.0)
+        cfg = BaselineConfig(step=step, max_iter=100, tol=0.0)
         _, tr = ista_solve(y, model, hp, cfg)
         assert np.all(np.diff(tr.objective_per_iter) <= 1e-10)
 
@@ -104,17 +100,17 @@ def test_ista_objective_trace_nonincreasing_at_safe_step():
 def test_adam_zero_measurement_clamps_to_zero():
     model = scalar_model()
     hp = HyperParams(temporal_sparsity=0.0)
-    cfg = BaselineConfig(method="adam", step=1e-2, max_iter=300, tol=0.0)
+    cfg = BaselineConfig(step=1e-2, max_iter=300, tol=0.0)
     sv, _ = adam_solve(np.zeros(1), model, hp, cfg)
-    assert np.array_equal(sv.values, np.zeros(2))
+    assert np.array_equal(sv, np.zeros(2))
 
 
 def test_adam_scalar_reaches_near_optimum():
     model = scalar_model()
     hp = HyperParams(state_sparsity=0.3, temporal_sparsity=0.0)
-    cfg = BaselineConfig(method="adam", step=1e-2, max_iter=2000, tol=0.0)
+    cfg = BaselineConfig(step=1e-2, max_iter=2000, tol=0.0)
     sv, tr = adam_solve(np.array([1.0]), model, hp, cfg)
-    f_final = state_objective(sv.values, np.array([1.0]), model, hp)
+    f_final = state_objective(sv, np.array([1.0]), model, hp)
     assert abs(f_final - 0.255) < 5e-3
     assert abs(tr.objective_per_iter[-1] - f_final) < 1e-12
 
@@ -133,16 +129,15 @@ def test_all_methods_agree_when_smooth_dominates():
         hp = HyperParams(state_sparsity=1e-4, temporal_sparsity=0.0,
                          inner_tol=1e-12, max_inner_iter=5000, clamp_state=1e-10)
         mm_sv, _ = infer_state(y, None, model, hp)
-        objs = [state_objective(mm_sv.values, y, model, hp)]
+        objs = [state_objective(mm_sv, y, model, hp)]
         step = lipschitz_step(model, hp, with_temporal=False)
-        for method in ("ista", "fista"):
-            cfg = BaselineConfig(method=method, step=step,
-                                 max_iter=40000, tol=1e-12)
-            sv, _ = solve(method, y, model, hp, cfg)
-            objs.append(state_objective(sv.values, y, model, hp))
-        adam_cfg = BaselineConfig(method="adam", step=5e-3, max_iter=30000, tol=0.0)
+        for solve in (ista_solve, fista_solve):
+            cfg = BaselineConfig(step=step, max_iter=40000, tol=1e-12)
+            sv, _ = solve(y, model, hp, cfg)
+            objs.append(state_objective(sv, y, model, hp))
+        adam_cfg = BaselineConfig(step=5e-3, max_iter=30000, tol=0.0)
         sv, _ = adam_solve(y, model, hp, adam_cfg)
-        objs.append(state_objective(sv.values, y, model, hp))
+        objs.append(state_objective(sv, y, model, hp))
         assert max(objs) - min(objs) < 1e-4
 
 
@@ -156,10 +151,9 @@ def test_fista_reaches_objective_gap_no_later_than_ista():
         hp = HyperParams(state_sparsity=0.3, temporal_sparsity=0.0)
         step = lipschitz_step(model, hp, with_temporal=False)
         traces = {}
-        for method in ("ista", "fista"):
-            cfg = BaselineConfig(method=method, step=step,
-                                 max_iter=5000, tol=0.0)
-            _, tr = solve(method, y, model, hp, cfg)
+        for method, solve in (("ista", ista_solve), ("fista", fista_solve)):
+            cfg = BaselineConfig(step=step, max_iter=5000, tol=0.0)
+            _, tr = solve(y, model, hp, cfg)
             traces[method] = np.asarray(tr.objective_per_iter)
         f_star = min(tr.min() for tr in traces.values())
         excess0 = traces["ista"][0] - f_star
@@ -176,33 +170,11 @@ def test_temporal_term_moves_solution():
     x_prev = rng.standard_normal(k)
     hp = HyperParams(state_sparsity=0.2, temporal_sparsity=0.5)
     step = lipschitz_step(model, hp, with_temporal=True)
-    cfg = BaselineConfig(method="ista", step=step, max_iter=4000, tol=1e-10)
+    cfg = BaselineConfig(step=step, max_iter=4000, tol=1e-10)
     plain, _ = ista_solve(y, model, hp, cfg)
     pulled, _ = ista_solve(y, model, hp, cfg, x_prev=x_prev)
     prediction = model.transition @ x_prev
-    d_plain = np.abs(plain.values - prediction).sum()
-    d_pulled = np.abs(pulled.values - prediction).sum()
+    d_plain = np.abs(plain - prediction).sum()
+    d_pulled = np.abs(pulled - prediction).sum()
     assert d_pulled < d_plain
 
-
-def test_solve_dispatch_rejects_unknown_method():
-    model = scalar_model()
-    with pytest.raises(ValueError):
-        solve("bfgs", np.ones(1), model, HyperParams(),
-              BaselineConfig(method="ista"))
-
-
-def test_fista_state_batch_matches_quality():
-    rng = np.random.default_rng(45)
-    model, _ = random_instance(rng)
-    p = model.dims.input_dim
-    batch = rng.standard_normal((3, p))
-    hp = HyperParams(temporal_sparsity=0.0, inner_tol=1e-8)
-    states = fista_state_batch(batch, None, model, hp)
-    assert len(states) == 3
-    for i, sv in enumerate(states):
-        mm_sv, _ = infer_state(batch[i], None, model, hp)
-        f_f = state_objective(sv.values, batch[i], model, hp)
-        f_mm = state_objective(mm_sv.values, batch[i], model, hp)
-        assert f_f <= f_mm + 1e-3
-        assert np.all(sv.values[np.abs(sv.values) < hp.clamp_state] == 0.0)

@@ -8,7 +8,7 @@ from mmdpcn.causes import (infer_cause, infer_cause_topdown,
 from mmdpcn.errors import DimensionMismatch
 from mmdpcn.linalg import column_normalize
 from mmdpcn.model import (CauseVector, HyperParams, LayerDims, LayerModel,
-                          PooledStateMagnitude, StateVector, cause_energy)
+                          PooledStateMagnitude, cause_energy)
 
 
 def scalar_model():
@@ -233,8 +233,7 @@ def test_top_down_prediction_selective_gate():
                        dictionary=np.array([[1.0, 1.0]]))
     hp = HyperParams(temporal_sparsity=0.3, pool_gain=0.1)
     x_prev = np.array([1.0, 1.0])
-    pred = top_down_prediction(model, StateVector.from_dense(x_prev, 0.0),
-                               CauseVector.from_dense(np.array([5.0]), 0.0), hp)
+    pred = top_down_prediction(model, x_prev, CauseVector(np.array([5.0])), hp)
     # Component 1 sees threshold ~0.1, component 2 ~1.5: only the first opens.
     assert np.array_equal(pred.x_hat, [2.0, 0.0])
     assert np.array_equal(pred.u_hat, [2.0])

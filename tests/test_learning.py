@@ -205,7 +205,7 @@ def test_fit_layer_recovers_generative_dictionary():
     sq_err, count = 0.0, 0
     for batch in frames:
         states, _ = infer_states_batch(batch, None, model, solve_hp)
-        recon = np.vstack([s.values for s in states]) @ model.dictionary.T
+        recon = states @ model.dictionary.T
         sq_err += float(np.sum((batch.patches - recon) ** 2))
         count += batch.patches.size
     assert sq_err / count <= 2.0 * noise * noise

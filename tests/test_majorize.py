@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from mmdpcn.majorize import (ReweightDiagonal, SmoothApprox,
-                             majorizer_value, reweight, smooth_l1, soft_clip,
-                             woodbury_apply)
+from mmdpcn.majorize import _solve_on_support, smooth_l1, soft_clip
+
+
+def support_solve(c, r, rhs):
+    """The support solve of one row, with the Gram matrix built here."""
+    return _solve_on_support(c.T @ c, r[None], rhs[None])[0]
 
 
 def test_soft_clip_closed_forms():
@@ -62,54 +65,9 @@ def test_smooth_l1_gradient_is_soft_clip():
             assert abs(fd - g[k]) < 1e-6
 
 
-def test_smooth_approx_invariants():
-    sa = SmoothApprox.at(np.array([0.5, -0.01, 0.0]), 0.1)
-    assert np.max(np.abs(sa.alpha_star)) <= 1.0
-    assert np.allclose(sa.alpha_star, [1.0, -0.1, 0.0])
-
-
-def test_majorizer_hand_values():
-    assert abs(majorizer_value(np.array([1.0]), np.array([1.0]), 0.3) - 0.3) < 1e-15
-    assert abs(majorizer_value(np.array([0.0]), np.array([1.0]), 0.3) - 0.15) < 1e-15
-    assert abs(majorizer_value(np.array([2.0]), np.array([1.0]), 0.3) - 0.75) < 1e-15
-
-
-def test_majorizer_zero_anchor_is_absorbing():
-    v = np.array([0.0, 1.0])
-    assert majorizer_value(np.array([0.0, 2.0]), v, 0.3) < np.inf
-    assert majorizer_value(np.array([0.1, 2.0]), v, 0.3) == np.inf
-
-
-def test_majorizer_dominates_l1():
-    rng = np.random.default_rng(3)
-    for _ in range(1000):
-        n = int(rng.integers(1, 10))
-        w = float(rng.uniform(0.05, 2.0))
-        v = rng.standard_normal(n)
-        v[v == 0] = 0.5
-        x = rng.standard_normal(n)
-        assert majorizer_value(x, v, w) >= w * np.abs(x).sum() - 1e-12
-        # Tight wherever |x| = |v|.
-        flip = rng.choice([-1.0, 1.0], size=n)
-        assert abs(majorizer_value(v * flip, v, w) - w * np.abs(v).sum()) <= 1e-12
-
-
-def test_reweight_values_and_absorbing_zero():
-    rd = reweight(np.array([0.3]), 0.3)
-    assert isinstance(rd, ReweightDiagonal)
-    assert np.allclose(rd.r, [1.0])
-    rd = reweight(np.array([0.0, 0.6]), 0.3)
-    assert np.array_equal(rd.r, [0.0, 2.0])
-    # diag(r) * diag(weight/|v|) is the identity on the support.
-    rng = np.random.default_rng(4)
-    v = rng.standard_normal(7)
-    rd = reweight(v, 0.25)
-    assert np.allclose(rd.r * (0.25 / np.abs(v)), 1.0)
-
-
 def test_woodbury_scalar_closed_form():
     for rho in (0.2, 1.0, 7.5):
-        out = woodbury_apply(np.array([[1.0]]), np.array([rho]), np.array([1.0]))
+        out = support_solve(np.array([[1.0]]), np.array([rho]), np.array([1.0]))
         assert abs(out[0] - rho / (1.0 + rho)) < 1e-12
 
 
@@ -119,7 +77,7 @@ def test_woodbury_matches_dense_solve():
     r = rng.uniform(0.1, 2.0, size=9)
     rhs = rng.standard_normal(9)
     expected = np.linalg.solve(c.T @ c + np.diag(1.0 / r), rhs)
-    assert np.allclose(woodbury_apply(c, r, rhs), expected, atol=1e-10)
+    assert np.allclose(support_solve(c, r, rhs), expected, atol=1e-10)
 
 
 def test_woodbury_zero_diagonal_components_return_zero():
@@ -129,7 +87,7 @@ def test_woodbury_zero_diagonal_components_return_zero():
     dead = [1, 4, 6]
     r[dead] = 0.0
     rhs = rng.standard_normal(8)
-    out = woodbury_apply(c, r, rhs)
+    out = support_solve(c, r, rhs)
     assert np.array_equal(out[dead], np.zeros(3))
     # On the support the answer solves the reduced normal equations.
     live = r > 0
@@ -140,7 +98,7 @@ def test_woodbury_zero_diagonal_components_return_zero():
 
 def test_woodbury_all_zero_diagonal():
     c = np.ones((3, 4))
-    assert np.array_equal(woodbury_apply(c, np.zeros(4), np.ones(4)), np.zeros(4))
+    assert np.array_equal(support_solve(c, np.zeros(4), np.ones(4)), np.zeros(4))
 
 
 def test_woodbury_support_solve_matches_dense_solve():
@@ -158,7 +116,7 @@ def test_woodbury_support_solve_matches_dense_solve():
             r = np.zeros(k)
             live = rng.choice(k, size=size, replace=False)
             r[live] = scale[live]
-            out = woodbury_apply(c, r, rhs)
+            out = support_solve(c, r, rhs)
             dead = r == 0
             assert np.all(out[dead] == 0.0)
             if size == 0:
@@ -169,14 +127,3 @@ def test_woodbury_support_solve_matches_dense_solve():
             err = np.linalg.norm(out[~dead] - expected) / np.linalg.norm(expected)
             assert err <= 1e-10
 
-
-def test_woodbury_accepts_reweight_diagonal_and_validates():
-    rng = np.random.default_rng(8)
-    c = rng.standard_normal((3, 5))
-    rhs = rng.standard_normal(5)
-    rd = reweight(rng.standard_normal(5), 0.3)
-    assert woodbury_apply(c, rd, rhs).shape == (5,)
-    with pytest.raises(ValueError):
-        woodbury_apply(c, np.ones(4), rhs)
-    with pytest.raises(ValueError):
-        woodbury_apply(c, -np.ones(5), rhs)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mmdpcn.errors import DimensionMismatch
-from mmdpcn.model import (CauseVector, HyperParams, LayerDims, LayerModel,
-                          PatchBatch, PooledStateMagnitude, StateVector,
-                          cause_energy, smoothed_state_energy, state_energy,
-                          states_matrix, topdown_cause_energy, total_energy)
+from mmdpcn.majorize import smooth_l1
+from mmdpcn.model import (HyperParams, LayerDims, LayerModel, PatchBatch,
+                          PooledStateMagnitude, cause_energy, state_energy,
+                          total_energy)
 
 
 def scalar_model():
@@ -69,7 +69,10 @@ def test_smoothed_state_energy_gap_bound():
         x = rng.standard_normal((3, k))
         x_prev = rng.standard_normal((3, k))
         exact = state_energy(batch, x, x_prev, model, hp)
-        smooth = smoothed_state_energy(batch, x, x_prev, model, hp)
+        innovation = x - x_prev @ model.transition.T
+        smooth = (state_energy(batch, x, None, model, hp)
+                  + hp.temporal_sparsity * smooth_l1(innovation.ravel(),
+                                                     hp.smooth_margin))
         cap = hp.temporal_sparsity * 0.5 * hp.smooth_margin * x.size
         assert 0.0 <= exact - smooth <= cap + 1e-12
 
@@ -145,13 +148,12 @@ def test_topdown_cause_energy_adds_quadratic_pull():
     u = rng.standard_normal(d)
     u_hat = rng.standard_normal(d)
     plain = cause_energy(u, pooled, model, hp)
-    td = topdown_cause_energy(u, pooled, u_hat, model, hp)
+    td = cause_energy(u, pooled, model, hp, preference=u_hat)
     assert abs(td - plain - 0.5 * float((u - u_hat) @ (u - u_hat))) < 1e-12
 
 
 def test_pool_folds_gain_and_sums_magnitudes():
-    states = [StateVector.from_dense(np.array([0.5, -2.0, 0.0]), 1e-4),
-              StateVector.from_dense(np.array([-1.5, 1.0, 0.0]), 1e-4)]
+    states = np.array([[0.5, -2.0, 0.0], [-1.5, 1.0, 0.0]])
     pooled = PooledStateMagnitude.pool(states, pool_gain=0.1)
     assert np.allclose(pooled.values, [0.2, 0.3, 0.0])
 
@@ -206,24 +208,6 @@ def test_layer_model_shape_checks():
             LayerModel(dims, **kw)
 
 
-def test_sparse_vectors_clamp_to_exact_zero():
-    sv = StateVector.from_dense(np.array([0.5, 1e-6, -1e-6, -0.5]), 1e-4)
-    assert np.array_equal(sv.values, [0.5, 0.0, 0.0, -0.5])
-    assert np.array_equal(sv.clamped, [False, True, True, False])
-    cv = CauseVector.from_dense(np.array([2e-4, 0.0]), 1e-4)
-    assert np.array_equal(cv.values, [2e-4, 0.0])
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0]), np.array([True]))
-
-
-def test_states_matrix_accepts_mixed_rows():
-    rows = [StateVector.from_dense(np.array([1.0, 0.0]), 1e-4),
-            np.array([0.0, 2.0])]
-    mat = states_matrix(rows)
-    assert mat.shape == (2, 2)
-    assert np.array_equal(mat, [[1.0, 0.0], [0.0, 2.0]])
-
-
 def test_energy_dimension_errors():
     model = scalar_model()
     hp = scalar_hp()
@@ -232,5 +216,5 @@ def test_energy_dimension_errors():
     with pytest.raises(DimensionMismatch):
         cause_energy(np.ones(2), PooledStateMagnitude(np.ones(2)), model, hp)
     with pytest.raises(DimensionMismatch):
-        topdown_cause_energy(np.ones(1), PooledStateMagnitude(np.ones(2)),
-                             np.ones(3), model, hp)
+        cause_energy(np.ones(1), PooledStateMagnitude(np.ones(2)), model, hp,
+                     preference=np.ones(3))

@@ -207,27 +207,29 @@ def test_infer_variables_shapes_and_zero_frames():
     assert len(result.per_frame_seconds) == 3
     for t in range(3):
         assert len(result.states[t]) == 2
-        assert len(result.states[t][0]) == 4  # one state per patch
-        assert len(result.states[t][1]) == 1
+        # One (patch, state) array per layer.
+        for layer, states in zip(layers, result.states[t]):
+            dims = layer.model.dims
+            assert isinstance(states, np.ndarray)
+            assert states.shape == (dims.patch_count, dims.state_dim)
         assert result.causes[t][0].values.shape == (2,)
         assert result.causes[t][1].values.shape == (1,)
         # Zeros are a fixed point of inference on blank frames.
-        for sv in result.states[t][0]:
-            assert np.array_equal(sv.values, np.zeros(6))
+        assert np.array_equal(result.states[t][0], np.zeros((4, 6)))
         assert np.array_equal(result.causes[t][0].values, np.zeros(2))
         assert result.per_frame_seconds[t] > 0
-
-
-def test_infer_variables_fista_solver_and_validation():
-    rng = np.random.default_rng(33)
-    layers = random_stack(seed=33)
-    frames = rng.random((2, 4, 4))
-    result = infer_variables(frames, layers, (2, 2), sweeps=2,
-                             state_solver="fista")
-    assert len(result.states) == 2
-    assert result.states[1][0][0].values.shape == (6,)
-    with pytest.raises(ValueError):
-        infer_variables(frames, layers, (2, 2), state_solver="newton")
+    # On frames that are not blank, every reconstructed patch is the
+    # dictionary times that patch's state, bit for bit.
+    frames = np.random.default_rng(32).random((2, 4, 4))
+    result = infer_variables(frames, layers, (2, 2), sweeps=2)
+    recon = reconstruct_frames((4, 4), layers, result, (2, 2))
+    c = layers[0].model.dictionary
+    for t in range(2):
+        states = result.states[t][0]
+        assert np.any(states)
+        expected = np.array([c @ x for x in states])
+        got = decompose_frame(recon[t], (2, 2)).patches
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_infer_variables_rejects_frames_the_model_was_not_trained_for():
@@ -264,8 +266,7 @@ def test_segment_reset_matches_separate_inference():
         for l in range(2):
             assert np.array_equal(stitched.causes[t][l].values,
                                   part.causes[s][l].values)
-            for sv, ref in zip(stitched.states[t][l], part.states[s][l]):
-                assert np.array_equal(sv.values, ref.values)
+            assert np.array_equal(stitched.states[t][l], part.states[s][l])
 
 
 def test_reconstruct_frames_shapes_and_zero_case():

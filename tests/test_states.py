@@ -60,18 +60,18 @@ def test_scalar_first_two_iterates_pinned():
     init = np.array([1.0, 0.0])
     hp1 = HyperParams(state_sparsity=0.3, temporal_sparsity=0.0, max_inner_iter=1)
     sv, tr = infer_state(y, None, model, hp1, x_init=init)
-    assert abs(sv.values[0] - 10.0 / 13.0) < 1e-12
-    assert sv.values[1] == 0.0
+    assert abs(sv[0] - 10.0 / 13.0) < 1e-12
+    assert sv[1] == 0.0
     assert tr.iterations == 1
     hp2 = HyperParams(state_sparsity=0.3, temporal_sparsity=0.0, max_inner_iter=2)
     sv, tr = infer_state(y, None, model, hp2, x_init=init)
-    assert abs(sv.values[0] - 10.0 / 13.9) < 1e-12
-    assert abs(sv.values[0] - 0.7194) < 1e-4
+    assert abs(sv[0] - 10.0 / 13.9) < 1e-12
+    assert abs(sv[0] - 0.7194) < 1e-4
     # A capped solve reports the stationarity residual |x - y + mu| it
     # stopped at.
     assert not tr.converged
     assert tr.final_residual > hp2.inner_tol
-    assert abs(tr.final_residual - (sv.values[0] - 0.7)) < 1e-12
+    assert abs(tr.final_residual - (sv[0] - 0.7)) < 1e-12
 
 
 def test_scalar_converges_to_soft_threshold_fixed_point():
@@ -80,7 +80,7 @@ def test_scalar_converges_to_soft_threshold_fixed_point():
                      inner_tol=1e-8, max_inner_iter=200)
     sv, tr = infer_state(np.array([1.0]), None, model, hp,
                          x_init=np.array([1.0, 0.0]))
-    assert abs(sv.values[0] - 0.7) < 1e-6
+    assert abs(sv[0] - 0.7) < 1e-6
     assert tr.converged
     assert tr.final_residual <= hp.inner_tol
 
@@ -89,7 +89,7 @@ def test_zero_measurement_collapses_in_one_iteration():
     model = scalar_model()
     hp = HyperParams(temporal_sparsity=0.0)
     sv, tr = infer_state(np.zeros(1), None, model, hp)
-    assert np.array_equal(sv.values, np.zeros(2))
+    assert np.array_equal(sv, np.zeros(2))
     assert tr.iterations == 1
     assert tr.converged
 
@@ -104,7 +104,7 @@ def test_matches_coordinate_descent_lasso_oracle():
                          max_inner_iter=3000)
         sv, _ = infer_state(y, None, model, hp)
         x_cd = lasso_coordinate_descent(model.dictionary, y, mu)
-        f_mm = lasso_objective(model.dictionary, y, mu, sv.values)
+        f_mm = lasso_objective(model.dictionary, y, mu, sv)
         f_cd = lasso_objective(model.dictionary, y, mu, x_cd)
         assert f_mm - f_cd <= 1e-5
         assert f_mm - f_cd >= -1e-7
@@ -137,7 +137,7 @@ def test_zero_components_are_absorbing():
         init[dead] = 0.0
         sv, _ = infer_state(y, None, model, HyperParams(temporal_sparsity=0.0),
                             x_init=init)
-        assert np.array_equal(sv.values[dead], np.zeros(3))
+        assert np.array_equal(sv[dead], np.zeros(3))
 
 
 def test_reaches_one_percent_of_final_quickly():
@@ -165,19 +165,24 @@ def test_batch_equals_sequential():
     model, _ = random_instance(rng)
     p, k = model.dims.input_dim, model.dims.state_dim
     patches = rng.standard_normal((4, p))
-    prev = [rng.standard_normal(k) for _ in range(4)]
+    prev = np.array([rng.standard_normal(k) for _ in range(4)])
     hp = HyperParams()
     batch_states, batch_traces = infer_states_batch(
         PatchBatch(0, patches), prev, model, hp)
-    for i in range(4):
-        sv, tr = infer_state(patches[i], prev[i], model, hp)
-        assert np.array_equal(batch_states[i].values, sv.values)
+    solo = [infer_state(patches[i], prev[i], model, hp) for i in range(4)]
+    # One (patch, state) array, bit for bit the stacked solo solves.
+    assert isinstance(batch_states, np.ndarray)
+    assert batch_states.shape == (4, k)
+    assert batch_states.tobytes() == np.stack([sv for sv, _ in solo]).tobytes()
+    for i, (_, tr) in enumerate(solo):
         assert batch_traces[i].objective_per_iter == tr.objective_per_iter
+    # The terminal clamp leaves no value under the threshold but zero.
+    live = batch_states[batch_states != 0.0]
+    assert np.all(np.abs(live) >= hp.clamp_state)
 
 
 def _assert_same_solve(batch_sv, batch_tr, sv, tr):
-    assert np.array_equal(batch_sv.values, sv.values)
-    assert np.array_equal(batch_sv.clamped, sv.clamped)
+    assert np.array_equal(batch_sv, sv)
     assert batch_tr.objective_per_iter == tr.objective_per_iter
     assert batch_tr.sparsity_per_iter == tr.sparsity_per_iter
     assert batch_tr.iterations == tr.iterations
@@ -223,13 +228,15 @@ def test_one_patch_and_empty_batches():
     model, y = random_instance(rng)
     x_prev = rng.standard_normal(model.dims.state_dim)
     hp = HyperParams(max_inner_iter=25)
-    states, traces = infer_states_batch(y[None, :], [x_prev], model, hp)
+    states, traces = infer_states_batch(y[None, :], x_prev[None, :], model, hp)
     sv, tr = infer_state(y, x_prev, model, hp)
-    assert len(states) == len(traces) == 1
+    assert states.shape == (1, model.dims.state_dim) and len(traces) == 1
     _assert_same_solve(states[0], traces[0], sv, tr)
     empty = np.zeros((0, model.dims.input_dim))
-    assert infer_states_batch(empty, None, model, hp) == ([], [])
-    assert infer_states_batch(empty, [], model, hp, inits=[]) == ([], [])
+    none = np.zeros((0, model.dims.state_dim))
+    for states, traces in (infer_states_batch(empty, None, model, hp),
+                           infer_states_batch(empty, none, model, hp, inits=none)):
+        assert states.shape == none.shape and traces == []
 
 
 def test_batch_wall_time_is_an_equal_share():
@@ -260,7 +267,7 @@ def test_dimension_errors():
     with pytest.raises(DimensionMismatch):
         infer_state(np.ones(1), None, model, hp, x_init=np.ones(3))
     with pytest.raises(DimensionMismatch):
-        infer_states_batch(np.ones((2, 1)), [np.ones(2)], model, hp)
+        infer_states_batch(np.ones((2, 1)), np.ones((1, 2)), model, hp)
     with pytest.raises(DimensionMismatch):
         infer_states_batch(np.ones((2, 2)), None, model, hp)
 
@@ -271,4 +278,4 @@ def test_previous_state_of_wrong_length_is_rejected():
     with pytest.raises(DimensionMismatch):
         infer_state(np.ones(1), np.ones(3), model, hp)
     with pytest.raises(DimensionMismatch):
-        infer_states_batch(np.ones((2, 1)), [np.ones(2), np.ones(3)], model, hp)
+        infer_states_batch(np.ones((2, 1)), np.ones((2, 3)), model, hp)
