@@ -183,11 +183,3 @@ def state_objective(x, y, model: LayerModel, hp: HyperParams, x_prev=None) -> fl
     """The common final-value yardstick used when comparing solvers."""
     return _Problem(y, model, hp, x_prev).objective(as_float_array(x, "state"))
 
-
-def lipschitz_step(model: LayerModel, hp: HyperParams, with_temporal: bool) -> float:
-    """The standard 1/L step for the smooth part of the state objective."""
-    lip = float(np.linalg.norm(model.dictionary, 2)) ** 2
-    if with_temporal and hp.temporal_sparsity > 0:
-        lip += hp.temporal_sparsity / hp.smooth_margin
-    return 1.0 / lip
-

@@ -7,6 +7,12 @@ step direction always points downhill, so a halving backtrack makes the
 recorded objective provably nonincreasing even on badly scaled inputs
 where the raw step overshoots.  infer_cause and infer_cause_topdown are
 its two entry points.
+
+Each iterate's objective and drive are computed once: the energy that the
+backtrack accepted is the next backtrack's reference, and the drive that
+the stationarity test evaluates is the next step's drive.  The loop
+evaluates the objective through cause_energy's own formula on inputs
+checked once at entry.
 """
 
 import time
@@ -17,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonFinite
 from .linalg import as_float_array
 from .model import (CauseVector, HyperParams, LayerModel, PooledStateMagnitude,
-                    _cause_values, cause_energy)
+                    _cause_objective, _cause_values)
 from .states import SolveTrace, _pct_zero
 
 # Halvings of the step before giving up; by then the candidate coincides
@@ -27,14 +33,13 @@ _MAX_BACKTRACK = 60
 
 def _drive(coupling: np.ndarray, pooled: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Downhill pull of the exponential term: coupling^T (pooled * exp(-coupling@u))."""
-    z = np.clip(coupling @ u, -700.0, 700.0)
+    z = (coupling @ u).clip(-700.0, 700.0)
     return coupling.T @ (pooled * np.exp(-z))
 
 
-def _descend(u, full_step, clamp, energy):
-    """Move from u toward full_step without letting the objective rise."""
+def _descend(u, e_cur, full_step, clamp, energy):
+    """Step from u, of objective e_cur, toward full_step; never uphill."""
     delta = full_step - u
-    e_cur = energy(u)
     s = 1.0
     for _ in range(_MAX_BACKTRACK):
         cand = u + s * delta
@@ -75,31 +80,38 @@ def _solve(pooled: PooledStateMagnitude, preference, model: LayerModel,
     if u.shape != (d,):
         raise DimensionMismatch(f"cause init must have length {d}")
 
-    energy = lambda v: cause_energy(v, pooled, model, hp, preference)
+    # Everything the objective reads was checked above and every iterate
+    # has length d, so the loop skips cause_energy's checks.
+    energy = lambda v: _cause_objective(v, pv, b, beta, preference)
+    e_cur = energy(u)
+    drive = _drive(b, pv, u)
     trace = SolveTrace()
-    trace.objective_per_iter.append(energy(u))
+    trace.objective_per_iter.append(e_cur)
     trace.sparsity_per_iter.append(_pct_zero(u))
 
     for it in range(1, hp.max_inner_iter + 1):
         r = np.abs(u) / beta
         if preference is None:
-            full = r * _drive(b, pv, u)
+            full = r * drive
         else:
-            full = (r / (1.0 + r)) * (preference + _drive(b, pv, u))
-        if not np.all(np.isfinite(full)):
+            full = (r / (1.0 + r)) * (preference + drive)
+        if not np.isfinite(full).all():
             raise NonFinite("cause iterate diverged to NaN/Inf")
-        u, e_cur = _descend(u, full, hp.clamp_cause, energy)
+        u, e_cur = _descend(u, e_cur, full, hp.clamp_cause, energy)
         trace.objective_per_iter.append(e_cur)
         trace.sparsity_per_iter.append(_pct_zero(u))
         trace.iterations = it
 
         support = u != 0.0
-        if np.any(support):
+        if support.any():
+            # The drive at the new iterate serves this stationarity test and
+            # the next step (an empty support always ends the loop).
+            drive = _drive(b, pv, u)
             # Subgradient of the penalty and the pull, minus the drive.
             pull = beta * np.sign(u[support])
             if preference is not None:
                 pull = u[support] - preference[support] + pull
-            kkt = float(np.max(np.abs(pull - _drive(b, pv, u)[support])))
+            kkt = float(np.abs(pull - drive[support]).max())
         else:
             kkt = 0.0
         trace.final_residual = kkt

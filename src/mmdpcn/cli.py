@@ -26,6 +26,7 @@ from .errors import ConfigError, LengthMismatch
 from .frames import (format_float, read_frames_dir, read_labels_csv,
                      read_rten, write_frames, write_labels_csv,
                      write_metrics_csv)
+from .linalg import aligned_zeros
 from .metrics import evaluate_clustering, matching_accuracy, per_frame_mse, \
     sparsity
 from .model import HyperParams, LayerDims, LayerModel
@@ -110,7 +111,9 @@ def _bench_model(settings: BenchSettings, rng) -> LayerModel:
         side_y -= 1
     side_x = p // side_y
     ys, xs = np.mgrid[0:side_y, 0:side_x].astype(float)
-    dictionary = np.empty((p, k))
+    # The dictionary and the transition are allocated on the model's
+    # alignment, so LayerModel keeps them without a copy.
+    dictionary = aligned_zeros((p, k))
     for j in range(k):
         # Localized blob atoms with a lognormal norm spread: coherent
         # overlapping supports and unequal per-atom curvature, like patch
@@ -124,8 +127,10 @@ def _bench_model(settings: BenchSettings, rng) -> LayerModel:
         dictionary[:, j] = blob * np.exp(0.4 * rng.standard_normal())
     top = np.linalg.norm(dictionary, 2) ** 2
     dictionary *= np.sqrt(_BENCH_CURVATURE / top)
+    transition = aligned_zeros((k, k))
+    np.fill_diagonal(transition, 1.0)
     dims = LayerDims(p, k, 1, 1)
-    return LayerModel(dims, np.eye(k), np.ones((k, 1)), dictionary)
+    return LayerModel(dims, transition, np.ones((k, 1)), dictionary)
 
 
 def _bench_patches(settings: BenchSettings, model: LayerModel, rng) -> np.ndarray:

@@ -37,22 +37,26 @@ def _solve_on_support(gram: np.ndarray, r: np.ndarray,
     gram is C^T C; r and rhs are (n, k).  Each row is solved on its own
     support S = {j : r_ij > 0} and is exactly zero elsewhere.  With
     h = sqrt(r_S), x_S = h z where (I + diag(h) G_SS diag(h)) z = h rhs_S;
-    the eigenvalues are at least 1 however small r gets.  The rows are
-    separate solves because a zero-padded batched solve rounds differently
-    from the solve on each row's own support.
+    the eigenvalues are at least 1 however small r gets.  h, h rhs and the
+    final rescale by h are computed for all rows at once (h is zero off
+    the support); the systems are separate solves because a zero-padded
+    batched solve rounds differently from the solve on each row's own
+    support.
     """
+    h = np.sqrt(r)
+    h_rhs = h * rhs
     x = np.zeros(rhs.shape)
-    for x_i, r_i, rhs_i in zip(x, r, rhs):
-        s = r_i.nonzero()[0]
+    for x_i, h_i, b_i in zip(x, h, h_rhs):
+        s = h_i.nonzero()[0]
         if s.size == 0:
             continue
-        h = np.sqrt(r_i[s])
+        h_s = h_i[s]
         m = gram[s[:, None], s]
-        m *= h[:, None]
-        m *= h
+        m *= h_s[:, None]
+        m *= h_s
         m.flat[::s.size + 1] += 1.0
-        x_i[s] = h * np.linalg.solve(m, h * rhs_i[s])
+        x_i[s] = np.linalg.solve(m, b_i[s])
         # Free this row's system before the next row gathers its own.
         del m
+    x *= h
     return x
-

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import as_float_array
+from .linalg import aligned_zeros, as_aligned_array, as_float_array
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,10 @@ class LayerModel:
     coupling:   (state_dim, cause_dim), gates state magnitudes by causes.
     gram:       (state_dim, state_dim), dictionary^T dictionary, derived at
                 construction for the state solves and never serialized.
+
+    Every matrix starts on a 64-byte boundary (linalg.ALIGNMENT); one that
+    does not arrive on one is copied.  So the speed of the BLAS products
+    on them does not depend on where an allocation happened to land.
     """
 
     dims: LayerDims
@@ -99,16 +103,14 @@ class LayerModel:
 
     def __post_init__(self):
         k, d, p = self.dims.state_dim, self.dims.cause_dim, self.dims.input_dim
-        self.transition = as_float_array(self.transition, "transition")
-        self.coupling = as_float_array(self.coupling, "coupling")
-        self.dictionary = as_float_array(self.dictionary, "dictionary")
-        if self.transition.shape != (k, k):
-            raise DimensionMismatch(f"transition must be {(k, k)}, got {self.transition.shape}")
-        if self.coupling.shape != (k, d):
-            raise DimensionMismatch(f"coupling must be {(k, d)}, got {self.coupling.shape}")
-        if self.dictionary.shape != (p, k):
-            raise DimensionMismatch(f"dictionary must be {(p, k)}, got {self.dictionary.shape}")
-        self.gram = self.dictionary.T @ self.dictionary
+        for name, shape in (("transition", (k, k)), ("coupling", (k, d)),
+                            ("dictionary", (p, k))):
+            m = as_aligned_array(getattr(self, name), name)
+            if m.shape != shape:
+                raise DimensionMismatch(f"{name} must be {shape}, got {m.shape}")
+            setattr(self, name, m)
+        self.gram = np.matmul(self.dictionary.T, self.dictionary,
+                              out=aligned_zeros((k, k)))
 
 
 @dataclass
@@ -204,14 +206,21 @@ def cause_energy(cause, pooled: PooledStateMagnitude, model: LayerModel,
         raise DimensionMismatch("cause length does not match the coupling matrix")
     if model.coupling.shape[0] != pooled.values.shape[0]:
         raise DimensionMismatch("pooled length does not match the coupling matrix")
-    z = np.clip(model.coupling @ u, -700.0, 700.0)
-    total = float(pooled.values @ (1.0 + np.exp(-z)))
-    total += hp.cause_sparsity * float(np.abs(u).sum())
     if preference is not None:
-        u_hat = as_float_array(preference, "cause preference")
-        if u_hat.shape != u.shape:
+        preference = as_float_array(preference, "cause preference")
+        if preference.shape != u.shape:
             raise DimensionMismatch("preference must match cause length")
-        diff = u - u_hat
+    return _cause_objective(u, pooled.values, model.coupling,
+                            hp.cause_sparsity, preference)
+
+
+def _cause_objective(u, pooled, coupling, beta, preference) -> float:
+    """cause_energy's formula on float arrays of matching shapes, unchecked."""
+    z = (coupling @ u).clip(-700.0, 700.0)
+    total = float(pooled @ (1.0 + np.exp(-z)))
+    total += beta * float(np.abs(u).sum())
+    if preference is not None:
+        diff = u - preference
         total += 0.5 * float(diff @ diff)
     return total
 

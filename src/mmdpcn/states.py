@@ -9,12 +9,14 @@ a shrinkage step, and which keeps every solve no larger than the support.
 A frame's states are one (patch, state) float array: the patches come in
 as rows, previous states and warm starts are arrays of the same shape, and
 the result is one such array.  One kernel runs the iteration on all rows
-at once.  The elementwise work and the per-row sums act on the whole
-array; the matrix-vector products, the residual dot products and the
-support solves stay one per row, because batched BLAS calls round
-differently.  Every patch therefore gets exactly the iterates, objective
-values and stopping decision of a solve on its own, and a row that
-converges leaves the active set.  infer_state is a batch of one.
+at once.  The elementwise work, the per-row sums and the sparsity counts
+act on the whole array.  The matrix-vector products and the residual dot
+products are stacked matmuls, which NumPy runs as one BLAS gemv or dot per
+row; a matrix-matrix product would round differently.  The support solves
+stay one LAPACK solve per row, on that row's own support.  Every patch
+therefore gets exactly the iterates, objective values and stopping
+decision of a solve on its own, and a row that converges leaves the
+active set.  infer_state is a batch of one.
 """
 
 import time
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
 from .linalg import as_float_array
-from .majorize import _solve_on_support, soft_clip
+from .majorize import _solve_on_support
 from .model import HyperParams, LayerModel
 
 
@@ -62,23 +64,28 @@ def _rows(a, n: int, k: int, name: str) -> np.ndarray:
 
 
 def _times_rows(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """m @ row for every row, one matrix-vector product each.
+    """m @ row for every row, as one stacked matmul.
 
-    A single matrix-matrix product would round differently from the
-    products of a solve on its own.
+    NumPy runs a stack of matrix-vector products as one BLAS gemv per row,
+    so every row rounds exactly like m @ row on its own, whatever the
+    layout of m.  A matrix-matrix product, rows @ m.T, rounds differently.
     """
-    out = np.empty((rows.shape[0], m.shape[0]))
-    for i, row in enumerate(rows):
-        out[i] = m @ row
-    return out
+    return np.matmul(m, rows[:, :, None])[:, :, 0]
+
+
+def _pct_zero_rows(x: np.ndarray) -> list:
+    """_pct_zero of every row of x."""
+    return (100.0 * (x == 0.0).sum(axis=1) / x.shape[1]).tolist()
 
 
 def _objectives(residual, mag, innovation, alpha, mu, lam, margin):
     """Per-row objective, given |x| as mag and alpha = soft_clip(innovation).
 
-    The innovation term is smooth_l1 written out on rows.
+    The innovation term is smooth_l1 written out on rows.  The squared
+    norms are one stacked matmul, a BLAS dot per row like r @ r.
     """
-    val = 0.5 * np.array([r @ r for r in residual]) + mu * mag.sum(axis=1)
+    sq = np.matmul(residual[:, None, :], residual[:, :, None])[:, 0, 0]
+    val = 0.5 * sq + mu * mag.sum(axis=1)
     if lam > 0:
         val += lam * ((alpha * innovation).sum(axis=1)
                       - 0.5 * margin * (alpha * alpha).sum(axis=1))
@@ -92,7 +99,8 @@ def _solve_rows(y, x, prediction, model: LayerModel, hp: HyperParams):
     the (n, k) transition-predicted state, or None to drop the temporal
     term.  Returns the (n, k) final states and one trace per row.  A row
     that converges is copied out and dropped from the working arrays; the
-    rest keep iterating.
+    rest keep iterating.  soft_clip is written out as a clip, since
+    HyperParams already guarantees a positive margin.
     """
     c = model.dictionary
     mu, margin = hp.state_sparsity, hp.smooth_margin
@@ -108,11 +116,11 @@ def _solve_rows(y, x, prediction, model: LayerModel, hp: HyperParams):
     innovation = alpha = None
     if lam > 0:
         innovation = x - prediction
-        alpha = soft_clip(innovation, margin)
+        alpha = (innovation / margin).clip(-1.0, 1.0)
     f = _objectives(residual, mag, innovation, alpha, mu, lam, margin)
-    for tr, x_i, f_i in zip(traces, x, f.tolist()):
+    for tr, f_i, z_i in zip(traces, f.tolist(), _pct_zero_rows(x)):
         tr.objective_per_iter.append(f_i)
-        tr.sparsity_per_iter.append(_pct_zero(x_i))
+        tr.sparsity_per_iter.append(z_i)
 
     for it in range(1, hp.max_inner_iter + 1):
         if lam > 0:
@@ -133,7 +141,7 @@ def _solve_rows(y, x, prediction, model: LayerModel, hp: HyperParams):
         residual = y - _times_rows(c, x)
         if lam > 0:
             innovation = x - prediction
-            alpha = soft_clip(innovation, margin)
+            alpha = (innovation / margin).clip(-1.0, 1.0)
         f = _objectives(residual, mag, innovation, alpha, mu, lam, margin)
 
         # Clamp small components to exact zero, but never at the cost of an
@@ -148,7 +156,7 @@ def _solve_rows(y, x, prediction, model: LayerModel, hp: HyperParams):
             inn_cl = a_cl = None
             if lam > 0:
                 inn_cl = x_cl - prediction
-                a_cl = soft_clip(inn_cl, margin)
+                a_cl = (inn_cl / margin).clip(-1.0, 1.0)
             f_cl = _objectives(res_cl, mag_cl, inn_cl, a_cl, mu, lam, margin)
             take = f_cl <= f
             if take.any():
@@ -167,10 +175,11 @@ def _solve_rows(y, x, prediction, model: LayerModel, hp: HyperParams):
         # Stationarity residual on the support.
         kkt = np.abs(grad + mu * np.sign(x)).max(axis=1, where=nonzero,
                                                  initial=0.0)
-        for i, x_i, f_i, kkt_i in zip(rows.tolist(), x, f.tolist(), kkt.tolist()):
+        for i, f_i, z_i, kkt_i in zip(rows.tolist(), f.tolist(),
+                                      _pct_zero_rows(x), kkt.tolist()):
             tr = traces[i]
             tr.objective_per_iter.append(f_i)
-            tr.sparsity_per_iter.append(_pct_zero(x_i))
+            tr.sparsity_per_iter.append(z_i)
             tr.iterations = it
             tr.final_residual = kkt_i
         done = kkt <= hp.inner_tol

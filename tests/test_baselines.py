@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmdpcn.baselines import (BaselineConfig, adam_solve, fista_solve,
-                              ista_solve, lipschitz_step, state_objective)
+                              ista_solve, state_objective)
 from mmdpcn.linalg import column_normalize
 from mmdpcn.model import HyperParams, LayerDims, LayerModel
 from mmdpcn.states import infer_state
@@ -14,6 +14,14 @@ def scalar_model():
                       transition=np.eye(2),
                       coupling=np.array([[1.0], [0.0]]),
                       dictionary=np.array([[1.0, 0.0]]))
+
+
+def lipschitz_step(model, hp, with_temporal):
+    """The standard 1/L step for the smooth part of the state objective."""
+    lip = float(np.linalg.norm(model.dictionary, 2)) ** 2
+    if with_temporal and hp.temporal_sparsity > 0:
+        lip += hp.temporal_sparsity / hp.smooth_margin
+    return 1.0 / lip
 
 
 def random_instance(rng, p_max=10, k_max=16):

@@ -159,6 +159,25 @@ def test_objective_trace_monotone():
         assert np.all(np.diff(tr.objective_per_iter) <= 1e-9)
 
 
+def test_last_objective_is_the_energy_of_the_returned_cause():
+    # The loop reuses each step's energy instead of re-evaluating it; the
+    # last recorded value must still be cause_energy of the result, exactly.
+    rng = np.random.default_rng(24)
+    for i in range(40):
+        model, pooled = random_instance(rng, nonneg=bool(i % 3))
+        hp = HyperParams(cause_sparsity=float(rng.uniform(0.05, 0.6)),
+                         clamp_cause=float(rng.choice([1e-6, 1e-2])),
+                         max_inner_iter=int(rng.choice([1, 2, 30])))
+        preference = None
+        if i % 2:
+            preference = rng.standard_normal(model.dims.cause_dim)
+            cv, tr = infer_cause_topdown(pooled, preference, model, hp)
+        else:
+            cv, tr = infer_cause(pooled, model, hp)
+        energy = cause_energy(cv, pooled, model, hp, preference=preference)
+        assert tr.objective_per_iter[-1] == energy
+
+
 def test_scalar_iterates_bounded():
     # The one-step map is bounded by (drive/beta)/e, so the claimed
     # fixed-point band max(u0, ln(drive/beta)) + 1 holds for drive/beta

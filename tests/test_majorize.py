@@ -127,3 +127,23 @@ def test_woodbury_support_solve_matches_dense_solve():
             err = np.linalg.norm(out[~dead] - expected) / np.linalg.norm(expected)
             assert err <= 1e-10
 
+
+def test_support_solve_rows_match_the_per_row_formula_bit_for_bit():
+    # Rows with different supports, one of them empty, solved together:
+    # each row must equal h * solve(I + h G_SS h, h * rhs_S) on its own.
+    rng = np.random.default_rng(8)
+    p, k = 10, 24
+    c = rng.standard_normal((p, k)) / np.sqrt(p)
+    gram = c.T @ c
+    r = rng.uniform(0.01, 3.0, size=(4, k)) * (rng.random((4, k)) < 0.6)
+    r[2] = 0.0
+    rhs = rng.standard_normal((4, k))
+    out = _solve_on_support(gram, r, rhs)
+    for r_i, rhs_i, out_i in zip(r, rhs, out):
+        s = r_i.nonzero()[0]
+        h = np.sqrt(r_i[s])
+        system = np.eye(s.size) + h[:, None] * gram[np.ix_(s, s)] * h
+        expected = np.zeros(k)
+        if s.size:
+            expected[s] = h * np.linalg.solve(system, h * rhs_i[s])
+        assert np.array_equal(out_i.view(np.uint64), expected.view(np.uint64))

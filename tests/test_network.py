@@ -6,7 +6,7 @@ from mmdpcn.errors import (ConfigError, DimensionMismatch, FormatError,
 from mmdpcn.cli import _bench_model
 from mmdpcn.config import BenchSettings
 from mmdpcn.learning import LearnConfig, fit_layer, init_model, update_model
-from mmdpcn.model import HyperParams, LayerDims
+from mmdpcn.model import HyperParams, LayerDims, LayerModel
 from mmdpcn.network import (InferenceResult, Layer, LayerSpec, NetworkConfig,
                             decompose_frame, infer_variables, load_network,
                             recompose_frame, reconstruct_frames, save_network,
@@ -175,6 +175,53 @@ def test_every_model_carries_its_gram_matrix_and_files_omit_it(tmp_path):
         p, k, d = layer.model.dictionary.shape + (layer.model.dims.cause_dim,)
         size += 16 + 11 * 8 + 8 * (k * k + k * d + p * k)
     assert path.stat().st_size == size
+
+
+def test_every_model_keeps_its_matrices_on_64_byte_boundaries(tmp_path):
+    def misaligned(a):
+        # A float64 copy that starts 8 bytes past a 64-byte boundary.
+        buf = np.empty(a.size + 16)
+        start = (-buf.ctypes.data % 64) // 8 + 1
+        out = buf[start:start + a.size].reshape(a.shape)
+        out[...] = a
+        return out
+
+    def check(model, inputs):
+        for name, given in zip(("transition", "coupling", "dictionary"), inputs):
+            m = getattr(model, name)
+            assert m.ctypes.data % 64 == 0 and m.flags.c_contiguous
+            assert m.tobytes() == np.ascontiguousarray(given, dtype=float).tobytes()
+        c = model.dictionary
+        assert model.gram.ctypes.data % 64 == 0
+        assert model.gram.tobytes() == (c.T @ c).tobytes()
+
+    rng = np.random.default_rng(38)
+    dims = LayerDims(4, 6, 2, 4)
+    inputs = (misaligned(rng.standard_normal((6, 6))),
+              np.asfortranarray(rng.standard_normal((6, 2))),
+              misaligned(rng.standard_normal((4, 6))))
+    model = LayerModel(dims, *inputs)
+    check(model, inputs)
+    assert not any(np.shares_memory(m, given) for m, given in
+                   zip((model.transition, model.coupling, model.dictionary), inputs))
+    check(LayerModel(dims, *(m.tolist() for m in inputs)), inputs)
+    # A matrix that already starts on a boundary is kept, not copied.
+    kept = LayerModel(dims, model.transition, model.coupling, model.dictionary)
+    assert kept.dictionary is model.dictionary
+
+    layers = random_stack(seed=38)
+    model = layers[0].model
+    grads = tuple(np.ones_like(m) for m in
+                  (model.transition, model.coupling, model.dictionary))
+    stepped = update_model(model, grads, LearnConfig(), model)
+    check(stepped, (stepped.transition, stepped.coupling, stepped.dictionary))
+    path = tmp_path / "net.dpcn"
+    save_network(layers, path)
+    for orig, back in zip(layers, load_network(path)):
+        m = orig.model
+        check(back.model, (m.transition, m.coupling, m.dictionary))
+    check(_bench_model(BenchSettings(patch_dim=16, state_dim=20),
+                       np.random.default_rng(38)), ())
 
 
 def test_load_rejects_corrupt_files(tmp_path):

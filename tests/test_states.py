@@ -4,7 +4,7 @@ import pytest
 from mmdpcn.errors import DimensionMismatch
 from mmdpcn.linalg import column_normalize
 from mmdpcn.model import HyperParams, LayerDims, LayerModel, PatchBatch
-from mmdpcn.states import infer_state, infer_states_batch
+from mmdpcn.states import _objectives, _times_rows, infer_state, infer_states_batch
 
 
 def scalar_model():
@@ -279,3 +279,25 @@ def test_previous_state_of_wrong_length_is_rejected():
         infer_state(np.ones(1), np.ones(3), model, hp)
     with pytest.raises(DimensionMismatch):
         infer_states_batch(np.ones((2, 1)), np.ones((2, 3)), model, hp)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_stacked_products_round_like_one_product_per_row(n):
+    # The kernel's stacked matmuls must give exactly the per-row products of
+    # a solve on its own, for the dictionary and for its transposed view.
+    rng = np.random.default_rng(18)
+    c = rng.standard_normal((23, 41))
+    for m in (c, c.T):
+        rows = rng.standard_normal((n, m.shape[1]))
+        expected = np.stack([m @ row for row in rows])
+        assert np.array_equal(_bits(_times_rows(m, rows)), _bits(expected))
+    residual = rng.standard_normal((n, 23))
+    mag = np.abs(rng.standard_normal((n, 41)))
+    got = _objectives(residual, mag, None, None, 0.3, 0.0, 0.1)
+    expected = np.array([0.5 * (r @ r) + 0.3 * a.sum()
+                         for r, a in zip(residual, mag)])
+    assert np.array_equal(_bits(got), _bits(expected))
