@@ -19,8 +19,8 @@ from .metrics import (ClusterReport, adjusted_rand_index, completeness,
                       evaluate_clustering, kmeans, matching_accuracy,
                       pca_project, reconstruction_mse, sparsity)
 from .model import (CauseVector, HyperParams, LayerDims, LayerModel,
-                    PatchBatch, PooledStateMagnitude, cause_energy,
-                    state_energy, total_energy)
+                    PooledStateMagnitude, cause_energy, state_energy,
+                    total_energy)
 from .network import (InferenceResult, Layer, LayerSpec, NetworkConfig,
                       decompose_frame, infer_variables, load_network,
                       recompose_frame, reconstruct_frames, save_network,
@@ -31,7 +31,7 @@ from .states import SolveTrace, infer_state, infer_states_batch
 __all__ = [
     "BaselineConfig", "BenchSettings", "CauseVector", "ClusterReport",
     "FitReport", "HyperParams", "InferenceResult", "Layer", "LayerDims",
-    "LayerModel", "LayerSpec", "LearnConfig", "NetworkConfig", "PatchBatch",
+    "LayerModel", "LayerSpec", "LearnConfig", "NetworkConfig",
     "PooledStateMagnitude", "ShapesDataset", "SolveTrace",
     "TopDownPrediction", "adam_solve", "adjusted_rand_index", "cause_energy",
     "completeness", "decompose_frame", "evaluate_clustering", "fista_solve",

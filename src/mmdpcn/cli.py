@@ -347,6 +347,8 @@ def cmd_cluster(args) -> int:
         ("cause_sparsity_pct", report.spa, 0.0),
         ("matching_accuracy", match_acc, 0.0),
     ])
+    # Frames inferred in one step share its time equally, so this std
+    # spreads over inference steps, not over frames.
     write_metrics_csv(os.path.join(args.out, "timings.csv"), [
         ("lct_seconds_per_frame", report.lct_seconds,
          float(np.std(result.per_frame_seconds))),

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import as_float_array, column_normalize
 from .majorize import soft_clip
-from .model import (HyperParams, LayerDims, LayerModel, PatchBatch,
-                    PooledStateMagnitude, _cause_values, total_energy)
+from .model import (HyperParams, LayerDims, LayerModel, PooledStateMagnitude,
+                    _cause_values, total_energy)
 from .causes import infer_cause
 from .states import infer_states_batch
 
@@ -60,16 +60,17 @@ class FitReport:
     wall_time: float = 0.0
 
 
-def grad_model(batch, states, prev_states, cause, pooled: PooledStateMagnitude,
+def grad_model(patches, states, prev_states, cause, pooled: PooledStateMagnitude,
                model: LayerModel, hp: HyperParams):
     """Analytic gradients of the full objective in the three matrices.
 
-    Evaluated at fixed variables: the dictionary sees the reconstruction
-    residual, the transition sees the clipped innovation gradient, and the
-    coupling sees the exponential gating term.  Returns (dA, dB, dC) for
+    patches is the frame's (patch, pixel) array.  Evaluated at fixed
+    variables: the dictionary sees the reconstruction residual, the
+    transition sees the clipped innovation gradient, and the coupling sees
+    the exponential gating term.  Returns (dA, dB, dC) for
     (transition, coupling, dictionary).
     """
-    y = batch.patches if isinstance(batch, PatchBatch) else np.asarray(batch, dtype=np.float64)
+    y = np.asarray(patches, dtype=np.float64)
     x = as_float_array(states, "states")
     u = _cause_values(cause)
     if y.shape[0] != x.shape[0]:
@@ -120,7 +121,7 @@ def init_model(dims: LayerDims, rng: np.random.Generator) -> LayerModel:
     return LayerModel(dims, a, b, c)
 
 
-def infer_frame_variables(batch: PatchBatch, prev_states, model: LayerModel,
+def infer_frame_variables(patches: np.ndarray, prev_states, model: LayerModel,
                           hp: HyperParams):
     """Alternate short state and cause blocks until the frame's energy settles.
 
@@ -133,11 +134,11 @@ def infer_frame_variables(batch: PatchBatch, prev_states, model: LayerModel,
     states, cause = None, None
     energy_prev = None
     for _ in range(_MAX_BLOCKS):
-        states, _ = infer_states_batch(batch, prev_states, model, hp_states,
+        states, _ = infer_states_batch(patches, prev_states, model, hp_states,
                                        inits=states)
         pooled = PooledStateMagnitude.pool(states, hp.pool_gain)
         cause, _ = infer_cause(pooled, model, hp_causes, u_init=cause)
-        energy = total_energy(batch, states, prev_states, cause, pooled, model, hp)
+        energy = total_energy(patches, states, prev_states, cause, pooled, model, hp)
         if energy_prev is not None and \
                 abs(energy - energy_prev) <= hp.inner_tol * max(1.0, abs(energy_prev)):
             break
@@ -154,10 +155,10 @@ def _sweep(frames, model: LayerModel, hp: HyperParams):
     total = 0.0
     causes = []
     prev_states = None
-    for batch in frames:
+    for patches in frames:
         states, cause, pooled, energy = infer_frame_variables(
-            batch, prev_states, model, hp)
-        da, db, dc = grad_model(batch, states, prev_states, cause, pooled, model, hp)
+            patches, prev_states, model, hp)
+        da, db, dc = grad_model(patches, states, prev_states, cause, pooled, model, hp)
         g_trans += da
         g_coup += db
         g_dict += dc
@@ -171,21 +172,22 @@ def fit_layer(frames, dims: LayerDims, hp: HyperParams,
               cfg: LearnConfig) -> tuple[LayerModel, list, FitReport]:
     """Fit one layer's matrices to a frame sequence.
 
-    Every outer pass re-infers all variables under the trial matrices and
-    takes one gradient step.  A pass whose energy rises is rejected: the
-    step is retried from the last accepted model at half the rate.  Returns
-    the accepted model, the per-frame causes from its pass (the next
-    layer's inputs), and the fit report.
+    frames holds one (patch, pixel) array per frame.  Every outer pass
+    re-infers all variables under the trial matrices and takes one
+    gradient step.  A pass whose energy rises is rejected: the step is
+    retried from the last accepted model at half the rate.  Returns the
+    accepted model, the per-frame causes from its pass (the next layer's
+    inputs), and the fit report.
     """
     start = time.perf_counter()
-    frames = list(frames)
+    frames = [as_float_array(f, "frame patches") for f in frames]
     if not frames:
         raise ValueError("fit_layer needs at least one frame")
     for f in frames:
-        if f.patches.shape != (dims.patch_count, dims.input_dim):
+        if f.shape != (dims.patch_count, dims.input_dim):
             raise DimensionMismatch(
                 f"frame patches must be {(dims.patch_count, dims.input_dim)}, "
-                f"got {f.patches.shape}")
+                f"got {f.shape}")
 
     rng = np.random.default_rng(cfg.seed)
     theta = init_model(dims, rng)

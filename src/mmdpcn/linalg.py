@@ -24,7 +24,7 @@ ALIGNMENT = 64
 def as_float_array(a, name: str = "array") -> np.ndarray:
     """Coerce to a C-contiguous float64 ndarray, rejecting NaN/Inf."""
     out = np.ascontiguousarray(a, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFinite(f"{name} contains NaN or Inf")
     return out
 

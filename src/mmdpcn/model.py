@@ -6,10 +6,11 @@ states), a transition (predicts states from the previous frame's states),
 and a coupling (modulates state magnitudes through a nonnegative cause
 vector).
 
-A frame's states are one (patch, state) float array and its cause is a
-CauseVector holding one vector; exact zeros are the sparsity, and nothing
-else marks them.  The cause objective takes an optional top-down
-preference, so plain and pulled cause solves descend one energy.
+A frame's patches are one (patch, pixel) float array, its states one
+(patch, state) float array and its cause a CauseVector holding one
+vector; exact zeros are the sparsity, and nothing else marks them.  The
+cause objective takes an optional top-down preference, so plain and pulled
+cause solves descend one energy.
 """
 
 from dataclasses import dataclass, field
@@ -124,19 +125,6 @@ class CauseVector:
 
 
 @dataclass
-class PatchBatch:
-    """All patch measurements of one frame at one layer, one row per patch."""
-
-    time_index: int
-    patches: np.ndarray
-
-    def __post_init__(self):
-        self.patches = as_float_array(self.patches, "patches")
-        if self.patches.ndim != 2:
-            raise DimensionMismatch("patches must be a 2-d array (patch, pixel)")
-
-
-@dataclass
 class PooledStateMagnitude:
     """Gain-scaled sum of absolute states over the frame's patches.
 
@@ -163,15 +151,16 @@ def _cause_values(cause) -> np.ndarray:
     return as_float_array(cause, "cause values")
 
 
-def state_energy(batch, states, prev_states, model: LayerModel, hp: HyperParams) -> float:
+def state_energy(patches, states, prev_states, model: LayerModel, hp: HyperParams) -> float:
     """Exact per-frame state objective: reconstruction + sparsity + innovation.
 
-    states and prev_states are (patch, state) arrays.  Sum over patches of
+    patches is the frame's (patch, pixel) array; states and prev_states
+    are (patch, state) arrays.  Sum over patches of
     0.5*||y - dictionary@x||^2 + state_sparsity*||x||_1 plus
     temporal_sparsity*||x - transition@x_prev||_1.  Pass prev_states as
     None to drop the temporal term (first frame of a sequence).
     """
-    y = batch.patches if isinstance(batch, PatchBatch) else as_float_array(batch, "patches")
+    y = as_float_array(patches, "patches")
     x = as_float_array(states, "states")
     p, k = model.dictionary.shape
     if y.ndim != 2 or y.shape[1] != p or x.shape != (y.shape[0], k):
@@ -225,8 +214,8 @@ def _cause_objective(u, pooled, coupling, beta, preference) -> float:
     return total
 
 
-def total_energy(batch, states, prev_states, cause, pooled, model: LayerModel,
+def total_energy(patches, states, prev_states, cause, pooled, model: LayerModel,
                  hp: HyperParams) -> float:
     """Full per-frame objective: state part plus cause part."""
-    return (state_energy(batch, states, prev_states, model, hp)
+    return (state_energy(patches, states, prev_states, model, hp)
             + cause_energy(cause, pooled, model, hp))

@@ -6,6 +6,7 @@ runs repeated bottom-up sweeps in which every layer's cause is pulled
 toward a prediction rendered by the layer above.
 """
 
+import numbers
 import struct
 import time
 from dataclasses import dataclass, field
@@ -15,8 +16,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionMismatch, FormatError, GridMismatch,
                      ShapeError)
 from .linalg import as_float_array
-from .model import (HyperParams, LayerDims, LayerModel, PatchBatch,
-                    PooledStateMagnitude)
+from .model import HyperParams, LayerDims, LayerModel, PooledStateMagnitude
 from .causes import infer_cause, infer_cause_topdown, top_down_prediction
 from .learning import LearnConfig, fit_layer
 from .states import _times_rows, infer_states_batch
@@ -96,11 +96,12 @@ class Layer:
     hp: HyperParams
 
 
-def decompose_frame(frame: np.ndarray, grid: tuple, time_index: int = 0) -> PatchBatch:
+def decompose_frame(frame: np.ndarray, grid: tuple) -> np.ndarray:
     """Split a frame into a grid of contiguous patches, row-major.
 
-    Each patch is vectorized in row-major pixel order with the channel
-    fastest.  Frame dimensions must be divisible by the grid.
+    Returns the (patch, pixel) array.  Each patch is vectorized in
+    row-major pixel order with the channel fastest.  Frame dimensions must
+    be divisible by the grid.
     """
     frame = as_float_array(frame, "frame")
     if frame.ndim not in (2, 3):
@@ -115,7 +116,7 @@ def decompose_frame(frame: np.ndarray, grid: tuple, time_index: int = 0) -> Patc
         for c in range(cols):
             block = frame[r * bh:(r + 1) * bh, c * bw:(c + 1) * bw]
             patches.append(block.ravel())
-    return PatchBatch(time_index, np.vstack(patches))
+    return np.vstack(patches)
 
 
 def recompose_frame(patches: np.ndarray, grid: tuple, frame_shape: tuple) -> np.ndarray:
@@ -149,13 +150,13 @@ def train_network(frames, cfg: NetworkConfig):
     else:
         raise DimensionMismatch("frames must be TxHxW or TxHxWxC")
 
-    batches = [decompose_frame(f, cfg.grid, t) for t, f in enumerate(frames)]
+    inputs = [decompose_frame(f, cfg.grid) for f in frames]
     layers, reports = [], []
     for spec in cfg.layers:
-        model, causes, report = fit_layer(batches, spec.dims, spec.hp, spec.learn)
+        model, causes, report = fit_layer(inputs, spec.dims, spec.hp, spec.learn)
         layers.append(Layer(model, spec.hp))
         reports.append(report)
-        batches = [PatchBatch(t, cv.values[None, :]) for t, cv in enumerate(causes)]
+        inputs = [cv.values[None, :] for cv in causes]
     return layers, reports
 
 
@@ -164,7 +165,10 @@ class InferenceResult:
     """Per-frame, per-layer variables from a full inference pass.
 
     states[t][l] is layer l's (patch, state) array at frame t and
-    causes[t][l] its CauseVector.
+    causes[t][l] its CauseVector.  per_frame_seconds[t] is frame t's share
+    of the step that inferred it: like SolveTrace.wall_time in a batch,
+    each step's elapsed time is split equally between the frames stacked
+    in it.  The shares add up to the whole pass after input validation.
     """
 
     states: list = field(default_factory=list)
@@ -181,95 +185,108 @@ def infer_variables(frames, layers, grid: tuple, sweeps: int = 10,
     then its cause, pulled toward the prediction rendered by the layer
     above; the top layer is pulled toward its own previous-frame cause.
     The first frame has no temporal context, so it gets one plain
-    bottom-up pass without preferences.
+    bottom-up pass without preferences.  A frame stops sweeping once no
+    layer's cause moved by layer 1's inner_tol or more.
 
     segment_starts lists frame indices where the temporal context resets:
     frames at a scene cut between independent clips carry no information
     about each other, so each listed frame is treated like the first.
-    Inference over a segmented sequence is bit-identical to inferring each
-    segment separately.
+    Start 0 and repeated starts are allowed.
 
-    Raises ConfigError, before any solve, when there is no layer or the
-    grid does not cut the frames into layer 1's patch count and patch
-    length.
+    Segments share no state, so they are inferred side by side.  Step tau
+    infers frame tau of every segment that long; in each sweep, one
+    infer_states_batch call per layer solves the rows of all of those
+    frames still sweeping, and each frame's cause is solved on its own.
+    The state kernel solves every row on its own too, so inference over a
+    segmented sequence is bit-identical to inferring each segment
+    separately.
+
+    Raises ConfigError, before any solve, when there is no layer, the grid
+    does not cut the frames into layer 1's patch count and patch length,
+    or a segment start is not an integer frame index.
     """
     frames = np.asarray(frames, dtype=np.float64)
     n_layers = len(layers)
     if n_layers == 0:
         raise ConfigError("at least one layer is required")
-    if frames.shape[0] > 0:
+    t_count = frames.shape[0]
+    if t_count > 0:
         dims = layers[0].model.dims
-        count, length = decompose_frame(frames[0], grid, 0).patches.shape
+        count, length = decompose_frame(frames[0], grid).shape
         if (count, length) != (dims.patch_count, dims.input_dim):
             raise ConfigError(
                 f"grid {grid[0]}x{grid[1]} cuts frames into {count} patches of "
                 f"length {length}; layer 1 expects {dims.patch_count} of "
                 f"length {dims.input_dim}")
-    starts = {int(s) for s in segment_starts}
-    result = InferenceResult()
+    for s in segment_starts:
+        if not isinstance(s, numbers.Integral) or not 0 <= s < t_count:
+            raise ConfigError(
+                f"segment start {s!r} is not a frame index in [0, {t_count})")
+    firsts = sorted({0, *(int(s) for s in segment_starts)}) if t_count else []
+    ends = firsts[1:] + [t_count]
+    tol = layers[0].hp.inner_tol
+    result = InferenceResult([None] * t_count, [None] * t_count,
+                             [0.0] * t_count)
 
-    prev_states = [None] * n_layers
-    prev_causes = [None] * n_layers
+    clock = time.perf_counter()
+    for tau in range(max((e - f for f, e in zip(firsts, ends)), default=0)):
+        step = [f + tau for f, e in zip(firsts, ends) if f + tau < e]
+        fresh = tau == 0
+        patches = {t: decompose_frame(frames[t], grid) for t in step}
+        for t in step:
+            result.states[t] = [None] * n_layers
+            result.causes[t] = [None] * n_layers
 
-    for t in range(frames.shape[0]):
-        tick = time.perf_counter()
-        fresh = t == 0 or t in starts
-        if fresh:
-            prev_states = [None] * n_layers
-            prev_causes = [None] * n_layers
-        batch0 = decompose_frame(frames[t], grid, t)
-
-        cur_states = [None] * n_layers
-        cur_causes = [None] * n_layers
-
-        n_sweeps = 1 if fresh else sweeps
-        for sweep in range(n_sweeps):
-            previous = [cv.values.copy() if cv is not None else None
-                        for cv in cur_causes]
-            batch = batch0
+        sweeping = step
+        for sweep in range(1 if fresh else sweeps):
+            previous = {t: list(result.causes[t]) for t in sweeping}
+            batch = np.vstack([patches[t] for t in sweeping])
             for l, layer in enumerate(layers):
-                states, _ = infer_states_batch(
-                    batch, prev_states[l], layer.model, layer.hp,
-                    inits=cur_states[l])
-                pooled = PooledStateMagnitude.pool(states, layer.hp.pool_gain)
-
-                if fresh:
-                    cause, _ = infer_cause(pooled, layer.model, layer.hp,
-                                           u_init=cur_causes[l])
-                else:
-                    if l == n_layers - 1:
-                        preference = prev_causes[l].values
+                prev = None if fresh else \
+                    np.vstack([result.states[t - 1][l] for t in sweeping])
+                inits = None if sweep == 0 else \
+                    np.vstack([result.states[t][l] for t in sweeping])
+                states, _ = infer_states_batch(batch, prev, layer.model,
+                                               layer.hp, inits=inits)
+                for t, x in zip(sweeping, np.split(states, len(sweeping))):
+                    cur = result.causes[t]
+                    pooled = PooledStateMagnitude.pool(x, layer.hp.pool_gain)
+                    if fresh:
+                        cause, _ = infer_cause(pooled, layer.model, layer.hp)
                     else:
-                        upper = layers[l + 1]
-                        upper_u = cur_causes[l + 1] if cur_causes[l + 1] is not None \
-                            else prev_causes[l + 1]
-                        preference = top_down_prediction(
-                            upper.model, prev_states[l + 1][0], upper_u,
-                            upper.hp).u_hat
-                    # Fresh default init on the first sweep: zeros are
-                    # absorbing, so seeding from the previous frame's cause
-                    # would freeze its support across the whole sequence.
-                    cause, _ = infer_cause_topdown(
-                        pooled, preference, layer.model, layer.hp,
-                        u_init=cur_causes[l])
+                        last = result.causes[t - 1]
+                        if l == n_layers - 1:
+                            preference = last[l].values
+                        else:
+                            upper = layers[l + 1]
+                            upper_u = cur[l + 1] if cur[l + 1] is not None \
+                                else last[l + 1]
+                            preference = top_down_prediction(
+                                upper.model, result.states[t - 1][l + 1][0],
+                                upper_u, upper.hp).u_hat
+                        # Fresh default init on the first sweep: zeros are
+                        # absorbing, so seeding from the previous frame's
+                        # cause would freeze its support across the whole
+                        # sequence.
+                        cause, _ = infer_cause_topdown(
+                            pooled, preference, layer.model, layer.hp,
+                            u_init=cur[l])
+                    result.states[t][l] = x
+                    cur[l] = cause
+                batch = np.vstack([result.causes[t][l].values
+                                   for t in sweeping])
 
-                cur_states[l] = states
-                cur_causes[l] = cause
-                batch = PatchBatch(t, cause.values[None, :])
-
-            if all(p is not None for p in previous):
-                change = max(
-                    float(np.max(np.abs(cur_causes[l].values - previous[l])))
-                    for l in range(n_layers))
-                if change < layers[0].hp.inner_tol:
+            if sweep > 0:
+                sweeping = [t for t in sweeping if not max(
+                    float(np.max(np.abs(cv.values - old.values)))
+                    for cv, old in zip(result.causes[t], previous[t])) < tol]
+                if not sweeping:
                     break
 
-        result.states.append(cur_states)
-        result.causes.append(cur_causes)
-        result.per_frame_seconds.append(time.perf_counter() - tick)
-        prev_states = cur_states
-        prev_causes = cur_causes
-
+        now = time.perf_counter()
+        for t in step:
+            result.per_frame_seconds[t] = (now - clock) / len(step)
+        clock = now
     return result
 
 

@@ -16,7 +16,9 @@ row; a matrix-matrix product would round differently.  The support solves
 stay one LAPACK solve per row, on that row's own support.  Every patch
 therefore gets exactly the iterates, objective values and stopping
 decision of a solve on its own, and a row that converges leaves the
-active set.  infer_state is a batch of one.
+active set.  So network inference can stack the rows of several
+independent frames into one call without changing a bit.  infer_state
+is a batch of one.
 """
 
 import time
@@ -250,17 +252,18 @@ def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
     return states[0], traces[0]
 
 
-def infer_states_batch(batch, prev, model: LayerModel, hp: HyperParams,
+def infer_states_batch(patches, prev, model: LayerModel, hp: HyperParams,
                        inits=None) -> tuple[np.ndarray, list]:
-    """Infer states for every patch of one frame in one batched solve.
+    """Infer states for a batch of patches in one solve.
 
-    batch is a PatchBatch or an (n, p) array; prev and inits are None or
-    (n, k) arrays.  Returns the (n, k) states and one trace per patch.
-    Each row and trace equal those of infer_state on that patch alone,
-    except wall_time, which is an equal share of the batch's elapsed time.
+    patches is an (n, p) array; prev and inits are None or (n, k) arrays.
+    The rows may come from one frame or from several.  Returns the (n, k)
+    states and one trace per patch.  Each row and trace equal those of
+    infer_state on that patch alone, except wall_time, which is an equal
+    share of the batch's elapsed time.
     """
     start = time.perf_counter()
-    patches = batch.patches if hasattr(batch, "patches") else as_float_array(batch, "patches")
+    patches = as_float_array(patches, "patches")
     p = model.dictionary.shape[0]
     if patches.ndim != 2 or patches.shape[1] != p:
         raise DimensionMismatch(f"patches must be (n, {p}), got {patches.shape}")

@@ -196,6 +196,55 @@ def test_train_cluster_reconstruct_pipeline(tmp_path):
     assert "reconstruction_mse" in read_metrics_csv(rec / "metrics.csv")
 
 
+SHAPES_INI = """
+[network]
+grid = 2x2
+
+[layer1]
+input_dim = 64
+state_dim = 72
+cause_dim = 16
+pool_gain = 3.0
+cause_sparsity = 0.08
+state_passes = 2
+cause_passes = 2
+inner_tol = 1e-3
+max_inner_iter = 30
+max_outer_iter = 2
+
+[layer2]
+state_dim = 32
+cause_dim = 12
+pool_gain = 3.0
+cause_sparsity = 0.2
+state_passes = 2
+cause_passes = 2
+inner_tol = 1e-3
+max_inner_iter = 30
+max_outer_iter = 2
+"""
+
+
+def test_cluster_outputs_are_bitwise_reproducible(tmp_path):
+    # Three clips, so the scene cuts give three segments inferred side by
+    # side; same-seed runs must write byte-identical files.
+    data = tmp_path / "data"
+    assert run("gen-shapes", "--out", data, "--frames-per-shape", 3,
+               "--seed", 6) == 0
+    cfg = tmp_path / "net.ini"
+    cfg.write_text(SHAPES_INI)
+    model_path = tmp_path / "fit" / "shapes.dpcn"
+    assert run("train", "--config", cfg, "--frames", data / "frames",
+               "--out", model_path) == 0
+    for name in ("c1", "c2"):
+        assert run("cluster", "--model", model_path, "--frames",
+                   data / "frames", "--labels", data / "labels.csv",
+                   "--out", tmp_path / name, "--k", 3, "--seed", 1) == 0
+    for fname in ("metrics.csv", "assignments.csv"):
+        assert (tmp_path / "c1" / fname).read_bytes() == \
+            (tmp_path / "c2" / fname).read_bytes()
+
+
 def test_cluster_single_cluster_on_blank_frames(tmp_path, capsys):
     frames_dir, labels_path, model_path = zero_frame_setup(tmp_path)
     out = tmp_path / "cl"

@@ -6,7 +6,7 @@ from mmdpcn.learning import (FitReport, LearnConfig, fit_layer, grad_model,
 from mmdpcn.linalg import column_normalize
 from mmdpcn.majorize import smooth_l1
 from mmdpcn.model import (CauseVector, HyperParams, LayerDims, LayerModel,
-                          PatchBatch, PooledStateMagnitude, total_energy)
+                          PooledStateMagnitude, total_energy)
 from mmdpcn.states import infer_states_batch
 
 
@@ -56,7 +56,7 @@ def test_gradients_match_finite_differences():
     for i in range(40):
         model, y, x, x_prev, u, pooled, hp = random_learn_instance(
             rng, with_temporal=bool(i % 2))
-        da, db, dc = grad_model(PatchBatch(0, y), x, x_prev, u, pooled, model, hp)
+        da, db, dc = grad_model(y, x, x_prev, u, pooled, model, hp)
         lam, m = hp.temporal_sparsity, hp.smooth_margin
         a0, b0, c0 = model.transition, model.coupling, model.dictionary
         fd_c = finite_difference(
@@ -77,7 +77,7 @@ def test_dictionary_gradient_zero_at_perfect_reconstruction():
     rng = np.random.default_rng(31)
     model, _, x, _, u, pooled, hp = random_learn_instance(rng, with_temporal=False)
     y = x @ model.dictionary.T
-    _, _, dc = grad_model(PatchBatch(0, y), x, None, u, pooled, model, hp)
+    _, _, dc = grad_model(y, x, None, u, pooled, model, hp)
     assert np.allclose(dc, 0.0, atol=1e-12)
 
 
@@ -85,14 +85,14 @@ def test_coupling_gradient_zero_at_zero_pool():
     rng = np.random.default_rng(32)
     model, y, x, _, u, _, hp = random_learn_instance(rng, with_temporal=False)
     pooled = PooledStateMagnitude(np.zeros(model.dims.state_dim))
-    _, db, _ = grad_model(PatchBatch(0, y), x, None, u, pooled, model, hp)
+    _, db, _ = grad_model(y, x, None, u, pooled, model, hp)
     assert np.array_equal(db, np.zeros_like(db))
 
 
 def test_update_model_normalizes_coupling_and_dictionary():
     rng = np.random.default_rng(33)
     model, y, x, x_prev, u, pooled, hp = random_learn_instance(rng)
-    grads = grad_model(PatchBatch(0, y), x, x_prev, u, pooled, model, hp)
+    grads = grad_model(y, x, x_prev, u, pooled, model, hp)
     cfg = LearnConfig(lr_a=0.1, lr_b=0.1, lr_c=0.1)
     new = update_model(model, grads, cfg, model)
     assert np.allclose(np.linalg.norm(new.coupling, axis=0), 1.0, atol=1e-12)
@@ -119,7 +119,7 @@ def test_update_model_zero_gradients_is_identity():
 def test_update_model_step_decreases_reconstruction_error():
     rng = np.random.default_rng(35)
     model, y, x, _, u, pooled, hp = random_learn_instance(rng, with_temporal=False)
-    grads = grad_model(PatchBatch(0, y), x, None, u, pooled, model, hp)
+    grads = grad_model(y, x, None, u, pooled, model, hp)
     cfg = LearnConfig(lr_c=1e-4, theta_prox=0.0)
     new = update_model(model, grads, cfg, model)
     before = 0.5 * np.sum((y - x @ model.dictionary.T) ** 2)
@@ -134,7 +134,7 @@ def test_update_model_proximity_pulls_toward_previous():
                       model.transition + rng.standard_normal(model.transition.shape),
                       column_normalize(rng.standard_normal(model.coupling.shape)),
                       column_normalize(rng.standard_normal(model.dictionary.shape)))
-    grads = grad_model(PatchBatch(0, y), x, x_prev, u, pooled, model, hp)
+    grads = grad_model(y, x, x_prev, u, pooled, model, hp)
     free = update_model(model, grads, LearnConfig(theta_prox=0.0), prev)
     pulled = update_model(model, grads, LearnConfig(theta_prox=10.0), prev)
     d_free = np.linalg.norm(free.transition - prev.transition)
@@ -146,7 +146,7 @@ def test_fit_layer_zero_frame_keeps_model():
     dims = LayerDims(3, 5, 2, 2)
     hp = HyperParams(temporal_sparsity=0.0)
     cfg = LearnConfig(max_outer_iter=5, seed=7)
-    frames = [PatchBatch(0, np.zeros((2, 3)))]
+    frames = [np.zeros((2, 3))]
     model, causes, report = fit_layer(frames, dims, hp, cfg)
     reference = init_model(dims, np.random.default_rng(7))
     assert np.allclose(model.transition, reference.transition, atol=1e-12)
@@ -162,8 +162,7 @@ def test_fit_layer_rejects_bad_frames():
         fit_layer([], dims, HyperParams(), LearnConfig())
     from mmdpcn.errors import DimensionMismatch
     with pytest.raises(DimensionMismatch):
-        fit_layer([PatchBatch(0, np.zeros((2, 4)))], dims, HyperParams(),
-                  LearnConfig())
+        fit_layer([np.zeros((2, 4))], dims, HyperParams(), LearnConfig())
 
 
 def test_fit_layer_energy_trace_nonincreasing():
@@ -173,7 +172,7 @@ def test_fit_layer_energy_trace_nonincreasing():
     frames = []
     for t in range(4):
         x = rng.standard_normal((2, 8)) * (rng.random((2, 8)) < 0.3)
-        frames.append(PatchBatch(t, x @ truth.T + 0.01 * rng.standard_normal((2, 4))))
+        frames.append(x @ truth.T + 0.01 * rng.standard_normal((2, 4)))
     hp = HyperParams(temporal_sparsity=0.05, state_sparsity=0.2)
     cfg = LearnConfig(lr_a=1e-2, lr_b=1e-2, lr_c=1e-2, max_outer_iter=30, seed=1)
     _, _, report = fit_layer(frames, dims, hp, cfg)
@@ -193,7 +192,7 @@ def test_fit_layer_recovers_generative_dictionary():
     frames = []
     for t in range(12):
         x = rng.standard_normal((4, k)) * (rng.random((4, k)) < 0.2)
-        frames.append(PatchBatch(t, x @ truth.T + noise * rng.standard_normal((4, p))))
+        frames.append(x @ truth.T + noise * rng.standard_normal((4, p)))
     hp = HyperParams(state_sparsity=0.05, temporal_sparsity=0.0,
                      inner_tol=1e-6)
     cfg = LearnConfig(lr_a=1e-2, lr_b=1e-2, lr_c=1e-2,
@@ -203,11 +202,11 @@ def test_fit_layer_recovers_generative_dictionary():
     solve_hp = HyperParams(state_sparsity=0.05, temporal_sparsity=0.0,
                            inner_tol=1e-8, max_inner_iter=300)
     sq_err, count = 0.0, 0
-    for batch in frames:
-        states, _ = infer_states_batch(batch, None, model, solve_hp)
+    for patches in frames:
+        states, _ = infer_states_batch(patches, None, model, solve_hp)
         recon = states @ model.dictionary.T
-        sq_err += float(np.sum((batch.patches - recon) ** 2))
-        count += batch.patches.size
+        sq_err += float(np.sum((patches - recon) ** 2))
+        count += patches.size
     assert sq_err / count <= 2.0 * noise * noise
 
 
@@ -216,7 +215,7 @@ def test_interleaving_settles():
     dims = LayerDims(4, 6, 2, 2)
     model = init_model(dims, rng)
     hp = HyperParams(temporal_sparsity=0.0, inner_tol=1e-6)
-    batch = PatchBatch(0, 0.5 * rng.standard_normal((2, 4)))
+    batch = 0.5 * rng.standard_normal((2, 4))
     states, cause, pooled, energy = infer_frame_variables(batch, None, model, hp)
 
     from dataclasses import replace

@@ -5,7 +5,7 @@ import pytest
 
 from mmdpcn.errors import DimensionMismatch
 from mmdpcn.majorize import smooth_l1
-from mmdpcn.model import (HyperParams, LayerDims, LayerModel, PatchBatch,
+from mmdpcn.model import (HyperParams, LayerDims, LayerModel,
                           PooledStateMagnitude, cause_energy, state_energy,
                           total_energy)
 
@@ -42,7 +42,7 @@ def random_model(rng, p=None, k=None, d=None, n=1):
 def test_state_energy_hand_value():
     model = scalar_model()
     hp = scalar_hp()
-    batch = PatchBatch(0, np.array([[1.0]]))
+    batch = np.array([[1.0]])
     e = state_energy(batch, [np.array([0.7, 0.0])], None, model, hp)
     assert abs(e - 0.255) < 1e-12
 
@@ -50,7 +50,7 @@ def test_state_energy_hand_value():
 def test_state_energy_temporal_term():
     model = scalar_model()
     hp = scalar_hp(temporal_sparsity=0.2)
-    batch = PatchBatch(1, np.array([[1.0]]))
+    batch = np.array([[1.0]])
     x = [np.array([0.7, 0.0])]
     x_prev = [np.array([0.4, 0.0])]
     base = state_energy(batch, x, None, model, hp)
@@ -65,7 +65,7 @@ def test_smoothed_state_energy_gap_bound():
         hp = HyperParams(temporal_sparsity=float(rng.uniform(0.05, 0.5)),
                          smooth_margin=float(rng.uniform(0.02, 0.3)))
         k = model.dims.state_dim
-        batch = PatchBatch(0, rng.standard_normal((3, model.dims.input_dim)))
+        batch = rng.standard_normal((3, model.dims.input_dim))
         x = rng.standard_normal((3, k))
         x_prev = rng.standard_normal((3, k))
         exact = state_energy(batch, x, x_prev, model, hp)
@@ -80,7 +80,7 @@ def test_smoothed_state_energy_gap_bound():
 def test_state_energy_prev_none_drops_temporal():
     model = scalar_model()
     hp = scalar_hp(temporal_sparsity=0.5)
-    batch = PatchBatch(0, np.array([[1.0]]))
+    batch = np.array([[1.0]])
     x = [np.array([0.7, 0.0])]
     assert state_energy(batch, x, None, model, hp) == pytest.approx(0.255)
 
@@ -100,7 +100,7 @@ def test_cause_energy_hand_values():
 def test_total_energy_hand_value():
     model = scalar_model()
     hp = scalar_hp()
-    batch = PatchBatch(0, np.array([[1.0]]))
+    batch = np.array([[1.0]])
     pooled = PooledStateMagnitude(np.array([1.0, 0.0]))
     e = total_energy(batch, [np.array([0.7, 0.0])], None,
                      np.array([0.0]), pooled, model, hp)
@@ -129,7 +129,7 @@ def test_state_energy_convex_in_state():
         model = random_model(rng, n=2)
         hp = HyperParams(temporal_sparsity=0.2)
         k = model.dims.state_dim
-        batch = PatchBatch(0, rng.standard_normal((2, model.dims.input_dim)))
+        batch = rng.standard_normal((2, model.dims.input_dim))
         x_prev = rng.standard_normal((2, k))
         a = rng.standard_normal((2, k))
         b = rng.standard_normal((2, k))
@@ -212,7 +212,7 @@ def test_energy_dimension_errors():
     model = scalar_model()
     hp = scalar_hp()
     with pytest.raises(DimensionMismatch):
-        state_energy(PatchBatch(0, np.ones((1, 1))), np.ones((2, 2)), None, model, hp)
+        state_energy(np.ones((1, 1)), np.ones((2, 2)), None, model, hp)
     with pytest.raises(DimensionMismatch):
         cause_energy(np.ones(2), PooledStateMagnitude(np.ones(2)), model, hp)
     with pytest.raises(DimensionMismatch):

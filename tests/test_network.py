@@ -7,6 +7,7 @@ from mmdpcn.cli import _bench_model
 from mmdpcn.config import BenchSettings
 from mmdpcn.learning import LearnConfig, fit_layer, init_model, update_model
 from mmdpcn.model import HyperParams, LayerDims, LayerModel
+from mmdpcn.states import infer_states_batch
 from mmdpcn.network import (InferenceResult, Layer, LayerSpec, NetworkConfig,
                             decompose_frame, infer_variables, load_network,
                             recompose_frame, reconstruct_frames, save_network,
@@ -23,9 +24,8 @@ def tiny_config(max_outer_iter=4, seed=0):
     ), grid=(2, 2), channels=1)
 
 
-def random_stack(seed=0):
+def random_stack(seed=0, hp=HyperParams()):
     rng = np.random.default_rng(seed)
-    hp = HyperParams()
     return [
         Layer(init_model(LayerDims(4, 6, 2, 4), rng), hp),
         Layer(init_model(LayerDims(2, 4, 1, 1), rng), hp),
@@ -34,32 +34,29 @@ def random_stack(seed=0):
 
 def test_decompose_whole_frame_is_one_patch():
     frame = np.array([[1.0, 2.0], [3.0, 4.0]])
-    batch = decompose_frame(frame, (1, 1), time_index=3)
-    assert batch.time_index == 3
-    assert batch.patches.shape == (1, 4)
-    assert np.array_equal(batch.patches[0], [1.0, 2.0, 3.0, 4.0])
+    patches = decompose_frame(frame, (1, 1))
+    assert patches.shape == (1, 4)
+    assert np.array_equal(patches[0], [1.0, 2.0, 3.0, 4.0])
 
 
 def test_decompose_grid_blocks_row_major():
     rng = np.random.default_rng(20)
     frame = rng.random((4, 4, 3))
-    batch = decompose_frame(frame, (2, 2))
-    assert batch.patches.shape == (4, 12)
+    patches = decompose_frame(frame, (2, 2))
+    assert patches.shape == (4, 12)
     # Patch order is row-major over blocks; pixels row-major with the
     # channel fastest.
-    assert np.array_equal(batch.patches[1], frame[0:2, 2:4].ravel())
-    assert np.array_equal(batch.patches[2], frame[2:4, 0:2].ravel())
+    assert np.array_equal(patches[1], frame[0:2, 2:4].ravel())
+    assert np.array_equal(patches[2], frame[2:4, 0:2].ravel())
 
 
 def test_decompose_recompose_roundtrip():
     rng = np.random.default_rng(21)
     gray = rng.random((8, 6))
-    back = recompose_frame(decompose_frame(gray, (2, 3)).patches, (2, 3),
-                           (8, 6))
+    back = recompose_frame(decompose_frame(gray, (2, 3)), (2, 3), (8, 6))
     assert np.array_equal(back, gray)
     color = rng.random((6, 4, 3))
-    back = recompose_frame(decompose_frame(color, (3, 2)).patches, (3, 2),
-                           (6, 4, 3))
+    back = recompose_frame(decompose_frame(color, (3, 2)), (3, 2), (6, 4, 3))
     assert np.array_equal(back, color)
 
 
@@ -103,7 +100,7 @@ def test_train_network_bottom_layer_matches_fit_layer():
     layers, reports = train_network(frames, cfg)
     assert len(layers) == 2 and len(reports) == 2
 
-    batches = [decompose_frame(f, cfg.grid, t) for t, f in enumerate(frames)]
+    batches = [decompose_frame(f, cfg.grid) for f in frames]
     spec = cfg.layers[0]
     model, _, report = fit_layer(batches, spec.dims, spec.hp, spec.learn)
     assert np.array_equal(layers[0].model.dictionary, model.dictionary)
@@ -275,7 +272,7 @@ def test_infer_variables_shapes_and_zero_frames():
         states = result.states[t][0]
         assert np.any(states)
         expected = np.array([c @ x for x in states])
-        got = decompose_frame(recon[t], (2, 2)).patches
+        got = decompose_frame(recon[t], (2, 2))
         assert got.tobytes() == expected.tobytes()
 
 
@@ -314,6 +311,66 @@ def test_segment_reset_matches_separate_inference():
             assert np.array_equal(stitched.causes[t][l].values,
                                   part.causes[s][l].values)
             assert np.array_equal(stitched.states[t][l], part.states[s][l])
+
+
+def test_uneven_segments_match_separate_inference(monkeypatch):
+    # Segments of 1, 4, 1 and 2 frames run side by side and stop sweeping
+    # at different sweeps; each must still equal its own separate run.
+    # pool_gain=1 keeps the causes from collapsing to zero in one sweep.
+    rng = np.random.default_rng(40)
+    layers = random_stack(seed=40, hp=HyperParams(pool_gain=1.0))
+    frames = rng.random((8, 4, 4))
+    starts = [1, 5, 6]
+    calls = []
+
+    def spy(patches, prev, model, hp, inits=None):
+        calls.append((patches.shape[0], inits is not None))
+        return infer_states_batch(patches, prev, model, hp, inits=inits)
+
+    monkeypatch.setattr("mmdpcn.network.infer_states_batch", spy)
+    stitched = infer_variables(frames, layers, (2, 2), sweeps=4,
+                               segment_starts=starts)
+    monkeypatch.undo()
+    # Some frame left the stack while another at its step swept on.
+    layer1 = calls[::2]
+    assert any(warm and 0 < rows < before for (before, _), (rows, warm)
+               in zip(layer1, layer1[1:]))
+    assert len(stitched.per_frame_seconds) == 8
+    assert all(s > 0 for s in stitched.per_frame_seconds)
+    for first, end in zip([0] + starts, starts + [8]):
+        part = infer_variables(frames[first:end], layers, (2, 2), sweeps=4)
+        for s in range(end - first):
+            for l in range(2):
+                assert stitched.causes[first + s][l].values.tobytes() == \
+                    part.causes[s][l].values.tobytes()
+                assert stitched.states[first + s][l].tobytes() == \
+                    part.states[s][l].tobytes()
+
+
+def test_infer_variables_rejects_bad_segment_starts(monkeypatch):
+    layers = random_stack(seed=41)
+    frames = np.random.default_rng(41).random((4, 4, 4))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the starts were checked")
+
+    monkeypatch.setattr("mmdpcn.network.infer_states_batch", no_solve)
+    for starts in ([-1], [4], [2, 9], [1.5], [2.0], ["2"]):
+        with pytest.raises(ConfigError, match="segment start"):
+            infer_variables(frames, layers, (2, 2), segment_starts=starts)
+    with pytest.raises(ConfigError, match="segment start"):
+        infer_variables(np.zeros((0, 4, 4)), layers, (2, 2),
+                        segment_starts=[0])
+    monkeypatch.undo()
+    # Start 0 and repeated starts are allowed and change nothing.
+    plain = infer_variables(frames, layers, (2, 2), sweeps=2,
+                            segment_starts=[2])
+    repeated = infer_variables(frames, layers, (2, 2), sweeps=2,
+                               segment_starts=[0, 2, 2, np.int64(2)])
+    for t in range(4):
+        for l in range(2):
+            assert repeated.states[t][l].tobytes() == \
+                plain.states[t][l].tobytes()
 
 
 def test_reconstruct_frames_shapes_and_zero_case():

@@ -3,7 +3,7 @@ import pytest
 
 from mmdpcn.errors import DimensionMismatch
 from mmdpcn.linalg import column_normalize
-from mmdpcn.model import HyperParams, LayerDims, LayerModel, PatchBatch
+from mmdpcn.model import HyperParams, LayerDims, LayerModel
 from mmdpcn.states import _objectives, _times_rows, infer_state, infer_states_batch
 
 
@@ -168,7 +168,7 @@ def test_batch_equals_sequential():
     prev = np.array([rng.standard_normal(k) for _ in range(4)])
     hp = HyperParams()
     batch_states, batch_traces = infer_states_batch(
-        PatchBatch(0, patches), prev, model, hp)
+        patches, prev, model, hp)
     solo = [infer_state(patches[i], prev[i], model, hp) for i in range(4)]
     # One (patch, state) array, bit for bit the stacked solo solves.
     assert isinstance(batch_states, np.ndarray)
@@ -209,7 +209,7 @@ def test_batch_patches_stop_independently_and_match_solo_solves(temporal, with_i
     hp = HyperParams(state_sparsity=0.2, temporal_sparsity=temporal,
                      clamp_state=3e-2, inner_tol=1e-9, max_inner_iter=40)
     batch_states, batch_traces = infer_states_batch(
-        PatchBatch(0, patches), prev, model, hp, inits=inits)
+        patches, prev, model, hp, inits=inits)
     solo = [infer_state(patches[i], prev[i], model, hp,
                         None if inits is None else inits[i])
             for i in range(5)]
