@@ -70,16 +70,6 @@ def _parse_pnm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
     return raw.reshape(shape)
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary graymap into a (height, width) float array in [0,1]."""
-    return _parse_pnm(_read_file(path), b"P5", 1)
-
-
-def read_ppm(path) -> np.ndarray:
-    """Read a binary pixmap into a (height, width, 3) float array in [0,1]."""
-    return _parse_pnm(_read_file(path), b"P6", 3)
-
-
 def _read_file(path) -> bytes:
     try:
         with open(path, "rb") as fh:
@@ -140,13 +130,6 @@ def to_grayscale(frame: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Raw tensor container: magic, u32 rank, u32 per-axis sizes, f32 payload.
 # All integers and floats little-endian; payload in row-major order.
-
-
-def write_rten(path, array):
-    arr = as_float_array(array, "tensor")
-    header = _RTEN_MAGIC + struct.pack("<I", arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    _write_file(path, header + arr.astype("<f4").tobytes())
 
 
 def read_rten(path) -> np.ndarray:
@@ -254,15 +237,3 @@ def write_metrics_csv(path, rows):
     for name, value, stddev in rows:
         lines.append(f"{name},{format_float(value)},{format_float(stddev)}")
     _write_file(path, ("\n".join(lines) + "\n").encode())
-
-
-def read_metrics_csv(path):
-    text = _read_file(path).decode()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "metric,value,stddev":
-        raise FormatError(f"{path}: expected 'metric,value,stddev' header")
-    out = {}
-    for ln in lines[1:]:
-        name, value, stddev = ln.split(",")
-        out[name] = (float(value), float(stddev))
-    return out

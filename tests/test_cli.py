@@ -6,11 +6,13 @@ import pytest
 
 from mmdpcn.cli import main, run_benchmark
 from mmdpcn.config import BenchSettings
-from mmdpcn.frames import (read_frames_dir, read_labels_csv, read_metrics_csv,
-                           write_frames, write_labels_csv)
+from mmdpcn.frames import (read_frames_dir, read_labels_csv, write_frames,
+                           write_labels_csv)
 from mmdpcn.learning import init_model
 from mmdpcn.model import HyperParams, LayerDims
 from mmdpcn.network import Layer, save_network
+
+from io_helpers import read_metrics_csv
 
 
 def run(*argv) -> int:

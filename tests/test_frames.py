@@ -6,10 +6,11 @@ import pytest
 
 from mmdpcn.errors import FormatError, IoError, LengthMismatch
 from mmdpcn.frames import (format_float, frame_name, read_frames_dir,
-                           read_image, read_labels_csv, read_metrics_csv,
-                           read_pgm, read_ppm, read_rten, to_grayscale,
-                           write_frames, write_labels_csv, write_metrics_csv,
-                           write_pgm, write_ppm, write_rten)
+                           read_image, read_labels_csv, read_rten,
+                           to_grayscale, write_frames, write_labels_csv,
+                           write_metrics_csv, write_pgm, write_ppm)
+
+from io_helpers import read_metrics_csv, write_rten
 
 
 def test_format_float_round_trips():
@@ -22,7 +23,7 @@ def test_pgm_roundtrip_quantized(tmp_path):
     frame = rng.random((5, 7))
     path = tmp_path / "a.pgm"
     write_pgm(path, frame)
-    back = read_pgm(path)
+    back = read_image(path)
     assert back.shape == (5, 7)
     assert np.max(np.abs(back - frame)) <= 0.5 / 255 + 1e-12
 
@@ -30,7 +31,7 @@ def test_pgm_roundtrip_quantized(tmp_path):
 def test_pgm_clips_out_of_range(tmp_path):
     path = tmp_path / "clip.pgm"
     write_pgm(path, np.array([[-0.5, 0.5], [1.5, 1.0]]))
-    back = read_pgm(path)
+    back = read_image(path)
     assert back[0, 0] == 0.0
     assert back[1, 0] == 1.0
 
@@ -40,7 +41,7 @@ def test_ppm_roundtrip_and_grayscale(tmp_path):
     frame = rng.random((4, 6, 3))
     path = tmp_path / "a.ppm"
     write_ppm(path, frame)
-    back = read_ppm(path)
+    back = read_image(path)
     assert back.shape == (4, 6, 3)
     assert np.max(np.abs(back - frame)) <= 0.5 / 255 + 1e-12
     gray = to_grayscale(back)
@@ -56,7 +57,7 @@ def test_pnm_header_comments_and_16bit(tmp_path):
     data = b"P5\n# a comment\n2 # trailing\n2\n65535\n" + payload
     path = tmp_path / "wide.pgm"
     path.write_bytes(data)
-    img = read_pgm(path)
+    img = read_image(path)
     assert img.shape == (2, 2)
     assert np.allclose(img.ravel(),
                        [0.0, 16384 / 65535, 32768 / 65535, 1.0])
@@ -66,15 +67,13 @@ def test_pnm_error_cases(tmp_path):
     bad_magic = tmp_path / "bad.pgm"
     bad_magic.write_bytes(b"P4\n1 1\n255\n\x00")
     with pytest.raises(FormatError):
-        read_pgm(bad_magic)
-    with pytest.raises(FormatError):
         read_image(bad_magic)
     truncated = tmp_path / "short.pgm"
     truncated.write_bytes(b"P5\n4 4\n255\n\x00\x00")
     with pytest.raises(FormatError):
-        read_pgm(truncated)
+        read_image(truncated)
     with pytest.raises(IoError):
-        read_pgm(tmp_path / "missing.pgm")
+        read_image(tmp_path / "missing.pgm")
     with pytest.raises(FormatError):
         write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 3)))
     with pytest.raises(FormatError):

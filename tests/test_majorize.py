@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from mmdpcn.errors import NonFinite
 from mmdpcn.majorize import _solve_on_support, smooth_l1, soft_clip
+from mmdpcn.model import HyperParams, LayerDims, LayerModel
+from mmdpcn.states import infer_states_batch
 
 
 def support_solve(c, r, rhs):
@@ -147,3 +150,81 @@ def test_support_solve_rows_match_the_per_row_formula_bit_for_bit():
         if s.size:
             expected[s] = h * np.linalg.solve(system, h * rhs_i[s])
         assert np.array_equal(out_i.view(np.uint64), expected.view(np.uint64))
+
+
+def per_row_reference(gram, r, rhs):
+    """Every row solved through np.linalg.solve, one support at a time."""
+    out = np.zeros(rhs.shape)
+    for r_i, rhs_i, out_i in zip(r, rhs, out):
+        s = np.flatnonzero(r_i)
+        if s.size:
+            h = np.sqrt(r_i[s])
+            system = gram[np.ix_(s, s)] * h[:, None] * h
+            system[np.diag_indices(s.size)] += 1.0
+            out_i[s] = h * np.linalg.solve(system, h * rhs_i[s])
+    return out
+
+
+@pytest.mark.parametrize("p, k", [(16, 32), (64, 72), (256, 300)])
+def test_support_solve_equals_np_linalg_solve_byte_for_byte(p, k):
+    # Full, empty, single-component and random supports, with well-scaled
+    # and ill-scaled weights: the kernel's direct LAPACK call must give the
+    # bits np.linalg.solve gives on the same system.
+    rng = np.random.default_rng(k)
+    c = rng.standard_normal((p, k))
+    c /= np.linalg.norm(c, axis=0)
+    gram = c.T @ c
+    ill_scaled = np.logspace(-9, 2, k)
+    rng.shuffle(ill_scaled)
+    live = rng.random((6, k)) < rng.uniform(0.05, 0.9, size=(6, 1))
+    live[0] = True
+    live[1] = False
+    live[2] = False
+    live[2, rng.integers(k)] = True
+    for weights in (rng.uniform(0.05, 3.0, size=(6, k)),
+                    np.tile(ill_scaled, (6, 1))):
+        r = np.where(live, weights, 0.0)
+        rhs = rng.standard_normal((6, k))
+        out = _solve_on_support(gram, r, rhs)
+        expected = per_row_reference(gram, r, rhs)
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+
+def near_parallel_dictionary(rng, p, k):
+    """Columns of norm sqrt(2), nearly parallel: every Gram entry is near 2."""
+    c = rng.standard_normal(p)[:, None] + 0.01 * rng.standard_normal((p, k))
+    return np.sqrt(2.0) * c / np.linalg.norm(c, axis=0)
+
+
+def test_overflowing_row_is_non_finite_and_the_others_keep_their_bits():
+    rng = np.random.default_rng(9)
+    c = near_parallel_dictionary(rng, 8, 12)
+    gram = c.T @ c
+    assert np.all(np.abs(gram - 2.0) < 0.01)
+    r = rng.uniform(0.05, 3.0, size=(3, 12))
+    r[1] = 1e308
+    rhs = rng.standard_normal((3, 12))
+    with np.errstate(over="ignore"):
+        out = _solve_on_support(gram, r, rhs)
+    assert not np.isfinite(out[1]).any()
+    for i in (0, 2):
+        alone = _solve_on_support(gram, r[i:i + 1], rhs[i:i + 1])[0]
+        assert np.array_equal(out[i].view(np.uint64), alone.view(np.uint64))
+    finite = per_row_reference(gram, r[[0, 2]], rhs[[0, 2]])
+    assert np.array_equal(out[[0, 2]].view(np.uint64), finite.view(np.uint64))
+
+
+def test_infer_states_batch_raises_non_finite_on_an_overflowing_solve():
+    # A warm start of 1e308 with unit state sparsity gives that row
+    # r = |x| / mu = 1e308, so its first support system overflows.
+    rng = np.random.default_rng(10)
+    p, k = 8, 12
+    model = LayerModel(LayerDims(p, k, 3, 2), np.eye(k), np.zeros((k, 3)),
+                       near_parallel_dictionary(rng, p, k))
+    hp = HyperParams(state_sparsity=1.0, max_inner_iter=5)
+    inits = np.full((2, k), 0.1)
+    inits[1] = 1e308
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFinite):
+            infer_states_batch(rng.standard_normal((2, p)), None, model, hp,
+                               inits=inits)
