@@ -15,8 +15,12 @@ import numpy as np
 from .errors import DimensionMismatch, NonFinite
 from .linalg import as_float_array
 from .majorize import smooth_l1, soft_clip
-from .model import HyperParams, LayerModel
+from .model import HyperParams, LayerModel, _require_finite
 from .states import SolveTrace, _pct_zero
+
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015).
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -29,19 +33,15 @@ class BaselineConfig:
     """
 
     step: float = 1e-2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     max_iter: int = 200
     tol: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ValueError("adam momentum parameters must lie in (0,1)")
-        if self.adam_eps <= 0 or self.max_iter < 1:
-            raise ValueError("adam_eps must be positive, max_iter >= 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if self.tol < 0:
             raise ValueError("tol must be nonnegative")
 
@@ -162,11 +162,11 @@ def adam_solve(y, model: LayerModel, hp: HyperParams, cfg: BaselineConfig,
 
     for it in range(1, cfg.max_iter + 1):
         g = prob.smooth_grad(x) + prob.mu * soft_clip(x, prob.margin)
-        m1 = cfg.adam_beta1 * m1 + (1.0 - cfg.adam_beta1) * g
-        m2 = cfg.adam_beta2 * m2 + (1.0 - cfg.adam_beta2) * g * g
-        hat1 = m1 / (1.0 - cfg.adam_beta1 ** it)
-        hat2 = m2 / (1.0 - cfg.adam_beta2 ** it)
-        x = x - cfg.step * hat1 / (np.sqrt(hat2) + cfg.adam_eps)
+        m1 = _ADAM_BETA1 * m1 + (1.0 - _ADAM_BETA1) * g
+        m2 = _ADAM_BETA2 * m2 + (1.0 - _ADAM_BETA2) * g * g
+        hat1 = m1 / (1.0 - _ADAM_BETA1 ** it)
+        hat2 = m2 / (1.0 - _ADAM_BETA2 ** it)
+        x = x - cfg.step * hat1 / (np.sqrt(hat2) + _ADAM_EPS)
         if not np.all(np.isfinite(x)):
             raise NonFinite("adam iterate diverged to NaN/Inf")
         _record(trace, prob, x)

@@ -16,14 +16,13 @@ checked once at entry.
 """
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
 from .linalg import as_float_array
 from .model import (CauseVector, HyperParams, LayerModel, PooledStateMagnitude,
-                    _cause_objective, _cause_values)
+                    _cause_objective, _cause_values, _gate)
 from .states import SolveTrace, _pct_zero
 
 # Halvings of the step before giving up; by then the candidate coincides
@@ -32,9 +31,8 @@ _MAX_BACKTRACK = 60
 
 
 def _drive(coupling: np.ndarray, pooled: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Downhill pull of the exponential term: coupling^T (pooled * exp(-coupling@u))."""
-    z = (coupling @ u).clip(-700.0, 700.0)
-    return coupling.T @ (pooled * np.exp(-z))
+    """Downhill pull of the exponential term: coupling^T (pooled * _gate(u))."""
+    return coupling.T @ (pooled * _gate(coupling, u))
 
 
 def _descend(u, e_cur, full_step, clamp, energy):
@@ -135,27 +133,15 @@ def infer_cause_topdown(pooled: PooledStateMagnitude, preference, model: LayerMo
     return _solve(pooled, preference, model, hp, u_init)
 
 
-@dataclass(frozen=True)
-class TopDownPrediction:
-    """What the layer above expects of a layer's cause at the current frame.
-
-    x_hat is the gated temporal prediction of the upper layer's state;
-    u_hat is its rendering through the upper dictionary, sized for the
-    lower layer's cause vector.
-    """
-
-    u_hat: np.ndarray
-    x_hat: np.ndarray
-
-
 def top_down_prediction(upper_model: LayerModel, upper_x_prev, upper_u,
-                        upper_hp: HyperParams) -> TopDownPrediction:
+                        upper_hp: HyperParams) -> np.ndarray:
     """Project the upper layer's temporal prediction down one layer.
 
-    A component of the predicted upper state survives only where the
-    temporal weight beats the cause-modulated sparsity level,
-    temporal_sparsity > pool_gain * (1 + exp(-(coupling@u)_k)); everything
-    else is zeroed before rendering through the dictionary.
+    A component of the predicted upper state, transition @ upper_x_prev,
+    survives only where the temporal weight beats the cause-modulated
+    sparsity level, temporal_sparsity > pool_gain * (1 + _gate(u)_k);
+    everything else is zeroed.  Returns the survivors rendered through the
+    upper dictionary, sized for the lower layer's cause vector.
     """
     x_prev = as_float_array(upper_x_prev, "upper state")
     u = _cause_values(upper_u)
@@ -165,7 +151,7 @@ def top_down_prediction(upper_model: LayerModel, upper_x_prev, upper_u,
     if u.shape != (d,):
         raise DimensionMismatch(f"upper cause must have length {d}, got {u.shape}")
 
-    z = np.clip(upper_model.coupling @ u, -700.0, 700.0)
-    gate = upper_hp.temporal_sparsity > upper_hp.pool_gain * (1.0 + np.exp(-z))
-    x_hat = np.where(gate, upper_model.transition @ x_prev, 0.0)
-    return TopDownPrediction(u_hat=upper_model.dictionary @ x_hat, x_hat=x_hat)
+    gate = upper_hp.temporal_sparsity > \
+        upper_hp.pool_gain * (1.0 + _gate(upper_model.coupling, u))
+    return upper_model.dictionary @ np.where(
+        gate, upper_model.transition @ x_prev, 0.0)

@@ -23,9 +23,8 @@ from .baselines import BaselineConfig, adam_solve, fista_solve, ista_solve, \
 from .config import BenchSettings, _parse_grid, parse_bench_config, \
     parse_network_config
 from .errors import ConfigError, LengthMismatch
-from .frames import (format_float, read_frames_dir, read_labels_csv,
-                     read_rten, write_frames, write_labels_csv,
-                     write_metrics_csv)
+from .frames import (read_frames_dir, read_labels_csv, read_rten, write_csv,
+                     write_frames, write_labels_csv, write_metrics_csv)
 from .linalg import aligned_zeros
 from .metrics import evaluate_clustering, matching_accuracy, per_frame_mse, \
     sparsity
@@ -223,10 +222,8 @@ def run_benchmark(settings: BenchSettings, methods, seed: int, patches=None):
 
 
 def _write_trace_csv(path, trace):
-    lines = ["iteration,mean_objective"]
-    lines += [f"{i},{format_float(v)}" for i, v in enumerate(trace)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, ("iteration", "mean_objective"),
+              ((i, float(v)) for i, v in enumerate(trace)))
 
 
 def cmd_bench(args) -> int:
@@ -353,11 +350,9 @@ def cmd_cluster(args) -> int:
         ("lct_seconds_per_frame", report.lct_seconds,
          float(np.std(result.per_frame_seconds))),
     ])
-    with open(os.path.join(args.out, "assignments.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("frame_index,cluster\n")
-        for i, c in enumerate(report.assignments):
-            fh.write(f"{i},{int(c)}\n")
+    write_csv(os.path.join(args.out, "assignments.csv"),
+              ("frame_index", "cluster"),
+              ((i, int(c)) for i, c in enumerate(report.assignments)))
     manifest.finished_at = _now()
     manifest.write()
     print(f"ACC {report.acc:.4f}  ARI {report.ari:.4f}  "
@@ -381,10 +376,8 @@ def cmd_reconstruct(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     write_frames(os.path.join(args.out, "frames"), recon)
-    with open(os.path.join(args.out, "mse.csv"), "w", encoding="utf-8") as fh:
-        fh.write("frame_index,mse\n")
-        for i, v in enumerate(mses):
-            fh.write(f"{i},{format_float(v)}\n")
+    write_csv(os.path.join(args.out, "mse.csv"), ("frame_index", "mse"),
+              ((i, float(v)) for i, v in enumerate(mses)))
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), [
         ("reconstruction_mse", float(np.mean(mses)), float(np.std(mses))),
     ])

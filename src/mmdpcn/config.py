@@ -1,6 +1,7 @@
-"""Flat key=value configuration files with one section per layer.
+"""Settings files: key = value lines in ini sections.
 
-Example:
+A network file has an optional [network] section and one section per
+layer, numbered consecutively from 1:
 
     [network]
     grid = 2x2
@@ -16,11 +17,15 @@ Example:
     state_dim = 48
     cause_dim = 12
 
-Layer sections must be numbered consecutively from 1.  Hyperparameter and
-learning keys are optional and default to the package defaults; unknown
-keys are rejected.  input_dim is required for layer1 (patch pixels times
-channels) and derived for upper layers from the cause dimension below, so
-stating it there is only allowed when it agrees.
+The dataclasses are the schema.  A layer section takes the fields of
+LayerDims (but patch_count, which the grid sets), HyperParams and
+LearnConfig, and a bench file's [bench] section those of BenchSettings;
+each key parses to its field's type, and an absent key keeps the default.
+input_dim is required for layer1 (patch pixels times channels) and derived
+for upper layers from the cause dimension below, so stating it there is
+only allowed when it agrees.  An unknown key, a value that does not parse
+and a value the dataclass refuses, NaN and infinities included, all raise
+ConfigError.
 """
 
 import configparser
@@ -29,29 +34,8 @@ import re
 
 from .errors import ConfigError, IoError
 from .learning import LearnConfig
-from .model import HyperParams, LayerDims
+from .model import HyperParams, LayerDims, _require_finite
 from .network import LayerSpec, NetworkConfig
-
-_HP_KEYS = {f.name for f in dataclasses.fields(HyperParams)}
-_LEARN_KEYS = {f.name for f in dataclasses.fields(LearnConfig)}
-_DIM_KEYS = {"input_dim", "state_dim", "cause_dim"}
-_INT_KEYS = {"state_passes", "cause_passes", "max_inner_iter",
-             "max_outer_iter", "seed"} | _DIM_KEYS
-
-_BENCH_DEFAULTS = {
-    "patch_dim": 256,
-    "state_dim": 300,
-    "state_sparsity": 0.3,
-    "temporal_sparsity": 0.0,
-    "smooth_margin": 0.1,
-    "step": 1e-2,
-    "adam_step": 5.0,
-    "max_iter": 200,
-    "patch_count": 20,
-    "generator_sparsity": 0.05,
-    "patches_path": "",
-}
-_BENCH_INT_KEYS = {"patch_dim", "state_dim", "max_iter", "patch_count"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,6 +61,7 @@ class BenchSettings:
     patches_path: str = ""
 
     def __post_init__(self):
+        _require_finite(self, ConfigError)
         if self.patch_dim < 1 or self.state_dim < 1:
             raise ConfigError("bench dimensions must be positive")
         if self.step <= 0 or self.adam_step <= 0 or self.max_iter < 1 \
@@ -99,11 +84,21 @@ def _read_ini(path) -> configparser.ConfigParser:
     return parser
 
 
-def _convert(section: str, key: str, raw: str, int_keys=_INT_KEYS):
+def _field_types(cls, skip=()) -> dict:
+    """Each settings key of a dataclass, mapped to the type it parses to."""
+    return {f.name: f.type for f in dataclasses.fields(cls)
+            if f.name not in skip}
+
+
+# Settings a [layerN] section may give; patch_count comes from the grid.
+_LAYER_KEYS = (_field_types(LayerDims, skip={"patch_count"}),
+               _field_types(HyperParams), _field_types(LearnConfig))
+_BENCH_KEYS = _field_types(BenchSettings)
+
+
+def _convert(section: str, key: str, raw: str, kind: type):
     try:
-        if key in int_keys:
-            return int(raw)
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(
             f"[{section}] {key}: cannot parse {raw!r}") from exc
@@ -129,7 +124,7 @@ def parse_network_config(path) -> NetworkConfig:
             if key == "grid":
                 grid = _parse_grid(raw)
             elif key == "channels":
-                channels = int(raw)
+                channels = _convert("network", key, raw, int)
             else:
                 raise ConfigError(f"[network] unknown key {key!r}")
 
@@ -145,16 +140,15 @@ def parse_network_config(path) -> NetworkConfig:
     specs = []
     prev_cause = None
     for idx, section in enumerate(layer_names, start=1):
-        dims_kw, hp_kw, learn_kw = {}, {}, {}
+        kwargs = ({}, {}, {})
         for key, raw in parser.items(section):
-            if key in _DIM_KEYS:
-                dims_kw[key] = _convert(section, key, raw)
-            elif key in _HP_KEYS:
-                hp_kw[key] = _convert(section, key, raw)
-            elif key in _LEARN_KEYS:
-                learn_kw[key] = _convert(section, key, raw)
+            for kw, types in zip(kwargs, _LAYER_KEYS):
+                if key in types:
+                    kw[key] = _convert(section, key, raw, types[key])
+                    break
             else:
                 raise ConfigError(f"[{section}] unknown key {key!r}")
+        dims_kw, hp_kw, learn_kw = kwargs
 
         for need in ("state_dim", "cause_dim"):
             if need not in dims_kw:
@@ -192,10 +186,7 @@ def parse_bench_config(path) -> BenchSettings:
         return BenchSettings()
     kwargs = {}
     for key, raw in parser.items("bench"):
-        if key not in _BENCH_DEFAULTS:
+        if key not in _BENCH_KEYS:
             raise ConfigError(f"[bench] unknown key {key!r}")
-        if key == "patches_path":
-            kwargs[key] = raw.strip()
-        else:
-            kwargs[key] = _convert("bench", key, raw, _BENCH_INT_KEYS)
+        kwargs[key] = _convert("bench", key, raw, _BENCH_KEYS[key])
     return BenchSettings(**kwargs)

@@ -208,10 +208,16 @@ def read_frames_dir(frames_dir, grayscale: bool = False) -> np.ndarray:
 # CSV tables
 
 
-def write_labels_csv(path, labels):
-    lines = ["frame_index,label"]
-    lines += [f"{i},{label}" for i, label in enumerate(labels)]
+def write_csv(path, header, rows):
+    """Write a table: floats as format_float renders them, other cells as str."""
+    lines = [",".join(header)]
+    lines += [",".join(format_float(c) if isinstance(c, float) else str(c)
+                       for c in row) for row in rows]
     _write_file(path, ("\n".join(lines) + "\n").encode())
+
+
+def write_labels_csv(path, labels):
+    write_csv(path, ("frame_index", "label"), enumerate(labels))
 
 
 def read_labels_csv(path):
@@ -233,7 +239,6 @@ def read_labels_csv(path):
 
 def write_metrics_csv(path, rows):
     """rows: iterable of (metric_name, value, stddev)."""
-    lines = ["metric,value,stddev"]
-    for name, value, stddev in rows:
-        lines.append(f"{name},{format_float(value)},{format_float(stddev)}")
-    _write_file(path, ("\n".join(lines) + "\n").encode())
+    write_csv(path, ("metric", "value", "stddev"),
+              ((name, float(value), float(stddev))
+               for name, value, stddev in rows))

@@ -16,7 +16,7 @@ from .errors import DimensionMismatch
 from .linalg import as_float_array, column_normalize
 from .majorize import soft_clip
 from .model import (HyperParams, LayerDims, LayerModel, PooledStateMagnitude,
-                    _cause_values, total_energy)
+                    _cause_values, _gate, _require_finite, total_energy)
 from .causes import infer_cause
 from .states import infer_states_batch
 
@@ -41,6 +41,7 @@ class LearnConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self)
         if min(self.lr_a, self.lr_b, self.lr_c) <= 0:
             raise ValueError("learning rates must be positive")
         if self.theta_prox < 0:
@@ -87,8 +88,7 @@ def grad_model(patches, states, prev_states, cause, pooled: PooledStateMagnitude
     else:
         d_trans = np.zeros_like(model.transition)
 
-    z = np.clip(model.coupling @ u, -700.0, 700.0)
-    d_coup = -np.outer(pooled.values * np.exp(-z), u)
+    d_coup = -np.outer(pooled.values * _gate(model.coupling, u), u)
 
     return d_trans, d_coup, d_dict
 
@@ -213,13 +213,12 @@ def fit_layer(frames, dims: LayerDims, hp: HyperParams,
             if converged:
                 report.converged = True
                 break
-            theta = update_model(best_theta, best_grads, cfg, prev_accepted, lr_scale)
         else:
             report.rejected_steps += 1
             lr_scale *= 0.5
             if lr_scale < 1e-8:
                 break
-            theta = update_model(best_theta, best_grads, cfg, prev_accepted, lr_scale)
+        theta = update_model(best_theta, best_grads, cfg, prev_accepted, lr_scale)
 
     report.wall_time = time.perf_counter() - start
     return best_theta, best_causes, report

@@ -213,11 +213,6 @@ def per_frame_mse(frames, reconstructed) -> np.ndarray:
     return np.mean(diff * diff, axis=1)
 
 
-def reconstruction_mse(frames, reconstructed) -> float:
-    """Mean over frames and pixels of the squared reconstruction error."""
-    return float(np.mean(per_frame_mse(frames, reconstructed)))
-
-
 @dataclass(frozen=True)
 class ClusterReport:
     """Clustering evaluation summary for one inference run."""

@@ -13,12 +13,24 @@ cause objective takes an optional top-down preference, so plain and pulled
 cause solves descend one energy.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import aligned_zeros, as_aligned_array, as_float_array
+
+
+def _require_finite(settings, error=ValueError):
+    """Raise error naming each float setting that is NaN or infinite.
+
+    Range checks alone pass NaN: every comparison with it is false.
+    """
+    bad = [name for name, value in vars(settings).items()
+           if isinstance(value, float) and not math.isfinite(value)]
+    if bad:
+        raise error(f"{', '.join(bad)} must be finite")
 
 
 @dataclass(frozen=True)
@@ -46,6 +58,7 @@ class HyperParams:
     max_inner_iter: int = 200
 
     def __post_init__(self):
+        _require_finite(self)
         if self.state_sparsity <= 0 or self.cause_sparsity <= 0:
             raise ValueError("sparsity weights must be positive")
         if self.pool_gain <= 0:
@@ -187,8 +200,7 @@ def cause_energy(cause, pooled: PooledStateMagnitude, model: LayerModel,
 
     pooled^T (1 + exp(-coupling@u)) + cause_sparsity*||u||_1, with the pool
     gain already folded into pooled, plus 0.5*||u - preference||^2 when a
-    top-down preference is given.  The exponent is range-guarded so badly
-    scaled models cannot overflow.
+    top-down preference is given.  The exponential is _gate's.
     """
     u = _cause_values(cause)
     if model.coupling.shape[1] != u.shape[0]:
@@ -203,10 +215,17 @@ def cause_energy(cause, pooled: PooledStateMagnitude, model: LayerModel,
                             hp.cause_sparsity, preference)
 
 
+def _gate(coupling: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """exp(-coupling@u), clipped so a badly scaled model cannot overflow.
+
+    The energy, its gradient, the cause drive and top_down_prediction all
+    read this one guard."""
+    return np.exp(-(coupling @ u).clip(-700.0, 700.0))
+
+
 def _cause_objective(u, pooled, coupling, beta, preference) -> float:
     """cause_energy's formula on float arrays of matching shapes, unchecked."""
-    z = (coupling @ u).clip(-700.0, 700.0)
-    total = float(pooled @ (1.0 + np.exp(-z)))
+    total = float(pooled @ (1.0 + _gate(coupling, u)))
     total += beta * float(np.abs(u).sum())
     if preference is not None:
         diff = u - preference

@@ -9,7 +9,7 @@ toward a prediction rendered by the layer above.
 import numbers
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,7 +28,7 @@ _VERSION = 1
 _HP_FIELDS = ("state_sparsity", "temporal_sparsity", "pool_gain",
               "cause_sparsity", "smooth_margin", "clamp_state", "clamp_cause",
               "state_passes", "cause_passes", "inner_tol", "max_inner_iter")
-_INT_HP = {"state_passes", "cause_passes", "max_inner_iter"}
+_INT_HP = {f.name for f in fields(HyperParams) if f.type is int}
 
 
 @dataclass(frozen=True)
@@ -74,19 +74,6 @@ class NetworkConfig:
             if upper.patch_count != 1:
                 raise ConfigError("layers above the first take a single patch")
 
-    def validate_frame_shape(self, height: int, width: int, channels: int = 1):
-        rows, cols = self.grid
-        if height % rows or width % cols:
-            raise GridMismatch(
-                f"frame {height}x{width} not divisible by grid {rows}x{cols}")
-        if channels != self.channels:
-            raise ConfigError(f"config expects {self.channels} channels, got {channels}")
-        expected = (height // rows) * (width // cols) * channels
-        if self.layers[0].dims.input_dim != expected:
-            raise ConfigError(
-                f"layer 1 input dim {self.layers[0].dims.input_dim} does not match "
-                f"patch size {expected}")
-
 
 @dataclass
 class Layer:
@@ -97,11 +84,12 @@ class Layer:
 
 
 def decompose_frame(frame: np.ndarray, grid: tuple) -> np.ndarray:
-    """Split a frame into a grid of contiguous patches, row-major.
+    """Cut an HxW or HxWxC frame into the blocks of a (rows, cols) grid.
 
-    Returns the (patch, pixel) array.  Each patch is vectorized in
-    row-major pixel order with the channel fastest.  Frame dimensions must
-    be divisible by the grid.
+    Returns the (patch, pixel) array.  Patch r*cols + c is block (r, c),
+    frame[r*bh:(r+1)*bh, c*bw:(c+1)*bw] with bh = H/rows and bw = W/cols,
+    its pixels row-major with the channel fastest.  The grid must divide
+    the frame.
     """
     frame = as_float_array(frame, "frame")
     if frame.ndim not in (2, 3):
@@ -110,29 +98,34 @@ def decompose_frame(frame: np.ndarray, grid: tuple) -> np.ndarray:
     h, w = frame.shape[0], frame.shape[1]
     if rows < 1 or cols < 1 or h % rows or w % cols:
         raise GridMismatch(f"frame {h}x{w} not divisible by grid {rows}x{cols}")
-    bh, bw = h // rows, w // cols
-    patches = []
-    for r in range(rows):
-        for c in range(cols):
-            block = frame[r * bh:(r + 1) * bh, c * bw:(c + 1) * bw]
-            patches.append(block.ravel())
-    return np.vstack(patches)
+    blocks = frame.reshape(rows, h // rows, cols, w // cols, -1)
+    return blocks.swapaxes(1, 2).reshape(rows * cols, -1)
 
 
 def recompose_frame(patches: np.ndarray, grid: tuple, frame_shape: tuple) -> np.ndarray:
     """Inverse of decompose_frame for a full set of patches."""
     rows, cols = grid
     h, w = frame_shape[0], frame_shape[1]
-    bh, bw = h // rows, w // cols
-    block_shape = (bh, bw) if len(frame_shape) == 2 else (bh, bw, frame_shape[2])
-    frame = np.zeros(frame_shape)
-    i = 0
-    for r in range(rows):
-        for c in range(cols):
-            frame[r * bh:(r + 1) * bh, c * bw:(c + 1) * bw] = \
-                patches[i].reshape(block_shape)
-            i += 1
-    return frame
+    blocks = np.reshape(patches, (rows, cols, h // rows, w // cols, -1))
+    return blocks.swapaxes(1, 2).reshape(frame_shape)
+
+
+def _fit_frames(frames, dims: LayerDims, grid: tuple) -> np.ndarray:
+    """frames as one float array, checked to cut into layer 1's patches.
+
+    Cutting a blank frame of their shape raises what decompose_frame
+    raises; a cut into other than dims.patch_count patches of
+    dims.input_dim values raises ConfigError.  A sequence of no frames
+    fits when its frame shape does.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    count, length = decompose_frame(np.zeros(frames.shape[1:]), grid).shape
+    if (count, length) != (dims.patch_count, dims.input_dim):
+        raise ConfigError(
+            f"grid {grid[0]}x{grid[1]} cuts frames into {count} patches of "
+            f"length {length}; layer 1 expects {dims.patch_count} of "
+            f"length {dims.input_dim}")
+    return frames
 
 
 def train_network(frames, cfg: NetworkConfig):
@@ -140,15 +133,14 @@ def train_network(frames, cfg: NetworkConfig):
 
     Layer 1 is fit on the patch decomposition; each further layer is fit on
     the per-frame causes of the layer below, treated as single-patch frames.
-    Returns (layers, fit reports).
+    Returns (layers, fit reports).  Frames that layer 1 cannot take raise
+    as in _fit_frames; a channel count other than cfg.channels raises
+    ConfigError.
     """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim == 3:
-        cfg.validate_frame_shape(frames.shape[1], frames.shape[2], 1)
-    elif frames.ndim == 4:
-        cfg.validate_frame_shape(frames.shape[1], frames.shape[2], frames.shape[3])
-    else:
-        raise DimensionMismatch("frames must be TxHxW or TxHxWxC")
+    frames = _fit_frames(frames, cfg.layers[0].dims, cfg.grid)
+    channels = frames.shape[3] if frames.ndim == 4 else 1
+    if channels != cfg.channels:
+        raise ConfigError(f"config expects {cfg.channels} channels, got {channels}")
 
     inputs = [decompose_frame(f, cfg.grid) for f in frames]
     layers, reports = [], []
@@ -201,23 +193,16 @@ def infer_variables(frames, layers, grid: tuple, sweeps: int = 10,
     segmented sequence is bit-identical to inferring each segment
     separately.
 
-    Raises ConfigError, before any solve, when there is no layer, the grid
-    does not cut the frames into layer 1's patch count and patch length,
-    or a segment start is not an integer frame index.
+    Raises before any solve: ConfigError when there is no layer or a
+    segment start is not an integer frame index, and the errors of the
+    frame check train_network makes (_fit_frames) when layer 1 cannot
+    take the frames.
     """
-    frames = np.asarray(frames, dtype=np.float64)
     n_layers = len(layers)
     if n_layers == 0:
         raise ConfigError("at least one layer is required")
+    frames = _fit_frames(frames, layers[0].model.dims, grid)
     t_count = frames.shape[0]
-    if t_count > 0:
-        dims = layers[0].model.dims
-        count, length = decompose_frame(frames[0], grid).shape
-        if (count, length) != (dims.patch_count, dims.input_dim):
-            raise ConfigError(
-                f"grid {grid[0]}x{grid[1]} cuts frames into {count} patches of "
-                f"length {length}; layer 1 expects {dims.patch_count} of "
-                f"length {dims.input_dim}")
     for s in segment_starts:
         if not isinstance(s, numbers.Integral) or not 0 <= s < t_count:
             raise ConfigError(
@@ -263,7 +248,7 @@ def infer_variables(frames, layers, grid: tuple, sweeps: int = 10,
                                 else last[l + 1]
                             preference = top_down_prediction(
                                 upper.model, result.states[t - 1][l + 1][0],
-                                upper_u, upper.hp).u_hat
+                                upper_u, upper.hp)
                         # Fresh default init on the first sweep: zeros are
                         # absorbing, so seeding from the previous frame's
                         # cause would freeze its support across the whole
@@ -354,12 +339,11 @@ def load_network(path) -> list:
             raise ShapeError(str(exc)) from None
         raw, off = _take(buf, off, 11 * 8)
         values = struct.unpack("<11d", raw)
-        kwargs = {}
-        for name, value in zip(_HP_FIELDS, values):
-            kwargs[name] = int(round(value)) if name in _INT_HP else value
         try:
-            hp = HyperParams(**kwargs)
-        except ValueError as exc:
+            hp = HyperParams(**{
+                name: int(round(value)) if name in _INT_HP else value
+                for name, value in zip(_HP_FIELDS, values)})
+        except (ValueError, OverflowError) as exc:
             raise FormatError(f"invalid hyperparameters in model file: {exc}") from None
 
         mats = []

@@ -40,13 +40,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BaselineConfig(step=0.0)
     with pytest.raises(ValueError):
-        BaselineConfig(adam_beta1=1.0)
-    with pytest.raises(ValueError):
-        BaselineConfig(adam_beta2=0.0)
-    with pytest.raises(ValueError):
         BaselineConfig(max_iter=0)
     with pytest.raises(ValueError):
         BaselineConfig(tol=-1.0)
+    for bad in ({"step": float("nan")}, {"tol": float("inf")}):
+        with pytest.raises(ValueError, match="finite"):
+            BaselineConfig(**bad)
 
 
 def test_ista_scalar_converges_to_soft_threshold():

@@ -226,8 +226,8 @@ def test_top_down_prediction_gate_always_open():
     hp = HyperParams(temporal_sparsity=10.0, pool_gain=0.1)
     x_prev = rng.standard_normal(4)
     pred = top_down_prediction(model, x_prev, np.zeros(2), hp)
-    assert np.array_equal(pred.x_hat, model.transition @ x_prev)
-    assert np.allclose(pred.u_hat, model.dictionary @ pred.x_hat)
+    # Every component of the predicted state is rendered.
+    assert np.array_equal(pred, model.dictionary @ (model.transition @ x_prev))
 
 
 def test_top_down_prediction_gate_never_opens_at_zero_weight():
@@ -240,8 +240,7 @@ def test_top_down_prediction_gate_never_opens_at_zero_weight():
     hp = HyperParams(temporal_sparsity=0.0, pool_gain=0.1)
     pred = top_down_prediction(model, rng.standard_normal(4),
                                rng.standard_normal(2), hp)
-    assert np.array_equal(pred.x_hat, np.zeros(4))
-    assert np.array_equal(pred.u_hat, np.zeros(2))
+    assert np.array_equal(pred, np.zeros(2))
 
 
 def test_top_down_prediction_selective_gate():
@@ -253,9 +252,10 @@ def test_top_down_prediction_selective_gate():
     hp = HyperParams(temporal_sparsity=0.3, pool_gain=0.1)
     x_prev = np.array([1.0, 1.0])
     pred = top_down_prediction(model, x_prev, CauseVector(np.array([5.0])), hp)
-    # Component 1 sees threshold ~0.1, component 2 ~1.5: only the first opens.
-    assert np.array_equal(pred.x_hat, [2.0, 0.0])
-    assert np.array_equal(pred.u_hat, [2.0])
+    # Component 1 sees threshold ~0.1, component 2 ~1.5: only the first
+    # opens.  The predicted state is [2, 3], so the rendering reads 2 for
+    # the first alone, 3 for the second alone and 5 for both.
+    assert np.array_equal(pred, [2.0])
 
 
 def test_dimension_errors():

@@ -82,6 +82,22 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_rejects_non_finite_settings_before_solving(tmp_path, capsys,
+                                                          monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("mmdpcn.cli.train_network", no_solve)
+    frames_dir, _, _ = zero_frame_setup(tmp_path)
+    ini = tmp_path / "net.ini"
+    ini.write_text("[layer1]\ninput_dim = 4\nstate_dim = 6\ncause_dim = 2\n"
+                   "state_sparsity = inf\n")
+    assert run("train", "--config", ini, "--frames", frames_dir,
+               "--out", tmp_path / "m") == 2
+    assert "state_sparsity must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 BENCH_INI = """
 [bench]
 patch_dim = 6

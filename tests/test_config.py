@@ -108,6 +108,44 @@ def test_bad_values_rejected(tmp_path):
             tmp_path, "[layer1]\ninput_dim=8\nstate_dim=4\ncause_dim=2\n"))
 
 
+def test_non_finite_values_rejected(tmp_path):
+    # NaN fails every range comparison, so each check must refuse it
+    # itself; an infinity would pass a lower bound.
+    for line in ("state_sparsity = inf", "pool_gain = nan", "lr_a = inf",
+                 "inner_tol = nan", "state_passes = inf"):
+        with pytest.raises(ConfigError):
+            parse_network_config(write(tmp_path, TWO_LAYER + line + "\n"))
+    path = tmp_path / "bench.ini"
+    for line in ("step = nan", "adam_step = inf", "smooth_margin = -inf"):
+        path.write_text(f"[bench]\n{line}\n")
+        with pytest.raises(ConfigError):
+            parse_bench_config(path)
+    with pytest.raises(ConfigError):
+        BenchSettings(step=float("nan"))
+
+
+def test_keys_parse_to_their_field_types(tmp_path):
+    counts = ("state_passes = 3\ncause_passes = 4\nmax_inner_iter = 7\n"
+              "max_outer_iter = 9\n")
+    cfg = parse_network_config(write(tmp_path, TWO_LAYER + counts))
+    top = cfg.layers[1]
+    for value in (top.hp.state_passes, top.hp.cause_passes,
+                  top.hp.max_inner_iter, top.learn.max_outer_iter,
+                  cfg.layers[0].learn.seed, top.dims.state_dim):
+        assert type(value) is int
+    assert (top.hp.state_passes, top.hp.max_inner_iter) == (3, 7)
+    assert type(top.hp.state_sparsity) is float
+    assert type(top.learn.lr_c) is float
+    with pytest.raises(ConfigError):
+        parse_network_config(write(tmp_path, TWO_LAYER + "state_passes = 2.5\n"))
+
+
+def test_network_channels_must_parse(tmp_path):
+    bad = TWO_LAYER.replace("channels = 1", "channels = abc")
+    with pytest.raises(ConfigError, match="channels"):
+        parse_network_config(write(tmp_path, bad))
+
+
 def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(IoError):
         parse_network_config(tmp_path / "nope.ini")

@@ -7,8 +7,9 @@ import pytest
 from mmdpcn.errors import FormatError, IoError, LengthMismatch
 from mmdpcn.frames import (format_float, frame_name, read_frames_dir,
                            read_image, read_labels_csv, read_rten,
-                           to_grayscale, write_frames, write_labels_csv,
-                           write_metrics_csv, write_pgm, write_ppm)
+                           to_grayscale, write_csv, write_frames,
+                           write_labels_csv, write_metrics_csv, write_pgm,
+                           write_ppm)
 
 from io_helpers import read_metrics_csv, write_rten
 
@@ -169,3 +170,17 @@ def test_metrics_csv_roundtrip_full_precision(tmp_path):
     path.write_text("name,value\n")
     with pytest.raises(FormatError):
         read_metrics_csv(path)
+
+
+def test_write_csv_renders_cells_by_type(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ("name", "count", "value"),
+              [("a", 7, 0.1 + 0.2), ("b c", np.int64(-2), np.float64(1 / 3)),
+               ("d", 0, 1e300)])
+    assert path.read_bytes() == (
+        b"name,count,value\n"
+        b"a,7,0.30000000000000004\n"
+        b"b c,-2,0.33333333333333331\n"
+        b"d,0,1.0000000000000001e+300\n")
+    write_csv(path, ("iteration", "mean_objective"), [])
+    assert path.read_bytes() == b"iteration,mean_objective\n"

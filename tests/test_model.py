@@ -182,6 +182,13 @@ def test_hyperparams_validation():
         HyperParams(inner_tol=0.0)
     with pytest.raises(ValueError):
         HyperParams(max_inner_iter=0)
+    # Comparisons with NaN are false, so NaN and infinities need their own
+    # check.
+    for name in ("state_sparsity", "pool_gain", "temporal_sparsity",
+                 "inner_tol", "max_inner_iter"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                HyperParams(**{name: value})
     # temporal sparsity of zero is a legal static-image setting
     HyperParams(temporal_sparsity=0.0)
 

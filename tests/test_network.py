@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,26 @@ def test_decompose_grid_blocks_row_major():
     assert np.array_equal(patches[2], frame[2:4, 0:2].ravel())
 
 
+def test_decompose_non_square_color_patch_order():
+    # A round trip cannot tell a consistent transpose of rows and columns
+    # from the right cut; a block read off the frame can.
+    rng = np.random.default_rng(23)
+    frame = rng.random((8, 6, 3))
+    patches = decompose_frame(frame, (2, 3))
+    assert patches.shape == (6, 24)
+    assert np.array_equal(patches[4], frame[4:8, 2:4].ravel())
+    # Every block against a loop over the grid, gray and color.
+    for frame, (rows, cols) in ((frame, (2, 3)), (frame, (4, 1)),
+                                (rng.random((6, 10)), (3, 5))):
+        bh, bw = frame.shape[0] // rows, frame.shape[1] // cols
+        expected = [frame[r * bh:(r + 1) * bh, c * bw:(c + 1) * bw].ravel()
+                    for r in range(rows) for c in range(cols)]
+        patches = decompose_frame(frame, (rows, cols))
+        assert np.array_equal(patches, np.vstack(expected))
+        assert np.array_equal(
+            recompose_frame(patches, (rows, cols), frame.shape), frame)
+
+
 def test_decompose_recompose_roundtrip():
     rng = np.random.default_rng(21)
     gray = rng.random((8, 6))
@@ -86,11 +108,16 @@ def test_network_config_validation():
 
     cfg = NetworkConfig(layers=(good,), grid=(2, 2))
     with pytest.raises(GridMismatch):
-        cfg.validate_frame_shape(5, 4)
+        train_network(np.zeros((2, 5, 4)), cfg)
     with pytest.raises(ConfigError):
-        cfg.validate_frame_shape(4, 4, channels=3)
+        train_network(np.zeros((2, 4, 4, 3)), cfg)
     with pytest.raises(ConfigError):
-        cfg.validate_frame_shape(8, 8)  # patch pixels != input dim
+        train_network(np.zeros((2, 8, 8)), cfg)  # patch pixels != input dim
+    # Patches of the right length from frames of the wrong channel count.
+    color = LayerSpec(dims=LayerDims(12, 16, 2, 4), hp=hp, learn=learn)
+    with pytest.raises(ConfigError, match="channels"):
+        train_network(np.zeros((2, 4, 4, 3)),
+                      NetworkConfig(layers=(color,), grid=(2, 2)))
 
 
 def test_train_network_bottom_layer_matches_fit_layer():
@@ -242,6 +269,21 @@ def test_load_rejects_corrupt_files(tmp_path):
         load_network(bad)
 
 
+def test_load_rejects_non_finite_hyperparameters(tmp_path):
+    path = tmp_path / "net.dpcn"
+    save_network(random_stack(seed=32), path)
+    blob = path.read_bytes()
+    # Layer 1's hyperparameters follow the 8-byte header and its 4 dims.
+    start = 8 + 16
+    bad = tmp_path / "bad.dpcn"
+    for values in ([float("nan")] + [0.5] * 10, [float("nan")] * 11,
+                   [0.3, float("inf")] + [0.5] * 9):
+        bad.write_bytes(blob[:start] + struct.pack("<11d", *values)
+                        + blob[start + 88:])
+        with pytest.raises(FormatError, match="hyperparameters"):
+            load_network(bad)
+
+
 def test_infer_variables_shapes_and_zero_frames():
     layers = random_stack(seed=32)
     frames = np.zeros((3, 4, 4))
@@ -292,6 +334,24 @@ def test_infer_variables_rejects_frames_the_model_was_not_trained_for():
         infer_variables(np.zeros((2, 8, 8)), random_stack(seed=38), (2, 2))
     with pytest.raises(ConfigError, match="at least one layer"):
         infer_variables(frames, [], (2, 2))
+
+
+def test_train_and_infer_reject_misfit_frames_alike(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the frames were checked")
+
+    monkeypatch.setattr("mmdpcn.network.fit_layer", no_solve)
+    monkeypatch.setattr("mmdpcn.network.infer_states_batch", no_solve)
+    cfg, layers = tiny_config(), random_stack(seed=39)
+    for shape, error in (((4, 4), DimensionMismatch),
+                         ((2, 4, 4, 3, 1), DimensionMismatch),
+                         ((2, 5, 4), GridMismatch),
+                         ((2, 8, 8), ConfigError),
+                         ((2, 4, 4, 3), ConfigError)):
+        with pytest.raises(error):
+            train_network(np.zeros(shape), cfg)
+        with pytest.raises(error):
+            infer_variables(np.zeros(shape), layers, cfg.grid)
 
 
 def test_segment_reset_matches_separate_inference():
