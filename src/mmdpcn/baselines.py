@@ -1,12 +1,16 @@
 """Proximal-gradient and Adam reference solvers for the state objective.
 
 All three minimize the same per-patch objective as the reweighted solver
-(temporal term in smoothed form) and fill the same trace structure, so the
-benchmark harness treats every method uniformly.  Traces record the
-objective with the state l1 term exact, whatever the solver's internal
-surrogate, to keep final-value comparisons honest.
+(temporal term in smoothed form).  Each method is only its update step,
+written as a generator of iterates; one loop, _solve, runs all three.  It
+starts every solve at x = 0, tests each iterate for NaN/Inf, records the
+objective, applies the tol stop and times the whole call, so the
+benchmark harness sees the same trace from every method.  Traces record
+the objective with the state l1 term exact, whatever the solver's
+internal surrogate, to keep final-value comparisons honest.
 """
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -16,7 +20,7 @@ from .errors import DimensionMismatch, NonFinite
 from .linalg import as_float_array
 from .majorize import smooth_l1, soft_clip
 from .model import HyperParams, LayerModel, _require_finite
-from .states import SolveTrace, _pct_zero
+from .states import SolveTrace
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015).
@@ -88,95 +92,86 @@ class _Problem:
         return float(np.max(np.abs(x - w))) / step if x.size else 0.0
 
 
-def _record(trace, prob, x):
-    trace.objective_per_iter.append(prob.objective(x))
-    trace.sparsity_per_iter.append(_pct_zero(x))
+def _solve(name, steps, y, model: LayerModel, hp: HyperParams,
+           cfg: BaselineConfig, x_prev, tol: float) -> tuple[np.ndarray, SolveTrace]:
+    """The one loop of the reference solvers.
+
+    steps(prob, x) is a generator that yields one iterate per update from
+    the start point x = 0.  The loop stops it after cfg.max_iter updates,
+    or once the prox-gradient mapping residual is at most tol > 0, and
+    tests each iterate for NaN/Inf before asking for the next.
+    """
+    start = time.perf_counter()
+    prob = _Problem(y, model, hp, x_prev)
+    x = np.zeros(prob.c.shape[1])
+    trace = SolveTrace(objective_per_iter=[prob.objective(x)])
+    iterates = steps(prob, x)
+    for it in range(1, cfg.max_iter + 1):
+        x = next(iterates)
+        if not np.all(np.isfinite(x)):
+            raise NonFinite(f"{name} iterate diverged to NaN/Inf")
+        trace.objective_per_iter.append(prob.objective(x))
+        trace.iterations = it
+        if tol > 0 and prob.mapping_residual(x, cfg.step) <= tol:
+            trace.converged = True
+            break
+
+    trace.wall_time = time.perf_counter() - start
+    return x, trace
 
 
 def ista_solve(y, model: LayerModel, hp: HyperParams, cfg: BaselineConfig,
                x_prev=None) -> tuple[np.ndarray, SolveTrace]:
     """Proximal gradient: x <- shrink(x - step*grad, step*mu)."""
-    start = time.perf_counter()
-    prob = _Problem(y, model, hp, x_prev)
-    x = np.zeros(prob.c.shape[1])
-    trace = SolveTrace()
-    _record(trace, prob, x)
+    def steps(prob, x):
+        while True:
+            x = _shrink(x - cfg.step * prob.smooth_grad(x), cfg.step * prob.mu)
+            yield x
 
-    for it in range(1, cfg.max_iter + 1):
-        x = _shrink(x - cfg.step * prob.smooth_grad(x), cfg.step * prob.mu)
-        if not np.all(np.isfinite(x)):
-            raise NonFinite("ista iterate diverged to NaN/Inf")
-        _record(trace, prob, x)
-        trace.iterations = it
-        if cfg.tol > 0 and prob.mapping_residual(x, cfg.step) <= cfg.tol:
-            trace.converged = True
-            break
-
-    trace.wall_time = time.perf_counter() - start
-    return x, trace
+    return _solve("ista", steps, y, model, hp, cfg, x_prev, cfg.tol)
 
 
 def fista_solve(y, model: LayerModel, hp: HyperParams, cfg: BaselineConfig,
                 x_prev=None) -> tuple[np.ndarray, SolveTrace]:
     """Accelerated proximal gradient with the standard momentum sequence."""
-    start = time.perf_counter()
-    prob = _Problem(y, model, hp, x_prev)
-    x = np.zeros(prob.c.shape[1])
-    z = x.copy()
-    t_mom = 1.0
-    trace = SolveTrace()
-    _record(trace, prob, x)
+    def steps(prob, x):
+        z, t_mom = x, 1.0
+        while True:
+            x_new = _shrink(z - cfg.step * prob.smooth_grad(z), cfg.step * prob.mu)
+            # The loop checks x_new for NaN/Inf before the momentum uses it.
+            yield x_new
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+            z = x_new + ((t_mom - 1.0) / t_new) * (x_new - x)
+            x, t_mom = x_new, t_new
 
-    for it in range(1, cfg.max_iter + 1):
-        x_new = _shrink(z - cfg.step * prob.smooth_grad(z), cfg.step * prob.mu)
-        if not np.all(np.isfinite(x_new)):
-            raise NonFinite("fista iterate diverged to NaN/Inf")
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        z = x_new + ((t_mom - 1.0) / t_new) * (x_new - x)
-        x, t_mom = x_new, t_new
-        _record(trace, prob, x)
-        trace.iterations = it
-        if cfg.tol > 0 and prob.mapping_residual(x, cfg.step) <= cfg.tol:
-            trace.converged = True
-            break
-
-    trace.wall_time = time.perf_counter() - start
-    return x, trace
+    return _solve("fista", steps, y, model, hp, cfg, x_prev, cfg.tol)
 
 
 def adam_solve(y, model: LayerModel, hp: HyperParams, cfg: BaselineConfig,
                x_prev=None) -> tuple[np.ndarray, SolveTrace]:
     """Adam on the fully smoothed objective (state l1 smoothed as well).
 
-    The trace still records the exact-l1 objective.  Values below the state
-    clamp are zeroed at termination, and the final trace entry reflects the
-    clamped vector.
+    It has no prox step, so it ignores tol and runs the full budget.  The
+    trace still records the exact-l1 objective.  The last iterate has its
+    values below the state clamp zeroed, and the final trace entry is the
+    objective of that clamped vector.
     """
-    start = time.perf_counter()
-    prob = _Problem(y, model, hp, x_prev)
-    x = np.zeros(prob.c.shape[1])
-    m1 = np.zeros_like(x)
-    m2 = np.zeros_like(x)
-    trace = SolveTrace()
-    _record(trace, prob, x)
+    def steps(prob, x):
+        m1 = np.zeros_like(x)
+        m2 = np.zeros_like(x)
+        for it in itertools.count(1):
+            g = prob.smooth_grad(x) + prob.mu * soft_clip(x, prob.margin)
+            m1 = _ADAM_BETA1 * m1 + (1.0 - _ADAM_BETA1) * g
+            m2 = _ADAM_BETA2 * m2 + (1.0 - _ADAM_BETA2) * g * g
+            hat1 = m1 / (1.0 - _ADAM_BETA1 ** it)
+            hat2 = m2 / (1.0 - _ADAM_BETA2 ** it)
+            x = x - cfg.step * hat1 / (np.sqrt(hat2) + _ADAM_EPS)
+            # Adam runs the full budget, so this iterate is the one returned.
+            if it == cfg.max_iter:
+                x[np.abs(x) < hp.clamp_state] = 0.0
+            yield x
 
-    for it in range(1, cfg.max_iter + 1):
-        g = prob.smooth_grad(x) + prob.mu * soft_clip(x, prob.margin)
-        m1 = _ADAM_BETA1 * m1 + (1.0 - _ADAM_BETA1) * g
-        m2 = _ADAM_BETA2 * m2 + (1.0 - _ADAM_BETA2) * g * g
-        hat1 = m1 / (1.0 - _ADAM_BETA1 ** it)
-        hat2 = m2 / (1.0 - _ADAM_BETA2 ** it)
-        x = x - cfg.step * hat1 / (np.sqrt(hat2) + _ADAM_EPS)
-        if not np.all(np.isfinite(x)):
-            raise NonFinite("adam iterate diverged to NaN/Inf")
-        _record(trace, prob, x)
-        trace.iterations = it
-
-    x[np.abs(x) < hp.clamp_state] = 0.0
-    trace.objective_per_iter[-1] = prob.objective(x)
-    trace.sparsity_per_iter[-1] = _pct_zero(x)
-    trace.wall_time = time.perf_counter() - start
-    return x, trace
+    return _solve("adam", steps, y, model, hp, cfg, x_prev, 0.0)
 
 
 def state_objective(x, y, model: LayerModel, hp: HyperParams, x_prev=None) -> float:

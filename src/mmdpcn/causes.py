@@ -23,7 +23,7 @@ from .errors import DimensionMismatch, NonFinite
 from .linalg import as_float_array
 from .model import (CauseVector, HyperParams, LayerModel, PooledStateMagnitude,
                     _cause_objective, _cause_values, _gate)
-from .states import SolveTrace, _pct_zero
+from .states import SolveTrace
 
 # Halvings of the step before giving up; by then the candidate coincides
 # with the current iterate to machine precision.
@@ -83,9 +83,7 @@ def _solve(pooled: PooledStateMagnitude, preference, model: LayerModel,
     energy = lambda v: _cause_objective(v, pv, b, beta, preference)
     e_cur = energy(u)
     drive = _drive(b, pv, u)
-    trace = SolveTrace()
-    trace.objective_per_iter.append(e_cur)
-    trace.sparsity_per_iter.append(_pct_zero(u))
+    trace = SolveTrace(objective_per_iter=[e_cur])
 
     for it in range(1, hp.max_inner_iter + 1):
         r = np.abs(u) / beta
@@ -97,7 +95,6 @@ def _solve(pooled: PooledStateMagnitude, preference, model: LayerModel,
             raise NonFinite("cause iterate diverged to NaN/Inf")
         u, e_cur = _descend(u, e_cur, full, hp.clamp_cause, energy)
         trace.objective_per_iter.append(e_cur)
-        trace.sparsity_per_iter.append(_pct_zero(u))
         trace.iterations = it
 
         support = u != 0.0

@@ -9,10 +9,10 @@ a shrinkage step, and which keeps every solve no larger than the support.
 A frame's states are one (patch, state) float array: the patches come in
 as rows, previous states and warm starts are arrays of the same shape, and
 the result is one such array.  One kernel runs the iteration on all rows
-at once.  The elementwise work, the per-row sums and the sparsity counts
-act on the whole array.  The matrix-vector products and the residual dot
-products are stacked matmuls, which NumPy runs as one BLAS gemv or dot per
-row; a matrix-matrix product would round differently.  The support solves
+at once.  The elementwise work and the per-row sums act on the whole
+array.  The matrix-vector products and the residual dot products are
+stacked matmuls, which NumPy runs as one BLAS gemv or dot per row; a
+matrix-matrix product would round differently.  The support solves
 stay one LAPACK solve per row, on that row's own support.  Every patch
 therefore gets exactly the iterates, objective values and stopping
 decision of a solve on its own, and a row that converges leaves the
@@ -34,27 +34,23 @@ from .model import HyperParams, LayerModel
 
 @dataclass
 class SolveTrace:
-    """Per-iteration record shared by the reweighted solver and the baselines.
+    """Record of one solve, shared by the state, cause and reference solvers.
 
     objective_per_iter starts with the objective at the initial point, then
-    holds one value per update.  sparsity_per_iter is the percentage of
-    exactly-zero components at the same checkpoints.  final_residual is the
-    stationarity residual the solver tested against its tolerance after the
-    last update (nan for solvers that do not measure one).  wall_time is
-    the solve's elapsed seconds; a batch of n patches is timed as a whole
-    and each of its traces holds an equal 1/n share.
+    holds one value per update, so it has iterations + 1 entries.
+    converged says whether the stopping test passed within the iteration
+    budget.  final_residual is the stationarity residual the solver tested
+    against its tolerance after the last update (nan for solvers that do
+    not measure one).  wall_time is the solve's elapsed seconds; a batch of
+    n patches is timed as a whole and each of its traces holds an equal 1/n
+    share.
     """
 
     objective_per_iter: list = field(default_factory=list)
-    sparsity_per_iter: list = field(default_factory=list)
     wall_time: float = 0.0
     iterations: int = 0
     converged: bool = False
     final_residual: float = float("nan")
-
-
-def _pct_zero(x: np.ndarray) -> float:
-    return 100.0 * float(np.count_nonzero(x == 0.0)) / x.shape[0]
 
 
 def _rows(a, n: int, k: int, name: str) -> np.ndarray:
@@ -73,11 +69,6 @@ def _times_rows(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
     layout of m.  A matrix-matrix product, rows @ m.T, rounds differently.
     """
     return np.matmul(m, rows[:, :, None])[:, :, 0]
-
-
-def _pct_zero_rows(x: np.ndarray) -> list:
-    """_pct_zero of every row of x."""
-    return (100.0 * (x == 0.0).sum(axis=1) / x.shape[1]).tolist()
 
 
 def _objectives(residual, mag, innovation, alpha, mu, lam, margin):
@@ -108,7 +99,6 @@ def _solve_rows(y, x, prediction, model: LayerModel, hp: HyperParams):
     mu, margin = hp.state_sparsity, hp.smooth_margin
     lam = hp.temporal_sparsity if prediction is not None else 0.0
     damping = lam / margin
-    traces = [SolveTrace() for _ in range(y.shape[0])]
     out = np.empty_like(x)
     rows = np.arange(y.shape[0])
     cty = _times_rows(c.T, y)
@@ -120,9 +110,7 @@ def _solve_rows(y, x, prediction, model: LayerModel, hp: HyperParams):
         innovation = x - prediction
         alpha = (innovation / margin).clip(-1.0, 1.0)
     f = _objectives(residual, mag, innovation, alpha, mu, lam, margin)
-    for tr, f_i, z_i in zip(traces, f.tolist(), _pct_zero_rows(x)):
-        tr.objective_per_iter.append(f_i)
-        tr.sparsity_per_iter.append(z_i)
+    traces = [SolveTrace(objective_per_iter=[f_i]) for f_i in f.tolist()]
 
     for it in range(1, hp.max_inner_iter + 1):
         if lam > 0:
@@ -177,11 +165,9 @@ def _solve_rows(y, x, prediction, model: LayerModel, hp: HyperParams):
         # Stationarity residual on the support.
         kkt = np.abs(grad + mu * np.sign(x)).max(axis=1, where=nonzero,
                                                  initial=0.0)
-        for i, f_i, z_i, kkt_i in zip(rows.tolist(), f.tolist(),
-                                      _pct_zero_rows(x), kkt.tolist()):
+        for i, f_i, kkt_i in zip(rows.tolist(), f.tolist(), kkt.tolist()):
             tr = traces[i]
             tr.objective_per_iter.append(f_i)
-            tr.sparsity_per_iter.append(z_i)
             tr.iterations = it
             tr.final_residual = kkt_i
         done = kkt <= hp.inner_tol

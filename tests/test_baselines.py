@@ -3,6 +3,7 @@ import pytest
 
 from mmdpcn.baselines import (BaselineConfig, adam_solve, fista_solve,
                               ista_solve, state_objective)
+from mmdpcn.errors import NonFinite
 from mmdpcn.linalg import column_normalize
 from mmdpcn.model import HyperParams, LayerDims, LayerModel
 from mmdpcn.states import infer_state
@@ -46,6 +47,36 @@ def test_config_validation():
     for bad in ({"step": float("nan")}, {"tol": float("inf")}):
         with pytest.raises(ValueError, match="finite"):
             BaselineConfig(**bad)
+
+
+SOLVERS = {"ista": ista_solve, "fista": fista_solve, "adam": adam_solve}
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+@pytest.mark.parametrize("temporal", [0.0, 0.2])
+@pytest.mark.parametrize("method", sorted(SOLVERS))
+def test_trace_records_the_yardstick_of_the_returned_state(method, temporal, max_iter):
+    rng = np.random.default_rng(45)
+    model, y = random_instance(rng)
+    x_prev = rng.standard_normal(model.dims.state_dim) if temporal > 0 else None
+    # Adam moves each component by about step per update, so this clamp
+    # zeroes some of its returned components.
+    hp = HyperParams(state_sparsity=0.2, temporal_sparsity=temporal,
+                     clamp_state=0.15)
+    cfg = BaselineConfig(step=0.1, max_iter=max_iter)
+    sv, tr = SOLVERS[method](y, model, hp, cfg, x_prev=x_prev)
+    assert tr.iterations == max_iter
+    assert len(tr.objective_per_iter) == tr.iterations + 1
+    assert tr.objective_per_iter[-1] == state_objective(sv, y, model, hp, x_prev)
+
+
+@pytest.mark.parametrize("method", sorted(SOLVERS))
+def test_diverging_step_raises_nonfinite(method):
+    rng = np.random.default_rng(46)
+    model, y = random_instance(rng)
+    cfg = BaselineConfig(step=1e308, max_iter=50)
+    with np.errstate(all="ignore"), pytest.raises(NonFinite, match=f"^{method} "):
+        SOLVERS[method](y, model, HyperParams(), cfg)
 
 
 def test_ista_scalar_converges_to_soft_threshold():
