@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
 from .linalg import as_float_array
-from .model import (CauseVector, HyperParams, LayerModel, PooledStateMagnitude,
-                    _cause_objective, _cause_values, _gate)
+from .model import (CAUSE_INIT, CauseVector, HyperParams, LayerModel,
+                    PooledStateMagnitude, _cause_objective, _cause_values, _gate)
 from .states import SolveTrace
 
 # Halvings of the step before giving up; by then the candidate coincides
@@ -56,7 +56,7 @@ def _solve(pooled: PooledStateMagnitude, preference, model: LayerModel,
     With r = |u|/beta, each step moves toward r * drive(u), or with a
     preference toward (r/(1+r)) * (preference + drive(u)), the diagonal
     inverse of (I + W).  Zero components are absorbing, so the initial
-    value must be nonzero (default 0.1 everywhere).  Stops when the
+    value must be nonzero (default CAUSE_INIT everywhere).  Stops when the
     stationarity residual on the support falls below hp.inner_tol, or at
     hp.max_inner_iter.
     """
@@ -74,7 +74,7 @@ def _solve(pooled: PooledStateMagnitude, preference, model: LayerModel,
                 f"preference must have length {d}, got {preference.shape}")
     beta = hp.cause_sparsity
 
-    u = 0.1 * np.ones(d) if u_init is None else _cause_values(u_init).copy()
+    u = np.full(d, CAUSE_INIT) if u_init is None else _cause_values(u_init).copy()
     if u.shape != (d,):
         raise DimensionMismatch(f"cause init must have length {d}")
 
@@ -136,9 +136,11 @@ def top_down_prediction(upper_model: LayerModel, upper_x_prev, upper_u,
 
     A component of the predicted upper state, transition @ upper_x_prev,
     survives only where the temporal weight beats the cause-modulated
-    sparsity level, temporal_sparsity > pool_gain * (1 + _gate(u)_k);
-    everything else is zeroed.  Returns the survivors rendered through the
-    upper dictionary, sized for the lower layer's cause vector.
+    part of its sparsity weight, temporal_sparsity > pool_gain *
+    (1 + _gate(u)_k); everything else is zeroed.  Returns the survivors
+    rendered through the upper dictionary, sized for the lower layer's
+    cause vector.  With configs/shapes2.ini's 0.1 against 0.03 a component
+    survives wherever (coupling @ u)_k > -ln(7/3).
     """
     x_prev = as_float_array(upper_x_prev, "upper state")
     u = _cause_values(upper_u)

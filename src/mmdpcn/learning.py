@@ -16,7 +16,8 @@ from .errors import DimensionMismatch
 from .linalg import as_float_array, column_normalize
 from .majorize import soft_clip
 from .model import (HyperParams, LayerDims, LayerModel, PooledStateMagnitude,
-                    _cause_values, _gate, _require_finite, total_energy)
+                    _cause_values, _gate, _require_finite, state_weights,
+                    total_energy)
 from .causes import infer_cause
 from .states import infer_states_batch
 
@@ -125,8 +126,11 @@ def infer_frame_variables(patches: np.ndarray, prev_states, model: LayerModel,
                           hp: HyperParams):
     """Alternate short state and cause blocks until the frame's energy settles.
 
-    Returns (states, cause, pooled, energy).  prev_states is None on the
-    first frame, dropping the temporal term.
+    Each state block weights the states by state_weights of the previous
+    block's cause, the first by those of the cause solver's start, so it
+    descends total_energy at that cause, as the cause block does at its
+    states.  Returns (states, cause, pooled, energy).  prev_states is None
+    on the first frame, dropping the temporal term.
     """
     hp_states = replace(hp, max_inner_iter=hp.state_passes)
     hp_causes = replace(hp, max_inner_iter=hp.cause_passes)
@@ -134,8 +138,9 @@ def infer_frame_variables(patches: np.ndarray, prev_states, model: LayerModel,
     states, cause = None, None
     energy_prev = None
     for _ in range(_MAX_BLOCKS):
+        weights = state_weights(model, [cause], patches.shape[0], hp)
         states, _ = infer_states_batch(patches, prev_states, model, hp_states,
-                                       inits=states)
+                                       weights, inits=states)
         pooled = PooledStateMagnitude.pool(states, hp.pool_gain)
         cause, _ = infer_cause(pooled, model, hp_causes, u_init=cause)
         energy = total_energy(patches, states, prev_states, cause, pooled, model, hp)

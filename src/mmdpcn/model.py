@@ -21,6 +21,10 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import aligned_zeros, as_aligned_array, as_float_array
 
+# Where every cause component starts when a solve is given no start.  Zero
+# is absorbing for the cause iteration, so the start must be nonzero.
+CAUSE_INIT = 0.1
+
 
 def _require_finite(settings, error=ValueError):
     """Raise error naming each float setting that is NaN or infinite.
@@ -40,9 +44,11 @@ class HyperParams:
     state_sparsity and cause_sparsity weight the l1 penalties on states
     and causes.  temporal_sparsity weights the l1 penalty on the state
     innovation (state minus transition-predicted state).  pool_gain scales
-    the pooled state magnitudes that drive cause inference.  smooth_margin
-    is the width of the smoothed absolute value used wherever an l1 term
-    must be differentiated.
+    the pooled state magnitudes that drive cause inference; since the
+    energy charges them, it also weights the states, which pay
+    state_sparsity + pool_gain*(1 + exp(-coupling@u)) per unit of |x|
+    (state_weights).  smooth_margin is the width of the smoothed absolute
+    value used wherever an l1 term must be differentiated.
     """
 
     state_sparsity: float = 0.3
@@ -221,6 +227,28 @@ def _gate(coupling: np.ndarray, u: np.ndarray) -> np.ndarray:
     The energy, its gradient, the cause drive and top_down_prediction all
     read this one guard."""
     return np.exp(-(coupling @ u).clip(-700.0, 700.0))
+
+
+def state_weights(model: LayerModel, causes, rows: int,
+                  hp: HyperParams) -> np.ndarray:
+    """The sparsity weight total_energy charges each state component.
+
+    mu_k = state_sparsity + pool_gain*(1 + _gate(coupling, u)_k): the
+    state penalty plus the pooled term of cause_energy, which charges
+    every patch's |x_k| through pooled.  The state solves minimize under
+    these weights, so a state block and a cause block descend one energy.
+    causes holds one cause per frame, and each frame has rows patches, so
+    the result is the (len(causes) * rows, state_dim) weights of
+    infer_states_batch.  A cause None stands for the cause solver's
+    start, CAUSE_INIT everywhere, so a frame's first state block descends
+    from there too.
+    """
+    start = np.full(model.dims.cause_dim, CAUSE_INIT)
+    mu = [hp.state_sparsity + hp.pool_gain * (1.0 + _gate(
+        model.coupling, start if u is None else _cause_values(u)))
+          for u in causes]
+    return np.repeat(np.reshape(mu, (len(mu), model.dims.state_dim)), rows,
+                     axis=0)
 
 
 def _cause_objective(u, pooled, coupling, beta, preference) -> float:

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import (ConfigError, DimensionMismatch, FormatError, GridMismatch,
                      ShapeError)
 from .linalg import as_float_array
-from .model import HyperParams, LayerDims, LayerModel, PooledStateMagnitude
+from .model import (HyperParams, LayerDims, LayerModel, PooledStateMagnitude,
+                    state_weights)
 from .causes import infer_cause, infer_cause_topdown, top_down_prediction
 from .learning import LearnConfig, fit_layer
 from .states import _times_rows, infer_states_batch
@@ -176,9 +177,12 @@ def infer_variables(frames, layers, grid: tuple, sweeps: int = 10,
     its states (warm-started, temporal term against the previous frame) and
     then its cause, pulled toward the prediction rendered by the layer
     above; the top layer is pulled toward its own previous-frame cause.
-    The first frame has no temporal context, so it gets one plain
-    bottom-up pass without preferences.  A frame stops sweeping once no
-    layer's cause moved by layer 1's inner_tol or more.
+    The states pay the weights total_energy charges them under the
+    frame's cause from the last sweep, in the first sweep the previous
+    frame's (model.state_weights).  The first frame has no temporal
+    context, so it gets one plain bottom-up pass without preferences, its
+    states weighted at the cause solver's start.  A frame stops sweeping
+    once no layer's cause moved by layer 1's inner_tol or more.
 
     segment_starts lists frame indices where the temporal context resets:
     frames at a scene cut between independent clips carry no information
@@ -231,8 +235,16 @@ def infer_variables(frames, layers, grid: tuple, sweeps: int = 10,
                     np.vstack([result.states[t - 1][l] for t in sweeping])
                 inits = None if sweep == 0 else \
                     np.vstack([result.states[t][l] for t in sweeping])
+                # Each frame's states are weighted by its current cause, in
+                # sweep 0 by the previous frame's, and on a fresh frame by
+                # the cause solver's start.
+                causes = [None if fresh else result.causes[t if sweep else t - 1][l]
+                          for t in sweeping]
+                weights = state_weights(layer.model, causes,
+                                        batch.shape[0] // len(sweeping),
+                                        layer.hp)
                 states, _ = infer_states_batch(batch, prev, layer.model,
-                                               layer.hp, inits=inits)
+                                               layer.hp, weights, inits=inits)
                 for t, x in zip(sweeping, np.split(states, len(sweeping))):
                     cur = result.causes[t]
                     pooled = PooledStateMagnitude.pool(x, layer.hp.pool_gain)

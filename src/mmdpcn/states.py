@@ -2,9 +2,12 @@
 
 Each iteration rebuilds the quadratic bound on the sparsity penalty at the
 current iterate and solves the resulting normal equations directly on the
-live support, using the layer's cached Gram matrix.  Components that reach
-exact zero stay zero, which is what produces genuinely sparse codes without
-a shrinkage step, and which keeps every solve no larger than the support.
+live support, using the layer's cached Gram matrix.  The penalty weighs
+every component by its own mu_k: the weight total_energy charges it under
+the frame's cause (model.state_weights), or, in infer_state,
+state_sparsity.  Components that reach exact zero stay zero, which is what
+produces genuinely sparse codes without a shrinkage step, and which keeps
+every solve no larger than the support.
 
 A frame's states are one (patch, state) float array: the patches come in
 as rows, previous states and warm starts are arrays of the same shape, and
@@ -18,7 +21,7 @@ therefore gets exactly the iterates, objective values and stopping
 decision of a solve on its own, and a row that converges leaves the
 active set.  So network inference can stack the rows of several
 independent frames into one call without changing a bit.  infer_state
-is a batch of one.
+is a batch of one weighted by state_sparsity.
 """
 
 import time
@@ -74,29 +77,31 @@ def _times_rows(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _objectives(residual, mag, innovation, alpha, mu, lam, margin):
     """Per-row objective, given |x| as mag and alpha = soft_clip(innovation).
 
+    mu holds each row's per-component sparsity weights, the shape of mag.
     The innovation term is smooth_l1 written out on rows.  The squared
     norms are one stacked matmul, a BLAS dot per row like r @ r.
     """
     sq = np.matmul(residual[:, None, :], residual[:, :, None])[:, 0, 0]
-    val = 0.5 * sq + mu * mag.sum(axis=1)
+    val = 0.5 * sq + (mu * mag).sum(axis=1)
     if lam > 0:
         val += lam * ((alpha * innovation).sum(axis=1)
                       - 0.5 * margin * (alpha * alpha).sum(axis=1))
     return val
 
 
-def _solve_rows(y, x, prediction, model: LayerModel, hp: HyperParams):
+def _solve_rows(y, x, mu, prediction, model: LayerModel, hp: HyperParams):
     """Run the MM iteration on every row of y together.
 
-    y is (n, p) and x (n, k) holds the starting iterates.  prediction is
-    the (n, k) transition-predicted state, or None to drop the temporal
-    term.  Returns the (n, k) final states and one trace per row.  A row
-    that converges is copied out and dropped from the working arrays; the
-    rest keep iterating.  soft_clip is written out as a clip, since
+    y is (n, p), x (n, k) holds the starting iterates and mu (n, k) the
+    positive sparsity weight of every component.  prediction is the (n, k)
+    transition-predicted state, or None to drop the temporal term.
+    Returns the (n, k) final states and one trace per row.  A row that
+    converges is copied out and dropped from the working arrays; the rest
+    keep iterating.  soft_clip is written out as a clip, since
     HyperParams already guarantees a positive margin.
     """
     c = model.dictionary
-    mu, margin = hp.state_sparsity, hp.smooth_margin
+    margin = hp.smooth_margin
     lam = hp.temporal_sparsity if prediction is not None else 0.0
     damping = lam / margin
     out = np.empty_like(x)
@@ -177,6 +182,7 @@ def _solve_rows(y, x, prediction, model: LayerModel, hp: HyperParams):
             out[rows[done]] = x[done]
             live = ~done
             rows, x, mag, y, cty = rows[live], x[live], mag[live], y[live], cty[live]
+            mu = mu[live]
             if lam > 0:
                 prediction, alpha = prediction[live], alpha[live]
             if rows.size == 0:
@@ -188,17 +194,28 @@ def _solve_rows(y, x, prediction, model: LayerModel, hp: HyperParams):
     return out, traces
 
 
-def _infer(patches, prev, model: LayerModel, hp: HyperParams, inits, start):
-    """Check the per-patch inputs, solve, and share the elapsed time out."""
+def _infer(patches, prev, model: LayerModel, hp: HyperParams, inits, weights,
+           start):
+    """Check the per-patch inputs, solve, and share the elapsed time out.
+
+    infer_state passes weights None, which weights every component
+    hp.state_sparsity.
+    """
     n, k = patches.shape[0], model.dictionary.shape[1]
     x_prev = None if prev is None else _rows(prev, n, k, "previous states")
     x = 0.1 * np.ones((n, k)) if inits is None else _rows(inits, n, k, "state inits")
+    if weights is None:
+        mu = np.full((n, k), hp.state_sparsity)
+    else:
+        mu = _rows(weights, n, k, "state weights")
+        if not (mu > 0).all():
+            raise ValueError("state weights must be positive")
     if n == 0:
         return np.zeros((0, k)), []
     prediction = None
     if x_prev is not None and hp.temporal_sparsity > 0:
         prediction = _times_rows(model.transition, x_prev)
-    x, traces = _solve_rows(patches, x, prediction, model, hp)
+    x, traces = _solve_rows(patches, x, mu, prediction, model, hp)
     share = (time.perf_counter() - start) / n
     for tr in traces:
         tr.wall_time = share
@@ -210,14 +227,14 @@ def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
     """Infer one patch's sparse state given the previous frame's state.
 
     Iterates x <- (C^T C + diag(1/r))^-1 (C^T y - lam*a), solved on the
-    support of r, with r = |x|/mu rebuilt from the current iterate, where
-    a is the clipped gradient of the smoothed innovation penalty.  When the
-    temporal weight is active, the solve carries the curvature bound
-    lam/margin of the smoothed term on its diagonal (and the matching pull
-    toward the current iterate on the right-hand side); this leaves the
-    fixed points of the stationarity equation untouched but makes every
-    step minimize a true upper bound of the objective, so the recorded
-    objective cannot increase.
+    support of r, with r = |x|/mu rebuilt from the current iterate and
+    mu = hp.state_sparsity, where a is the clipped gradient of the smoothed
+    innovation penalty.  When the temporal weight is active, the solve
+    carries the curvature bound lam/margin of the smoothed term on its
+    diagonal (and the matching pull toward the current iterate on the
+    right-hand side); this leaves the fixed points of the stationarity
+    equation untouched but makes every step minimize a true upper bound of
+    the objective, so the recorded objective cannot increase.
 
     Stops when the stationarity residual on the support,
     ||C^T(Cx - y) + mu*sign(x) + lam*a||_inf, falls below hp.inner_tol,
@@ -234,23 +251,28 @@ def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
     if y.shape != (p,):
         raise DimensionMismatch(f"patch must have length {p}, got {y.shape}")
     states, traces = _infer(y[None, :], None if x_prev is None else [x_prev],
-                            model, hp, None if x_init is None else [x_init], start)
+                            model, hp, None if x_init is None else [x_init], None,
+                            start)
     return states[0], traces[0]
 
 
 def infer_states_batch(patches, prev, model: LayerModel, hp: HyperParams,
-                       inits=None) -> tuple[np.ndarray, list]:
+                       weights, inits=None) -> tuple[np.ndarray, list]:
     """Infer states for a batch of patches in one solve.
 
-    patches is an (n, p) array; prev and inits are None or (n, k) arrays.
-    The rows may come from one frame or from several.  Returns the (n, k)
-    states and one trace per patch.  Each row and trace equal those of
-    infer_state on that patch alone, except wall_time, which is an equal
-    share of the batch's elapsed time.
+    patches is an (n, p) array; weights is an (n, k) array, and prev and
+    inits are None or (n, k) arrays.  weights holds each row's positive
+    per-component sparsity mu_k, so r = |x|/mu_k; network and learning
+    pass model.state_weights of each frame's cause, the state weight that
+    total_energy charges.  The rows may come from one frame or from
+    several.  Returns the (n, k) states and one trace per patch.  Each row
+    and trace equal those of a batch of that row alone, except wall_time,
+    which is an equal share of the batch's elapsed time; with every weight
+    hp.state_sparsity, those of infer_state on that patch.
     """
     start = time.perf_counter()
     patches = as_float_array(patches, "patches")
     p = model.dictionary.shape[0]
     if patches.ndim != 2 or patches.shape[1] != p:
         raise DimensionMismatch(f"patches must be (n, {p}), got {patches.shape}")
-    return _infer(patches, prev, model, hp, inits, start)
+    return _infer(patches, prev, model, hp, inits, weights, start)

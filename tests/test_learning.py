@@ -7,6 +7,8 @@ from mmdpcn.linalg import column_normalize
 from mmdpcn.majorize import smooth_l1
 from mmdpcn.model import (CauseVector, HyperParams, LayerDims, LayerModel,
                           PooledStateMagnitude, total_energy)
+from mmdpcn.network import decompose_frame
+from mmdpcn.shapes import generate_shapes
 from mmdpcn.states import infer_states_batch
 
 
@@ -203,7 +205,9 @@ def test_fit_layer_recovers_generative_dictionary():
                            inner_tol=1e-8, max_inner_iter=300)
     sq_err, count = 0.0, 0
     for patches in frames:
-        states, _ = infer_states_batch(patches, None, model, solve_hp)
+        states, _ = infer_states_batch(
+            patches, None, model, solve_hp,
+            np.full(patches.shape[:1] + (k,), solve_hp.state_sparsity))
         recon = states @ model.dictionary.T
         sq_err += float(np.sum((patches - recon) ** 2))
         count += patches.size
@@ -223,8 +227,36 @@ def test_interleaving_settles():
     hp_states = replace(hp, max_inner_iter=hp.state_passes)
     hp_causes = replace(hp, max_inner_iter=hp.cause_passes)
     for _ in range(2):
-        states, _ = infer_states_batch(batch, None, model, hp_states, inits=states)
+        # The weight total_energy charges the states under the last cause.
+        mu = hp.state_sparsity + hp.pool_gain * (
+            1.0 + np.exp(-(model.coupling @ cause.values)))
+        states, _ = infer_states_batch(batch, None, model, hp_states,
+                                       np.tile(mu, (2, 1)), inits=states)
         pooled = PooledStateMagnitude.pool(states, hp.pool_gain)
         cause, _ = infer_cause(pooled, model, hp_causes, u_init=cause)
     settled = total_energy(batch, states, None, cause, pooled, model, hp)
     assert abs(settled - energy) < 10 * hp.inner_tol
+
+
+def test_state_and_cause_blocks_never_raise_the_frame_energy(monkeypatch):
+    # A first frame has no temporal term, so each state block solves
+    # exactly total_energy at the last cause, and each cause block at the
+    # new states.  The settings are layer 1's before pool_gain was scaled
+    # down, where weighting the states by state_sparsity alone raised the
+    # energy.
+    frame = generate_shapes(frames_per_shape=1, seed=4).frames[0]
+    patches = decompose_frame(frame, (2, 2))
+    model = init_model(LayerDims(64, 72, 16, 4), np.random.default_rng(0))
+    hp = HyperParams(pool_gain=3.0, cause_sparsity=0.08, state_passes=2,
+                     cause_passes=2, inner_tol=1e-3, max_inner_iter=30)
+    energies = []
+
+    def spy(*args):
+        energies.append(total_energy(*args))
+        return energies[-1]
+
+    monkeypatch.setattr("mmdpcn.learning.total_energy", spy)
+    infer_frame_variables(patches, None, model, hp)
+    assert len(energies) > 2
+    for before, after in zip(energies, energies[1:]):
+        assert after <= before + 1e-12 * abs(before)

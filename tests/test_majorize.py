@@ -227,4 +227,4 @@ def test_infer_states_batch_raises_non_finite_on_an_overflowing_solve():
     with np.errstate(over="ignore"):
         with pytest.raises(NonFinite):
             infer_states_batch(rng.standard_normal((2, p)), None, model, hp,
-                               inits=inits)
+                               np.full((2, k), hp.state_sparsity), inits=inits)

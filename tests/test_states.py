@@ -5,7 +5,8 @@ import pytest
 
 from mmdpcn.errors import DimensionMismatch
 from mmdpcn.linalg import column_normalize
-from mmdpcn.model import HyperParams, LayerDims, LayerModel
+from mmdpcn.model import (CauseVector, HyperParams, LayerDims, LayerModel,
+                          PooledStateMagnitude, state_weights, total_energy)
 from mmdpcn.states import _objectives, _times_rows, infer_state, infer_states_batch
 
 
@@ -162,6 +163,11 @@ def test_reaches_one_percent_of_final_quickly():
         assert hit <= 15
 
 
+def flat(hp, n, k):
+    """The weights infer_state solves under: state_sparsity everywhere."""
+    return np.full((n, k), hp.state_sparsity)
+
+
 def test_batch_equals_sequential():
     rng = np.random.default_rng(14)
     model, _ = random_instance(rng)
@@ -170,7 +176,7 @@ def test_batch_equals_sequential():
     prev = np.array([rng.standard_normal(k) for _ in range(4)])
     hp = HyperParams()
     batch_states, batch_traces = infer_states_batch(
-        patches, prev, model, hp)
+        patches, prev, model, hp, flat(hp, 4, k))
     solo = [infer_state(patches[i], prev[i], model, hp) for i in range(4)]
     # One (patch, state) array, bit for bit the stacked solo solves.
     assert isinstance(batch_states, np.ndarray)
@@ -210,7 +216,7 @@ def test_batch_patches_stop_independently_and_match_solo_solves(temporal, with_i
     hp = HyperParams(state_sparsity=0.2, temporal_sparsity=temporal,
                      clamp_state=3e-2, inner_tol=1e-9, max_inner_iter=40)
     batch_states, batch_traces = infer_states_batch(
-        patches, prev, model, hp, inits=inits)
+        patches, prev, model, hp, flat(hp, 5, k), inits=inits)
     solo = [infer_state(patches[i], prev[i], model, hp,
                         None if inits is None else inits[i])
             for i in range(5)]
@@ -233,14 +239,17 @@ def test_one_patch_and_empty_batches():
     model, y = random_instance(rng)
     x_prev = rng.standard_normal(model.dims.state_dim)
     hp = HyperParams(max_inner_iter=25)
-    states, traces = infer_states_batch(y[None, :], x_prev[None, :], model, hp)
+    k = model.dims.state_dim
+    states, traces = infer_states_batch(y[None, :], x_prev[None, :], model, hp,
+                                        flat(hp, 1, k))
     sv, tr = infer_state(y, x_prev, model, hp)
     assert states.shape == (1, model.dims.state_dim) and len(traces) == 1
     _assert_same_solve(states[0], traces[0], sv, tr)
     empty = np.zeros((0, model.dims.input_dim))
-    none = np.zeros((0, model.dims.state_dim))
-    for states, traces in (infer_states_batch(empty, None, model, hp),
-                           infer_states_batch(empty, none, model, hp, inits=none)):
+    none = np.zeros((0, k))
+    for states, traces in (infer_states_batch(empty, None, model, hp, none),
+                           infer_states_batch(empty, none, model, hp, none,
+                                              inits=none)):
         assert states.shape == none.shape and traces == []
 
 
@@ -248,7 +257,9 @@ def test_batch_wall_time_is_an_equal_share():
     rng = np.random.default_rng(17)
     model, _ = random_instance(rng)
     patches = rng.standard_normal((3, model.dims.input_dim))
-    _, traces = infer_states_batch(patches, None, model, HyperParams())
+    hp = HyperParams()
+    _, traces = infer_states_batch(patches, None, model, hp,
+                                   flat(hp, 3, model.dims.state_dim))
     assert traces[0].wall_time > 0
     assert all(tr.wall_time == traces[0].wall_time for tr in traces)
 
@@ -271,9 +282,14 @@ def test_dimension_errors():
     with pytest.raises(DimensionMismatch):
         infer_state(np.ones(1), None, model, hp, x_init=np.ones(3))
     with pytest.raises(DimensionMismatch):
-        infer_states_batch(np.ones((2, 1)), np.ones((1, 2)), model, hp)
+        infer_states_batch(np.ones((2, 1)), np.ones((1, 2)), model, hp,
+                           flat(hp, 2, 2))
     with pytest.raises(DimensionMismatch):
-        infer_states_batch(np.ones((2, 2)), None, model, hp)
+        infer_states_batch(np.ones((2, 2)), None, model, hp, flat(hp, 2, 2))
+    with pytest.raises(DimensionMismatch):
+        infer_states_batch(np.ones((2, 1)), None, model, hp, np.ones(2))
+    with pytest.raises(ValueError, match="positive"):
+        infer_states_batch(np.ones((2, 1)), None, model, hp, [[0.3, 0.3], [0.3, 0.0]])
 
 
 def test_previous_state_of_wrong_length_is_rejected():
@@ -282,7 +298,8 @@ def test_previous_state_of_wrong_length_is_rejected():
     with pytest.raises(DimensionMismatch):
         infer_state(np.ones(1), np.ones(3), model, hp)
     with pytest.raises(DimensionMismatch):
-        infer_states_batch(np.ones((2, 1)), np.ones((2, 3)), model, hp)
+        infer_states_batch(np.ones((2, 1)), np.ones((2, 3)), model, hp,
+                           flat(hp, 2, 2))
 
 
 def _bits(a):
@@ -301,7 +318,33 @@ def test_stacked_products_round_like_one_product_per_row(n):
         assert np.array_equal(_bits(_times_rows(m, rows)), _bits(expected))
     residual = rng.standard_normal((n, 23))
     mag = np.abs(rng.standard_normal((n, 41)))
-    got = _objectives(residual, mag, None, None, 0.3, 0.0, 0.1)
-    expected = np.array([0.5 * (r @ r) + 0.3 * a.sum()
-                         for r, a in zip(residual, mag)])
+    mu = 0.3 + rng.random((n, 41))
+    got = _objectives(residual, mag, None, None, mu, 0.0, 0.1)
+    expected = np.array([0.5 * (r @ r) + (w * a).sum()
+                         for r, a, w in zip(residual, mag, mu)])
     assert np.array_equal(_bits(got), _bits(expected))
+
+
+def test_weighted_rows_sum_to_total_energy():
+    # Weighted by state_weights of a cause, the rows' last objectives add
+    # up to total_energy at that cause, less its cause penalty.  No
+    # temporal term and no clamp, so each last objective is that of the
+    # returned row.
+    rng = np.random.default_rng(50)
+    dims = LayerDims(input_dim=6, state_dim=9, cause_dim=3, patch_count=4)
+    model = LayerModel(dims,
+                       transition=np.eye(9),
+                       coupling=column_normalize(rng.standard_normal((9, 3))),
+                       dictionary=column_normalize(rng.standard_normal((6, 9))))
+    hp = HyperParams(temporal_sparsity=0.0, clamp_state=0.0, pool_gain=0.5,
+                     cause_sparsity=0.2, inner_tol=1e-8, max_inner_iter=7)
+    patches = rng.standard_normal((4, 6))
+    cause = CauseVector(np.array([0.4, 0.0, 1.3]))
+    weights = state_weights(model, [cause], 4, hp)
+    states, traces = infer_states_batch(patches, None, model, hp, weights)
+    assert np.count_nonzero(states) > 0
+    pooled = PooledStateMagnitude.pool(states, hp.pool_gain)
+    total = total_energy(patches, states, None, cause, pooled, model, hp)
+    rows = sum(tr.objective_per_iter[-1] for tr in traces)
+    rows += hp.cause_sparsity * np.abs(cause.values).sum()
+    assert abs(rows - total) <= 1e-12 * abs(total)
