@@ -18,8 +18,7 @@ from .metrics import (ClusterReport, adjusted_rand_index, completeness,
                       evaluate_clustering, kmeans, matching_accuracy,
                       pca_project, sparsity)
 from .model import (CauseVector, HyperParams, LayerDims, LayerModel,
-                    PooledStateMagnitude, cause_energy, state_energy,
-                    total_energy)
+                    cause_energy, pool_states, state_energy, total_energy)
 from .network import (InferenceResult, Layer, LayerSpec, NetworkConfig,
                       decompose_frame, infer_variables, load_network,
                       recompose_frame, reconstruct_frames, save_network,
@@ -31,13 +30,13 @@ __all__ = [
     "BaselineConfig", "BenchSettings", "CauseVector", "ClusterReport",
     "FitReport", "HyperParams", "InferenceResult", "Layer", "LayerDims",
     "LayerModel", "LayerSpec", "LearnConfig", "NetworkConfig",
-    "PooledStateMagnitude", "ShapesDataset", "SolveTrace", "adam_solve",
-    "adjusted_rand_index", "cause_energy", "completeness", "decompose_frame",
-    "evaluate_clustering", "fista_solve", "fit_layer", "generate_shapes",
-    "infer_cause", "infer_cause_topdown", "infer_state", "infer_states_batch",
+    "ShapesDataset", "SolveTrace", "adam_solve", "adjusted_rand_index",
+    "cause_energy", "completeness", "decompose_frame", "evaluate_clustering",
+    "fista_solve", "fit_layer", "generate_shapes", "infer_cause",
+    "infer_cause_topdown", "infer_state", "infer_states_batch",
     "infer_variables", "init_model", "ista_solve", "kmeans", "load_network",
     "matching_accuracy", "parse_bench_config", "parse_network_config",
-    "pca_project", "recompose_frame", "reconstruct_frames", "save_network",
-    "smooth_l1", "soft_clip", "sparsity", "state_energy", "state_objective",
-    "top_down_prediction", "total_energy", "train_network",
+    "pca_project", "pool_states", "recompose_frame", "reconstruct_frames",
+    "save_network", "smooth_l1", "soft_clip", "sparsity", "state_energy",
+    "state_objective", "top_down_prediction", "total_energy", "train_network",
 ]

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
 from .linalg import as_float_array
-from .model import (CAUSE_INIT, CauseVector, HyperParams, LayerModel,
-                    PooledStateMagnitude, _cause_objective, _cause_values, _gate)
+from .model import (CauseVector, HyperParams, LayerModel, _cause_inputs,
+                    _cause_objective, _cause_values, _gate, pooled_weight)
 from .states import SolveTrace
 
 # Halvings of the step before giving up; by then the candidate coincides
@@ -49,8 +49,8 @@ def _descend(u, e_cur, full_step, clamp, energy):
     return u, e_cur
 
 
-def _solve(pooled: PooledStateMagnitude, preference, model: LayerModel,
-           hp: HyperParams, u_init) -> tuple[CauseVector, SolveTrace]:
+def _solve(pooled, preference, model: LayerModel, hp: HyperParams,
+           u_init) -> tuple[CauseVector, SolveTrace]:
     """The cause iteration, with a pull toward preference unless it is None.
 
     With r = |u|/beta, each step moves toward r * drive(u), or with a
@@ -61,22 +61,10 @@ def _solve(pooled: PooledStateMagnitude, preference, model: LayerModel,
     hp.max_inner_iter.
     """
     start = time.perf_counter()
+    u, pv, preference = _cause_inputs(model, u_init, pooled, preference)
+    u = u.copy()
     b = model.coupling
-    pv = pooled.values
-    if pv.shape != (b.shape[0],):
-        raise DimensionMismatch(
-            f"pooled magnitudes must have length {b.shape[0]}, got {pv.shape}")
-    d = b.shape[1]
-    if preference is not None:
-        preference = as_float_array(preference, "cause preference")
-        if preference.shape != (d,):
-            raise DimensionMismatch(
-                f"preference must have length {d}, got {preference.shape}")
     beta = hp.cause_sparsity
-
-    u = np.full(d, CAUSE_INIT) if u_init is None else _cause_values(u_init).copy()
-    if u.shape != (d,):
-        raise DimensionMismatch(f"cause init must have length {d}")
 
     # Everything the objective reads was checked above and every iterate
     # has length d, so the loop skips cause_energy's checks.
@@ -118,13 +106,17 @@ def _solve(pooled: PooledStateMagnitude, preference, model: LayerModel,
     return CauseVector(u), trace
 
 
-def infer_cause(pooled: PooledStateMagnitude, model: LayerModel, hp: HyperParams,
+def infer_cause(pooled, model: LayerModel, hp: HyperParams,
                 u_init=None) -> tuple[CauseVector, SolveTrace]:
-    """Infer the frame's cause from the pooled state magnitudes alone."""
+    """Infer the frame's cause from its pooled state magnitudes alone.
+
+    pooled is the frame's pool_states vector.  u_init None starts every
+    component at CAUSE_INIT.
+    """
     return _solve(pooled, None, model, hp, u_init)
 
 
-def infer_cause_topdown(pooled: PooledStateMagnitude, preference, model: LayerModel,
+def infer_cause_topdown(pooled, preference, model: LayerModel,
                         hp: HyperParams, u_init=None) -> tuple[CauseVector, SolveTrace]:
     """Cause inference with a quadratic pull toward a predicted preference."""
     return _solve(pooled, preference, model, hp, u_init)
@@ -136,21 +128,19 @@ def top_down_prediction(upper_model: LayerModel, upper_x_prev, upper_u,
 
     A component of the predicted upper state, transition @ upper_x_prev,
     survives only where the temporal weight beats the cause-modulated
-    part of its sparsity weight, temporal_sparsity > pool_gain *
-    (1 + _gate(u)_k); everything else is zeroed.  Returns the survivors
-    rendered through the upper dictionary, sized for the lower layer's
-    cause vector.  With configs/shapes2.ini's 0.1 against 0.03 a component
+    part of its sparsity weight, temporal_sparsity >
+    pooled_weight(upper_model, u)_k; everything else is zeroed.  Returns
+    the survivors rendered through the upper dictionary, sized for the
+    lower layer's cause vector.  upper_u is read by _cause_values, so None
+    stands for the cause solver's start.  With configs/shapes2.ini's 0.1 against 0.03 a component
     survives wherever (coupling @ u)_k > -ln(7/3).
     """
     x_prev = as_float_array(upper_x_prev, "upper state")
-    u = _cause_values(upper_u)
-    k, d = upper_model.coupling.shape
+    u = _cause_values(upper_u, upper_model)
+    k = upper_model.dims.state_dim
     if x_prev.shape != (k,):
         raise DimensionMismatch(f"upper state must have length {k}, got {x_prev.shape}")
-    if u.shape != (d,):
-        raise DimensionMismatch(f"upper cause must have length {d}, got {u.shape}")
 
-    gate = upper_hp.temporal_sparsity > \
-        upper_hp.pool_gain * (1.0 + _gate(upper_model.coupling, u))
+    gate = upper_hp.temporal_sparsity > pooled_weight(upper_model, u, upper_hp)
     return upper_model.dictionary @ np.where(
         gate, upper_model.transition @ x_prev, 0.0)

@@ -158,21 +158,23 @@ def _bench_hp(settings: BenchSettings) -> HyperParams:
                        max_inner_iter=settings.max_iter)
 
 
-def run_benchmark(settings: BenchSettings, methods, seed: int, patches=None):
+def run_benchmark(settings: BenchSettings, methods, seed: int):
     """Run every requested solver on the same patches.
 
     Returns a dict per method with final objectives, sparsity percentages,
     iterations to reach 1% above the best final objective, wall times, and
-    the padded per-iteration mean objective trace.
+    the padded per-iteration mean objective trace.  An unknown or repeated
+    method raises ConfigError.
     """
     for m in methods:
         if m not in _BENCH_METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from "
                               f"{', '.join(_BENCH_METHODS)}")
+        if methods.count(m) > 1:
+            raise ConfigError(f"method {m!r} is named more than once")
     rng = np.random.default_rng(seed)
     model = _bench_model(settings, rng)
-    if patches is None:
-        patches = _bench_patches(settings, model, rng)
+    patches = _bench_patches(settings, model, rng)
     hp = _bench_hp(settings)
     # ISTA/FISTA share the fixed gradient step; Adam, being learning-rate
     # adaptive, gets its own scale.

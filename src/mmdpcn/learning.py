@@ -15,9 +15,8 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import as_float_array, column_normalize
 from .majorize import soft_clip
-from .model import (HyperParams, LayerDims, LayerModel, PooledStateMagnitude,
-                    _cause_values, _gate, _require_finite, state_weights,
-                    total_energy)
+from .model import (HyperParams, LayerDims, LayerModel, _cause_inputs, _gate,
+                    _require_finite, pool_states, state_weights, total_energy)
 from .causes import infer_cause
 from .states import infer_states_batch
 
@@ -62,8 +61,8 @@ class FitReport:
     wall_time: float = 0.0
 
 
-def grad_model(patches, states, prev_states, cause, pooled: PooledStateMagnitude,
-               model: LayerModel, hp: HyperParams):
+def grad_model(patches, states, prev_states, cause, pooled, model: LayerModel,
+               hp: HyperParams):
     """Analytic gradients of the full objective in the three matrices.
 
     patches is the frame's (patch, pixel) array.  Evaluated at fixed
@@ -74,7 +73,7 @@ def grad_model(patches, states, prev_states, cause, pooled: PooledStateMagnitude
     """
     y = np.asarray(patches, dtype=np.float64)
     x = as_float_array(states, "states")
-    u = _cause_values(cause)
+    u, pooled, _ = _cause_inputs(model, cause, pooled, None)
     if y.shape[0] != x.shape[0]:
         raise DimensionMismatch(f"{y.shape[0]} patches but {x.shape[0]} state rows")
 
@@ -89,7 +88,7 @@ def grad_model(patches, states, prev_states, cause, pooled: PooledStateMagnitude
     else:
         d_trans = np.zeros_like(model.transition)
 
-    d_coup = -np.outer(pooled.values * _gate(model.coupling, u), u)
+    d_coup = -np.outer(pooled * _gate(model.coupling, u), u)
 
     return d_trans, d_coup, d_dict
 
@@ -141,7 +140,7 @@ def infer_frame_variables(patches: np.ndarray, prev_states, model: LayerModel,
         weights = state_weights(model, [cause], patches.shape[0], hp)
         states, _ = infer_states_batch(patches, prev_states, model, hp_states,
                                        weights, inits=states)
-        pooled = PooledStateMagnitude.pool(states, hp.pool_gain)
+        pooled = pool_states(states, hp.pool_gain)
         cause, _ = infer_cause(pooled, model, hp_causes, u_init=cause)
         energy = total_energy(patches, states, prev_states, cause, pooled, model, hp)
         if energy_prev is not None and \

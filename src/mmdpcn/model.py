@@ -7,10 +7,12 @@ and a coupling (modulates state magnitudes through a nonnegative cause
 vector).
 
 A frame's patches are one (patch, pixel) float array, its states one
-(patch, state) float array and its cause a CauseVector holding one
-vector; exact zeros are the sparsity, and nothing else marks them.  The
-cause objective takes an optional top-down preference, so plain and pulled
-cause solves descend one energy.
+(patch, state) float array, its pooled magnitudes one (state,) vector
+(pool_states) and its cause a CauseVector holding one vector; exact zeros
+are the sparsity, and nothing else marks them.  _cause_values is the one
+reader of a cause, and _cause_inputs the one check of a cause objective's
+inputs.  The cause objective takes an optional top-down preference, so
+plain and pulled cause solves descend one energy.
 """
 
 import math
@@ -143,31 +145,43 @@ class CauseVector:
         self.values = as_float_array(self.values, "cause values")
 
 
-@dataclass
-class PooledStateMagnitude:
-    """Gain-scaled sum of absolute states over the frame's patches.
-
-    The pooling gain is folded in at construction so every consumer of the
-    pooled vector sees one consistent quantity.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = as_float_array(self.values, "pooled magnitudes")
-        if np.any(self.values < 0):
-            raise ValueError("pooled magnitudes must be nonnegative")
-
-    @classmethod
-    def pool(cls, states, pool_gain: float) -> "PooledStateMagnitude":
-        """Pool a frame's (patch, state) array."""
-        return cls(pool_gain * np.abs(states).sum(axis=0))
+def pool_states(states, pool_gain: float) -> np.ndarray:
+    """A frame's pooled magnitudes: pool_gain times the per-state sum of |x|
+    over its (patch, state) array, so every consumer sees the gain folded in."""
+    return pool_gain * np.abs(states).sum(axis=0)
 
 
-def _cause_values(cause) -> np.ndarray:
-    if isinstance(cause, CauseVector):
-        return cause.values
-    return as_float_array(cause, "cause values")
+def _cause_values(cause, model: LayerModel) -> np.ndarray:
+    """The one cause reader: a CauseVector, an array or None as a float
+    vector of the model's cause length.  None stands for the cause
+    solver's start, CAUSE_INIT everywhere."""
+    d = model.dims.cause_dim
+    if cause is None:
+        return np.full(d, CAUSE_INIT)
+    u = cause.values if isinstance(cause, CauseVector) else \
+        as_float_array(cause, "cause values")
+    if u.shape != (d,):
+        raise DimensionMismatch(f"cause must have length {d}, got {u.shape}")
+    return u
+
+
+def _cause_inputs(model: LayerModel, cause, pooled, preference):
+    """The one check of a cause objective's inputs: returns the cause read
+    by _cause_values, the pooled magnitudes, a nonnegative (state_dim,)
+    vector, and the preference, None or of the cause's length."""
+    u = _cause_values(cause, model)
+    k = model.dims.state_dim
+    pooled = as_float_array(pooled, "pooled magnitudes")
+    if pooled.shape != (k,):
+        raise DimensionMismatch(
+            f"pooled magnitudes must have length {k}, got {pooled.shape}")
+    if (pooled < 0).any():
+        raise ValueError("pooled magnitudes must be nonnegative")
+    if preference is not None:
+        preference = as_float_array(preference, "cause preference")
+        if preference.shape != u.shape:
+            raise DimensionMismatch(f"preference must match the cause, got {preference.shape}")
+    return u, pooled, preference
 
 
 def state_energy(patches, states, prev_states, model: LayerModel, hp: HyperParams) -> float:
@@ -200,25 +214,18 @@ def state_energy(patches, states, prev_states, model: LayerModel, hp: HyperParam
     return total
 
 
-def cause_energy(cause, pooled: PooledStateMagnitude, model: LayerModel,
-                 hp: HyperParams, preference=None) -> float:
+def cause_energy(cause, pooled, model: LayerModel, hp: HyperParams,
+                 preference=None) -> float:
     """Exact per-frame cause objective.
 
     pooled^T (1 + exp(-coupling@u)) + cause_sparsity*||u||_1, with the pool
-    gain already folded into pooled, plus 0.5*||u - preference||^2 when a
-    top-down preference is given.  The exponential is _gate's.
+    gain already folded into pooled (pool_states), plus
+    0.5*||u - preference||^2 when a top-down preference is given.  The
+    exponential is _gate's.
     """
-    u = _cause_values(cause)
-    if model.coupling.shape[1] != u.shape[0]:
-        raise DimensionMismatch("cause length does not match the coupling matrix")
-    if model.coupling.shape[0] != pooled.values.shape[0]:
-        raise DimensionMismatch("pooled length does not match the coupling matrix")
-    if preference is not None:
-        preference = as_float_array(preference, "cause preference")
-        if preference.shape != u.shape:
-            raise DimensionMismatch("preference must match cause length")
-    return _cause_objective(u, pooled.values, model.coupling,
-                            hp.cause_sparsity, preference)
+    u, pooled, preference = _cause_inputs(model, cause, pooled, preference)
+    return _cause_objective(u, pooled, model.coupling, hp.cause_sparsity,
+                            preference)
 
 
 def _gate(coupling: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -229,23 +236,29 @@ def _gate(coupling: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.exp(-(coupling @ u).clip(-700.0, 700.0))
 
 
+def pooled_weight(model: LayerModel, u: np.ndarray, hp: HyperParams) -> np.ndarray:
+    """pool_gain*(1 + _gate(coupling, u)): what the pooled term of
+    cause_energy charges each unit of a state component's |x| at cause u.
+    state_weights adds it to the state penalty, and top_down_prediction
+    gates on it."""
+    return hp.pool_gain * (1.0 + _gate(model.coupling, u))
+
+
 def state_weights(model: LayerModel, causes, rows: int,
                   hp: HyperParams) -> np.ndarray:
     """The sparsity weight total_energy charges each state component.
 
-    mu_k = state_sparsity + pool_gain*(1 + _gate(coupling, u)_k): the
-    state penalty plus the pooled term of cause_energy, which charges
-    every patch's |x_k| through pooled.  The state solves minimize under
+    mu_k = state_sparsity + pooled_weight(model, u, hp)_k: the state
+    penalty plus the pooled term of cause_energy, which charges every
+    patch's |x_k| through pooled.  The state solves minimize under
     these weights, so a state block and a cause block descend one energy.
     causes holds one cause per frame, and each frame has rows patches, so
     the result is the (len(causes) * rows, state_dim) weights of
-    infer_states_batch.  A cause None stands for the cause solver's
-    start, CAUSE_INIT everywhere, so a frame's first state block descends
-    from there too.
+    infer_states_batch.  Each cause is read by _cause_values, so a cause
+    None stands for the cause solver's start, CAUSE_INIT everywhere, and a
+    frame's first state block descends from there too.
     """
-    start = np.full(model.dims.cause_dim, CAUSE_INIT)
-    mu = [hp.state_sparsity + hp.pool_gain * (1.0 + _gate(
-        model.coupling, start if u is None else _cause_values(u)))
+    mu = [hp.state_sparsity + pooled_weight(model, _cause_values(u, model), hp)
           for u in causes]
     return np.repeat(np.reshape(mu, (len(mu), model.dims.state_dim)), rows,
                      axis=0)

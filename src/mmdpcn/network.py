@@ -16,8 +16,7 @@ import numpy as np
 from .errors import (ConfigError, DimensionMismatch, FormatError, GridMismatch,
                      ShapeError)
 from .linalg import as_float_array
-from .model import (HyperParams, LayerDims, LayerModel, PooledStateMagnitude,
-                    state_weights)
+from .model import HyperParams, LayerDims, LayerModel, pool_states, state_weights
 from .causes import infer_cause, infer_cause_topdown, top_down_prediction
 from .learning import LearnConfig, fit_layer
 from .states import _times_rows, infer_states_batch
@@ -197,14 +196,16 @@ def infer_variables(frames, layers, grid: tuple, sweeps: int = 10,
     segmented sequence is bit-identical to inferring each segment
     separately.
 
-    Raises before any solve: ConfigError when there is no layer or a
-    segment start is not an integer frame index, and the errors of the
-    frame check train_network makes (_fit_frames) when layer 1 cannot
-    take the frames.
+    Raises before any solve: ConfigError when there is no layer, sweeps is
+    not an integer of at least 1 or a segment start is not an integer
+    frame index, and the errors of the frame check train_network makes
+    (_fit_frames) when layer 1 cannot take the frames.
     """
     n_layers = len(layers)
     if n_layers == 0:
         raise ConfigError("at least one layer is required")
+    if not isinstance(sweeps, numbers.Integral) or sweeps < 1:
+        raise ConfigError(f"sweeps must be an integer of at least 1, got {sweeps!r}")
     frames = _fit_frames(frames, layers[0].model.dims, grid)
     t_count = frames.shape[0]
     for s in segment_starts:
@@ -247,7 +248,7 @@ def infer_variables(frames, layers, grid: tuple, sweeps: int = 10,
                                                layer.hp, weights, inits=inits)
                 for t, x in zip(sweeping, np.split(states, len(sweeping))):
                     cur = result.causes[t]
-                    pooled = PooledStateMagnitude.pool(x, layer.hp.pool_gain)
+                    pooled = pool_states(x, layer.hp.pool_gain)
                     if fresh:
                         cause, _ = infer_cause(pooled, layer.model, layer.hp)
                     else:

@@ -89,6 +89,21 @@ def _objectives(residual, mag, innovation, alpha, mu, lam, margin):
     return val
 
 
+def _evaluate(x, y, mu, prediction, c, lam, margin):
+    """|x|, the residual, soft_clip(innovation) and the row objectives at x.
+
+    alpha is None when lam is 0, and prediction is read only when lam > 0.
+    """
+    mag = np.abs(x)
+    residual = y - _times_rows(c, x)
+    innovation = alpha = None
+    if lam > 0:
+        innovation = x - prediction
+        alpha = (innovation / margin).clip(-1.0, 1.0)
+    return mag, residual, alpha, _objectives(residual, mag, innovation, alpha,
+                                             mu, lam, margin)
+
+
 def _solve_rows(y, x, mu, prediction, model: LayerModel, hp: HyperParams):
     """Run the MM iteration on every row of y together.
 
@@ -108,13 +123,7 @@ def _solve_rows(y, x, mu, prediction, model: LayerModel, hp: HyperParams):
     rows = np.arange(y.shape[0])
     cty = _times_rows(c.T, y)
 
-    mag = np.abs(x)
-    residual = y - _times_rows(c, x)
-    innovation = alpha = None
-    if lam > 0:
-        innovation = x - prediction
-        alpha = (innovation / margin).clip(-1.0, 1.0)
-    f = _objectives(residual, mag, innovation, alpha, mu, lam, margin)
+    mag, residual, alpha, f = _evaluate(x, y, mu, prediction, c, lam, margin)
     traces = [SolveTrace(objective_per_iter=[f_i]) for f_i in f.tolist()]
 
     for it in range(1, hp.max_inner_iter + 1):
@@ -131,13 +140,8 @@ def _solve_rows(y, x, mu, prediction, model: LayerModel, hp: HyperParams):
         if not np.isfinite(x).all():
             raise NonFinite("state iterate diverged to NaN/Inf")
 
-        mag = np.abs(x)
+        mag, residual, alpha, f = _evaluate(x, y, mu, prediction, c, lam, margin)
         nonzero = x != 0.0
-        residual = y - _times_rows(c, x)
-        if lam > 0:
-            innovation = x - prediction
-            alpha = (innovation / margin).clip(-1.0, 1.0)
-        f = _objectives(residual, mag, innovation, alpha, mu, lam, margin)
 
         # Clamp small components to exact zero, but never at the cost of an
         # objective increase: a component mid-collapse is clamped one
@@ -146,13 +150,8 @@ def _solve_rows(y, x, mu, prediction, model: LayerModel, hp: HyperParams):
         if small.any():
             # Rows without small components get back their own values.
             x_cl = np.where(small, 0.0, x)
-            mag_cl = np.where(small, 0.0, mag)
-            res_cl = y - _times_rows(c, x_cl)
-            inn_cl = a_cl = None
-            if lam > 0:
-                inn_cl = x_cl - prediction
-                a_cl = (inn_cl / margin).clip(-1.0, 1.0)
-            f_cl = _objectives(res_cl, mag_cl, inn_cl, a_cl, mu, lam, margin)
+            mag_cl, res_cl, a_cl, f_cl = _evaluate(x_cl, y, mu, prediction, c,
+                                                   lam, margin)
             take = f_cl <= f
             if take.any():
                 row = take[:, None]
@@ -194,34 +193,6 @@ def _solve_rows(y, x, mu, prediction, model: LayerModel, hp: HyperParams):
     return out, traces
 
 
-def _infer(patches, prev, model: LayerModel, hp: HyperParams, inits, weights,
-           start):
-    """Check the per-patch inputs, solve, and share the elapsed time out.
-
-    infer_state passes weights None, which weights every component
-    hp.state_sparsity.
-    """
-    n, k = patches.shape[0], model.dictionary.shape[1]
-    x_prev = None if prev is None else _rows(prev, n, k, "previous states")
-    x = 0.1 * np.ones((n, k)) if inits is None else _rows(inits, n, k, "state inits")
-    if weights is None:
-        mu = np.full((n, k), hp.state_sparsity)
-    else:
-        mu = _rows(weights, n, k, "state weights")
-        if not (mu > 0).all():
-            raise ValueError("state weights must be positive")
-    if n == 0:
-        return np.zeros((0, k)), []
-    prediction = None
-    if x_prev is not None and hp.temporal_sparsity > 0:
-        prediction = _times_rows(model.transition, x_prev)
-    x, traces = _solve_rows(patches, x, mu, prediction, model, hp)
-    share = (time.perf_counter() - start) / n
-    for tr in traces:
-        tr.wall_time = share
-    return x, traces
-
-
 def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
                 x_init=None) -> tuple[np.ndarray, SolveTrace]:
     """Infer one patch's sparse state given the previous frame's state.
@@ -243,16 +214,16 @@ def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
     Returns the state as a 1-d array; entries under hp.clamp_state are
     exact zeros.  Pass x_prev=None to drop the temporal term (first
     frame).  x_init defaults to 0.1 everywhere; starting from exact zeros
-    is a fixed point of the iteration and therefore useless.
+    is a fixed point of the iteration and therefore useless.  This is
+    infer_states_batch on one row, every weight hp.state_sparsity.
     """
-    start = time.perf_counter()
     y = as_float_array(y, "patch")
-    p = model.dictionary.shape[0]
+    p, k = model.dictionary.shape
     if y.shape != (p,):
         raise DimensionMismatch(f"patch must have length {p}, got {y.shape}")
-    states, traces = _infer(y[None, :], None if x_prev is None else [x_prev],
-                            model, hp, None if x_init is None else [x_init], None,
-                            start)
+    states, traces = infer_states_batch(
+        y[None, :], None if x_prev is None else [x_prev], model, hp,
+        np.full((1, k), hp.state_sparsity), None if x_init is None else [x_init])
     return states[0], traces[0]
 
 
@@ -272,7 +243,22 @@ def infer_states_batch(patches, prev, model: LayerModel, hp: HyperParams,
     """
     start = time.perf_counter()
     patches = as_float_array(patches, "patches")
-    p = model.dictionary.shape[0]
+    p, k = model.dictionary.shape
     if patches.ndim != 2 or patches.shape[1] != p:
         raise DimensionMismatch(f"patches must be (n, {p}), got {patches.shape}")
-    return _infer(patches, prev, model, hp, inits, weights, start)
+    n = patches.shape[0]
+    x_prev = None if prev is None else _rows(prev, n, k, "previous states")
+    x = 0.1 * np.ones((n, k)) if inits is None else _rows(inits, n, k, "state inits")
+    mu = _rows(weights, n, k, "state weights")
+    if not (mu > 0).all():
+        raise ValueError("state weights must be positive")
+    if n == 0:
+        return np.zeros((0, k)), []
+    prediction = None
+    if x_prev is not None and hp.temporal_sparsity > 0:
+        prediction = _times_rows(model.transition, x_prev)
+    x, traces = _solve_rows(patches, x, mu, prediction, model, hp)
+    share = (time.perf_counter() - start) / n
+    for tr in traces:
+        tr.wall_time = share
+    return x, traces

@@ -6,9 +6,10 @@ import pytest
 from mmdpcn.causes import (infer_cause, infer_cause_topdown,
                            top_down_prediction)
 from mmdpcn.errors import DimensionMismatch
+from mmdpcn.learning import grad_model
 from mmdpcn.linalg import column_normalize
-from mmdpcn.model import (CauseVector, HyperParams, LayerDims, LayerModel,
-                          PooledStateMagnitude, cause_energy)
+from mmdpcn.model import (CAUSE_INIT, CauseVector, HyperParams, LayerDims,
+                          LayerModel, cause_energy)
 
 
 def scalar_model():
@@ -20,7 +21,7 @@ def scalar_model():
 
 
 def scalar_pooled(value):
-    return PooledStateMagnitude(np.array([value, 0.0]))
+    return np.array([value, 0.0])
 
 
 def random_instance(rng, nonneg=False):
@@ -34,7 +35,7 @@ def random_instance(rng, nonneg=False):
                        transition=np.eye(k),
                        coupling=column_normalize(b),
                        dictionary=rng.standard_normal((k - 1, k)))
-    pooled = PooledStateMagnitude(rng.uniform(0.0, 2.0, k))
+    pooled = rng.uniform(0.0, 2.0, k)
     return model, pooled
 
 
@@ -262,7 +263,7 @@ def test_dimension_errors():
     model = scalar_model()
     hp = HyperParams()
     with pytest.raises(DimensionMismatch):
-        infer_cause(PooledStateMagnitude(np.ones(3)), model, hp)
+        infer_cause(np.ones(3), model, hp)
     with pytest.raises(DimensionMismatch):
         infer_cause(scalar_pooled(1.0), model, hp, u_init=np.ones(2))
     with pytest.raises(DimensionMismatch):
@@ -271,3 +272,47 @@ def test_dimension_errors():
         top_down_prediction(model, np.ones(3), np.ones(1), hp)
     with pytest.raises(DimensionMismatch):
         top_down_prediction(model, np.ones(2), np.ones(2), hp)
+
+
+# Every entry that reads pooled magnitudes and a cause, with the cause as
+# cause_energy's and grad_model's argument or the solvers' u_init.
+CAUSE_ENTRIES = {
+    "grad_model": lambda pooled, u, pref, model, hp: grad_model(
+        np.ones((1, 1)), np.ones((1, 2)), None, u, pooled, model, hp),
+    "cause_energy": lambda pooled, u, pref, model, hp: cause_energy(
+        u, pooled, model, hp, preference=pref),
+    "infer_cause": lambda pooled, u, pref, model, hp: infer_cause(
+        pooled, model, hp, u_init=u),
+    "infer_cause_topdown": lambda pooled, u, pref, model, hp: infer_cause_topdown(
+        pooled, np.ones(1) if pref is None else pref, model, hp, u_init=u),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CAUSE_ENTRIES))
+def test_every_cause_entry_checks_its_inputs(entry):
+    call = CAUSE_ENTRIES[entry]
+    model, hp = scalar_model(), HyperParams()
+    u = np.array([0.5])
+    call(scalar_pooled(1.0), u, None, model, hp)
+    with pytest.raises(ValueError, match="nonnegative"):
+        call(np.array([1.0, -1e-3]), u, None, model, hp)
+    with pytest.raises(DimensionMismatch):
+        call(np.ones(3), u, None, model, hp)
+    with pytest.raises(DimensionMismatch):
+        call(scalar_pooled(1.0), np.ones(2), None, model, hp)
+    if entry in ("cause_energy", "infer_cause_topdown"):
+        with pytest.raises(DimensionMismatch):
+            call(scalar_pooled(1.0), u, np.ones(2), model, hp)
+
+
+def test_no_cause_init_is_the_cause_init_start():
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        model, pooled = random_instance(rng)
+        hp = HyperParams(max_inner_iter=20)
+        start = np.full(model.dims.cause_dim, CAUSE_INIT)
+        default, tr_default = infer_cause(pooled, model, hp)
+        given, tr_given = infer_cause(pooled, model, hp, u_init=start)
+        assert default.values.tobytes() == given.values.tobytes()
+        assert tr_default.objective_per_iter == tr_given.objective_per_iter
+        assert np.array_equal(start, np.full(model.dims.cause_dim, CAUSE_INIT))

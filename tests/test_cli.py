@@ -6,13 +6,14 @@ import pytest
 
 from mmdpcn.cli import main, run_benchmark
 from mmdpcn.config import BenchSettings
+from mmdpcn.errors import ConfigError
 from mmdpcn.frames import (read_frames_dir, read_labels_csv, write_frames,
                            write_labels_csv)
 from mmdpcn.learning import init_model
 from mmdpcn.model import HyperParams, LayerDims
 from mmdpcn.network import Layer, save_network
 
-from io_helpers import read_metrics_csv
+from io_helpers import read_metrics_csv, write_rten
 
 
 def run(*argv) -> int:
@@ -145,11 +146,29 @@ def test_bench_rejects_unknown_method(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_run_benchmark_on_zero_patches():
+def test_bench_rejects_repeated_method(tmp_path, capsys):
+    assert run("bench", "--out", tmp_path / "x", "--methods", "mm,ista,mm",
+               "--config", "") == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_run_benchmark_rejects_wrong_width_patches_file(tmp_path):
+    path = tmp_path / "patches.rten"
+    write_rten(path, np.zeros((2, 5)))
     settings = BenchSettings(patch_dim=4, state_dim=6, max_iter=10,
-                             patch_count=2)
-    results = run_benchmark(settings, ["mm", "ista"], seed=0,
-                            patches=np.zeros((2, 4)))
+                             patches_path=str(path))
+    with pytest.raises(ConfigError, match="patches file"):
+        run_benchmark(settings, ["mm"], seed=0)
+
+
+def test_run_benchmark_on_zero_patches(tmp_path):
+    path = tmp_path / "patches.rten"
+    write_rten(path, np.zeros((2, 4)))
+    settings = BenchSettings(patch_dim=4, state_dim=6, max_iter=10,
+                             patches_path=str(path))
+    results = run_benchmark(settings, ["mm", "ista"], seed=0)
+    assert results["mm"]["final_energy"].shape == (2,)
     for method in ("mm", "ista"):
         assert np.all(results[method]["final_energy"] == 0.0)
         assert np.all(results[method]["sparsity"] == 100.0)

@@ -6,7 +6,7 @@ from mmdpcn.learning import (FitReport, LearnConfig, fit_layer, grad_model,
 from mmdpcn.linalg import column_normalize
 from mmdpcn.majorize import smooth_l1
 from mmdpcn.model import (CauseVector, HyperParams, LayerDims, LayerModel,
-                          PooledStateMagnitude, total_energy)
+                          pool_states, total_energy)
 from mmdpcn.network import decompose_frame
 from mmdpcn.shapes import generate_shapes
 from mmdpcn.states import infer_states_batch
@@ -33,7 +33,7 @@ def random_learn_instance(rng, with_temporal=True):
     x = rng.standard_normal((n, k))
     x_prev = rng.standard_normal((n, k)) if with_temporal else None
     u = rng.standard_normal(d)
-    pooled = PooledStateMagnitude(rng.uniform(0.1, 1.0, k))
+    pooled = rng.uniform(0.1, 1.0, k)
     hp = HyperParams(temporal_sparsity=0.2 if with_temporal else 0.0)
     return model, y, x, x_prev, u, pooled, hp
 
@@ -62,14 +62,14 @@ def test_gradients_match_finite_differences():
         lam, m = hp.temporal_sparsity, hp.smooth_margin
         a0, b0, c0 = model.transition, model.coupling, model.dictionary
         fd_c = finite_difference(
-            lambda c: pass_energy(a0, b0, c, y, x, x_prev, u, pooled.values, lam, m), c0)
+            lambda c: pass_energy(a0, b0, c, y, x, x_prev, u, pooled, lam, m), c0)
         assert rel_err(fd_c, dc) <= 1e-4
         fd_b = finite_difference(
-            lambda b: pass_energy(a0, b, c0, y, x, x_prev, u, pooled.values, lam, m), b0)
+            lambda b: pass_energy(a0, b, c0, y, x, x_prev, u, pooled, lam, m), b0)
         assert rel_err(fd_b, db) <= 1e-4
         if x_prev is not None:
             fd_a = finite_difference(
-                lambda a: pass_energy(a, b0, c0, y, x, x_prev, u, pooled.values, lam, m), a0)
+                lambda a: pass_energy(a, b0, c0, y, x, x_prev, u, pooled, lam, m), a0)
             assert rel_err(fd_a, da) <= 1e-4
         else:
             assert np.array_equal(da, np.zeros_like(a0))
@@ -86,7 +86,7 @@ def test_dictionary_gradient_zero_at_perfect_reconstruction():
 def test_coupling_gradient_zero_at_zero_pool():
     rng = np.random.default_rng(32)
     model, y, x, _, u, _, hp = random_learn_instance(rng, with_temporal=False)
-    pooled = PooledStateMagnitude(np.zeros(model.dims.state_dim))
+    pooled = np.zeros(model.dims.state_dim)
     _, db, _ = grad_model(y, x, None, u, pooled, model, hp)
     assert np.array_equal(db, np.zeros_like(db))
 
@@ -232,7 +232,7 @@ def test_interleaving_settles():
             1.0 + np.exp(-(model.coupling @ cause.values)))
         states, _ = infer_states_batch(batch, None, model, hp_states,
                                        np.tile(mu, (2, 1)), inits=states)
-        pooled = PooledStateMagnitude.pool(states, hp.pool_gain)
+        pooled = pool_states(states, hp.pool_gain)
         cause, _ = infer_cause(pooled, model, hp_causes, u_init=cause)
     settled = total_energy(batch, states, None, cause, pooled, model, hp)
     assert abs(settled - energy) < 10 * hp.inner_tol

@@ -5,9 +5,9 @@ import pytest
 
 from mmdpcn.errors import DimensionMismatch
 from mmdpcn.majorize import smooth_l1
-from mmdpcn.model import (HyperParams, LayerDims, LayerModel,
-                          PooledStateMagnitude, cause_energy, state_energy,
-                          total_energy)
+from mmdpcn.model import (CAUSE_INIT, HyperParams, LayerDims, LayerModel,
+                          cause_energy, pool_states, state_energy,
+                          state_weights, total_energy)
 
 
 def scalar_model():
@@ -88,7 +88,7 @@ def test_state_energy_prev_none_drops_temporal():
 def test_cause_energy_hand_values():
     model = scalar_model()
     hp = scalar_hp()
-    pooled = PooledStateMagnitude(np.array([1.0, 0.0]))
+    pooled = np.array([1.0, 0.0])
     at_zero = cause_energy(np.array([0.0]), pooled, model, hp)
     assert abs(at_zero - 2.0) < 1e-12
     u_star = math.log(10.0 / 3.0)
@@ -101,7 +101,7 @@ def test_total_energy_hand_value():
     model = scalar_model()
     hp = scalar_hp()
     batch = np.array([[1.0]])
-    pooled = PooledStateMagnitude(np.array([1.0, 0.0]))
+    pooled = np.array([1.0, 0.0])
     e = total_energy(batch, [np.array([0.7, 0.0])], None,
                      np.array([0.0]), pooled, model, hp)
     assert abs(e - 2.255) < 1e-12
@@ -114,7 +114,7 @@ def test_cause_energy_convex_in_cause():
     for _ in range(500):
         model = random_model(rng)
         hp = HyperParams()
-        pooled = PooledStateMagnitude(rng.uniform(0.0, 2.0, model.dims.state_dim))
+        pooled = rng.uniform(0.0, 2.0, model.dims.state_dim)
         a = rng.standard_normal(model.dims.cause_dim) * 2
         b = rng.standard_normal(model.dims.cause_dim) * 2
         mid = cause_energy(0.5 * (a + b), pooled, model, hp)
@@ -144,7 +144,7 @@ def test_topdown_cause_energy_adds_quadratic_pull():
     model = random_model(rng)
     hp = HyperParams()
     d = model.dims.cause_dim
-    pooled = PooledStateMagnitude(rng.uniform(0.0, 1.0, model.dims.state_dim))
+    pooled = rng.uniform(0.0, 1.0, model.dims.state_dim)
     u = rng.standard_normal(d)
     u_hat = rng.standard_normal(d)
     plain = cause_energy(u, pooled, model, hp)
@@ -154,13 +154,24 @@ def test_topdown_cause_energy_adds_quadratic_pull():
 
 def test_pool_folds_gain_and_sums_magnitudes():
     states = np.array([[0.5, -2.0, 0.0], [-1.5, 1.0, 0.0]])
-    pooled = PooledStateMagnitude.pool(states, pool_gain=0.1)
-    assert np.allclose(pooled.values, [0.2, 0.3, 0.0])
+    pooled = pool_states(states, pool_gain=0.1)
+    assert np.allclose(pooled, [0.2, 0.3, 0.0])
+
+
+def test_no_cause_weighs_states_at_the_cause_init_start():
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        model = random_model(rng)
+        hp = HyperParams()
+        start = np.full(model.dims.cause_dim, CAUSE_INIT)
+        assert state_weights(model, [None], 3, hp).tobytes() == \
+            state_weights(model, [start], 3, hp).tobytes()
 
 
 def test_pooled_rejects_negative():
-    with pytest.raises(ValueError):
-        PooledStateMagnitude(np.array([-0.1]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        cause_energy(np.zeros(1), np.array([-0.1, 0.0]), scalar_model(),
+                     scalar_hp())
 
 
 def test_hyperparams_validation():
@@ -221,7 +232,7 @@ def test_energy_dimension_errors():
     with pytest.raises(DimensionMismatch):
         state_energy(np.ones((1, 1)), np.ones((2, 2)), None, model, hp)
     with pytest.raises(DimensionMismatch):
-        cause_energy(np.ones(2), PooledStateMagnitude(np.ones(2)), model, hp)
+        cause_energy(np.ones(2), np.ones(2), model, hp)
     with pytest.raises(DimensionMismatch):
-        cause_energy(np.ones(1), PooledStateMagnitude(np.ones(2)), model, hp,
+        cause_energy(np.ones(1), np.ones(2), model, hp,
                      preference=np.ones(3))

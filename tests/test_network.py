@@ -417,6 +417,19 @@ def test_uneven_segments_match_separate_inference(monkeypatch):
                     part.states[s][l].tobytes()
 
 
+def test_infer_variables_rejects_bad_sweeps(monkeypatch):
+    layers = random_stack(seed=42)
+    frames = np.random.default_rng(42).random((3, 4, 4))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before sweeps was checked")
+
+    monkeypatch.setattr("mmdpcn.network.infer_states_batch", no_solve)
+    for sweeps in (0, -3, 1.5):
+        with pytest.raises(ConfigError, match="sweeps"):
+            infer_variables(frames, layers, (2, 2), sweeps=sweeps)
+
+
 def test_infer_variables_rejects_bad_segment_starts(monkeypatch):
     layers = random_stack(seed=41)
     frames = np.random.default_rng(41).random((4, 4, 4))

@@ -6,7 +6,7 @@ import pytest
 from mmdpcn.errors import DimensionMismatch
 from mmdpcn.linalg import column_normalize
 from mmdpcn.model import (CauseVector, HyperParams, LayerDims, LayerModel,
-                          PooledStateMagnitude, state_weights, total_energy)
+                          pool_states, state_weights, total_energy)
 from mmdpcn.states import _objectives, _times_rows, infer_state, infer_states_batch
 
 
@@ -343,7 +343,7 @@ def test_weighted_rows_sum_to_total_energy():
     weights = state_weights(model, [cause], 4, hp)
     states, traces = infer_states_batch(patches, None, model, hp, weights)
     assert np.count_nonzero(states) > 0
-    pooled = PooledStateMagnitude.pool(states, hp.pool_gain)
+    pooled = pool_states(states, hp.pool_gain)
     total = total_energy(patches, states, None, cause, pooled, model, hp)
     rows = sum(tr.objective_per_iter[-1] for tr in traces)
     rows += hp.cause_sparsity * np.abs(cause.values).sum()
