@@ -1,7 +1,8 @@
 """Proximal-gradient and Adam reference solvers for the state objective.
 
-All three minimize the same per-patch objective as the reweighted solver
-(temporal term in smoothed form).  Each method is only its update step,
+All three minimize the per-patch objective of the solver benchmark,
+0.5*||y - C x||^2 + mu*||x||_1, which is the reweighted solver's state
+objective without a previous state.  Each method is only its update step,
 written as a generator of iterates; one loop, _solve, runs all three.  It
 starts every solve at x = 0, tests each iterate for NaN/Inf, records the
 objective, applies the tol stop and times the whole call, so the
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
 from .linalg import as_float_array
-from .majorize import smooth_l1, soft_clip
+from .majorize import soft_clip
 from .model import HyperParams, LayerModel, _require_finite
 from .states import SolveTrace
 
@@ -57,7 +58,7 @@ def _shrink(z: np.ndarray, amount: float) -> np.ndarray:
 class _Problem:
     """Shared pieces of the per-patch objective for the reference solvers."""
 
-    def __init__(self, y, model: LayerModel, hp: HyperParams, x_prev):
+    def __init__(self, y, model: LayerModel, hp: HyperParams):
         self.c = model.dictionary
         self.y = as_float_array(y, "patch")
         if self.y.shape != (self.c.shape[0],):
@@ -65,26 +66,15 @@ class _Problem:
                 f"patch must have length {self.c.shape[0]}, got {self.y.shape}")
         self.mu = hp.state_sparsity
         self.margin = hp.smooth_margin
-        self.lam = hp.temporal_sparsity if x_prev is not None else 0.0
-        self.prediction = None
-        if self.lam > 0:
-            self.prediction = model.transition @ as_float_array(
-                x_prev, "previous state")
 
     def smooth_grad(self, x):
-        """Gradient of the smooth part (reconstruction + smoothed innovation)."""
-        g = self.c.T @ (self.c @ x - self.y)
-        if self.lam > 0:
-            g = g + self.lam * soft_clip(x - self.prediction, self.margin)
-        return g
+        """Gradient of the reconstruction term."""
+        return self.c.T @ (self.c @ x - self.y)
 
     def objective(self, x):
-        """Reconstruction + exact state l1 + smoothed innovation penalty."""
+        """Reconstruction + exact state l1."""
         r = self.y - self.c @ x
-        val = 0.5 * float(r @ r) + self.mu * float(np.abs(x).sum())
-        if self.lam > 0:
-            val += self.lam * smooth_l1(x - self.prediction, self.margin)
-        return val
+        return 0.5 * float(r @ r) + self.mu * float(np.abs(x).sum())
 
     def mapping_residual(self, x, step):
         """Stationarity measure: displacement of one prox step, per unit step."""
@@ -93,7 +83,7 @@ class _Problem:
 
 
 def _solve(name, steps, y, model: LayerModel, hp: HyperParams,
-           cfg: BaselineConfig, x_prev, tol: float) -> tuple[np.ndarray, SolveTrace]:
+           cfg: BaselineConfig, tol: float) -> tuple[np.ndarray, SolveTrace]:
     """The one loop of the reference solvers.
 
     steps(prob, x) is a generator that yields one iterate per update from
@@ -102,7 +92,7 @@ def _solve(name, steps, y, model: LayerModel, hp: HyperParams,
     tests each iterate for NaN/Inf before asking for the next.
     """
     start = time.perf_counter()
-    prob = _Problem(y, model, hp, x_prev)
+    prob = _Problem(y, model, hp)
     x = np.zeros(prob.c.shape[1])
     trace = SolveTrace(objective_per_iter=[prob.objective(x)])
     iterates = steps(prob, x)
@@ -120,19 +110,19 @@ def _solve(name, steps, y, model: LayerModel, hp: HyperParams,
     return x, trace
 
 
-def ista_solve(y, model: LayerModel, hp: HyperParams, cfg: BaselineConfig,
-               x_prev=None) -> tuple[np.ndarray, SolveTrace]:
+def ista_solve(y, model: LayerModel, hp: HyperParams,
+               cfg: BaselineConfig) -> tuple[np.ndarray, SolveTrace]:
     """Proximal gradient: x <- shrink(x - step*grad, step*mu)."""
     def steps(prob, x):
         while True:
             x = _shrink(x - cfg.step * prob.smooth_grad(x), cfg.step * prob.mu)
             yield x
 
-    return _solve("ista", steps, y, model, hp, cfg, x_prev, cfg.tol)
+    return _solve("ista", steps, y, model, hp, cfg, cfg.tol)
 
 
-def fista_solve(y, model: LayerModel, hp: HyperParams, cfg: BaselineConfig,
-                x_prev=None) -> tuple[np.ndarray, SolveTrace]:
+def fista_solve(y, model: LayerModel, hp: HyperParams,
+                cfg: BaselineConfig) -> tuple[np.ndarray, SolveTrace]:
     """Accelerated proximal gradient with the standard momentum sequence."""
     def steps(prob, x):
         z, t_mom = x, 1.0
@@ -144,11 +134,11 @@ def fista_solve(y, model: LayerModel, hp: HyperParams, cfg: BaselineConfig,
             z = x_new + ((t_mom - 1.0) / t_new) * (x_new - x)
             x, t_mom = x_new, t_new
 
-    return _solve("fista", steps, y, model, hp, cfg, x_prev, cfg.tol)
+    return _solve("fista", steps, y, model, hp, cfg, cfg.tol)
 
 
-def adam_solve(y, model: LayerModel, hp: HyperParams, cfg: BaselineConfig,
-               x_prev=None) -> tuple[np.ndarray, SolveTrace]:
+def adam_solve(y, model: LayerModel, hp: HyperParams,
+               cfg: BaselineConfig) -> tuple[np.ndarray, SolveTrace]:
     """Adam on the fully smoothed objective (state l1 smoothed as well).
 
     It has no prox step, so it ignores tol and runs the full budget.  The
@@ -171,10 +161,10 @@ def adam_solve(y, model: LayerModel, hp: HyperParams, cfg: BaselineConfig,
                 x[np.abs(x) < hp.clamp_state] = 0.0
             yield x
 
-    return _solve("adam", steps, y, model, hp, cfg, x_prev, 0.0)
+    return _solve("adam", steps, y, model, hp, cfg, 0.0)
 
 
-def state_objective(x, y, model: LayerModel, hp: HyperParams, x_prev=None) -> float:
+def state_objective(x, y, model: LayerModel, hp: HyperParams) -> float:
     """The common final-value yardstick used when comparing solvers."""
-    return _Problem(y, model, hp, x_prev).objective(as_float_array(x, "state"))
+    return _Problem(y, model, hp).objective(as_float_array(x, "state"))
 

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Subcommands: gen-shapes, bench, train, cluster, reconstruct.  Every run
-writes a manifest.json next to its outputs.  Metric CSVs contain only
+Subcommands: gen-shapes, bench, train, cluster, reconstruct.  Each
+command returns the input paths it read, and main writes the run's
+manifest.json next to its outputs once the command has succeeded; a
+command that fails writes none.  Metric CSVs contain only
 seed-determined numbers, so same-seed runs at the same BLAS thread count
 produce byte-identical files; BLAS/LAPACK rounding in the state solves can
 depend on that count, and nothing here fixes it (perfbench/ pins 1 thread).
@@ -48,7 +50,7 @@ class RunManifest:
     output_dir: str
     version: str
     started_at: str
-    finished_at: str = ""
+    finished_at: str
 
     def write(self):
         os.makedirs(self.output_dir, exist_ok=True)
@@ -62,33 +64,18 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _manifest(args, inputs) -> RunManifest:
-    return RunManifest(
-        command=args.command,
-        config_path=getattr(args, "config", None) or "",
-        seed=args.seed,
-        input_paths=[p for p in inputs if p],
-        output_dir=args.out,
-        version=f"v{__version__}",
-        started_at=_now(),
-    )
-
-
 # ---------------------------------------------------------------------------
 # gen-shapes
 
 
-def cmd_gen_shapes(args) -> int:
-    manifest = _manifest(args, [])
+def cmd_gen_shapes(args) -> list:
     data = generate_shapes(frames_per_shape=args.frames_per_shape,
                            size=args.size, seed=args.seed,
                            noise_level=args.noise)
     write_frames(os.path.join(args.out, "frames"), data.frames)
     write_labels_csv(os.path.join(args.out, "labels.csv"), data.labels)
-    manifest.finished_at = _now()
-    manifest.write()
     print(f"wrote {data.frames.shape[0]} frames and labels to {args.out}")
-    return 0
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +123,10 @@ def _bench_patches(settings: BenchSettings, model: LayerModel, rng) -> np.ndarra
     """Sparse-generative patches: y = C x_true + small noise."""
     if settings.patches_path:
         patches = read_rten(settings.patches_path)
-        if patches.ndim != 2 or patches.shape[1] != settings.patch_dim:
+        if patches.ndim != 2 or patches.shape[0] < 1 \
+                or patches.shape[1] != settings.patch_dim:
             raise ConfigError(
-                f"patches file must be (n, {settings.patch_dim}), "
+                f"patches file must be (n, {settings.patch_dim}) with n >= 1, "
                 f"got {patches.shape}")
         return patches
     n, k = settings.patch_count, settings.state_dim
@@ -152,7 +140,6 @@ def _bench_hp(settings: BenchSettings) -> HyperParams:
     # inner_tol is effectively disabled so every method gets the same
     # fixed iteration budget.
     return HyperParams(state_sparsity=settings.state_sparsity,
-                       temporal_sparsity=settings.temporal_sparsity,
                        smooth_margin=settings.smooth_margin,
                        inner_tol=1e-300,
                        max_inner_iter=settings.max_iter)
@@ -177,48 +164,46 @@ def run_benchmark(settings: BenchSettings, methods, seed: int):
     patches = _bench_patches(settings, model, rng)
     hp = _bench_hp(settings)
     # ISTA/FISTA share the fixed gradient step; Adam, being learning-rate
-    # adaptive, gets its own scale.
-    cfgs = {m: BaselineConfig(step=settings.adam_step if m == "adam" else settings.step,
+    # adaptive, gets its own scale.  Each lambda looks its solver up in
+    # this module when it runs.
+    fixed = BaselineConfig(step=settings.step, max_iter=settings.max_iter)
+    adaptive = BaselineConfig(step=settings.adam_step,
                               max_iter=settings.max_iter)
-            for m in ("ista", "fista", "adam")}
-    solvers = {"ista": ista_solve, "fista": fista_solve, "adam": adam_solve}
+    solve = {
+        "mm": lambda y: infer_state(y, None, model, hp),
+        "ista": lambda y: ista_solve(y, model, hp, fixed),
+        "fista": lambda y: fista_solve(y, model, hp, fixed),
+        "adam": lambda y: adam_solve(y, model, hp, adaptive),
+    }
 
+    # (final objective, state, trace) per patch, the methods interleaved.
     runs = {m: [] for m in methods}
-    for i in range(patches.shape[0]):
-        y = patches[i]
+    for y in patches:
         for m in methods:
-            if m == "mm":
-                x, trace = infer_state(y, None, model, hp)
-            else:
-                x, trace = solvers[m](y, model, hp, cfgs[m])
+            x, trace = solve[m](y)
             runs[m].append((state_objective(x, y, model, hp), x, trace))
 
     # Reference objective per patch: best final value any method reached.
-    refs = [min(runs[m][i][0] for m in methods)
-            for i in range(patches.shape[0])]
+    refs = [min(runs[m][i][0] for m in methods) for i in range(len(patches))]
+
+    def iters_to(objectives, ref):
+        threshold = 1.01 * ref if ref > 0 else ref
+        return next((j for j, v in enumerate(objectives) if v <= threshold),
+                    settings.max_iter)
 
     out = {}
     for m in methods:
-        finals, spas, iters, walls = [], [], [], []
-        traces = []
-        for i, (final, x, trace) in enumerate(runs[m]):
-            finals.append(final)
-            spas.append(sparsity(x, hp.clamp_state))
-            threshold = 1.01 * refs[i] if refs[i] > 0 else refs[i]
-            hit = [j for j, v in enumerate(trace.objective_per_iter)
-                   if v <= threshold]
-            iters.append(float(hit[0]) if hit else float(settings.max_iter))
-            walls.append(trace.wall_time)
-            traces.append(trace.objective_per_iter)
-        longest = max(len(tr) for tr in traces)
-        padded = np.array([tr + [tr[-1]] * (longest - len(tr))
-                           for tr in traces])
+        finals, states, traces = zip(*runs[m])
+        objs = [tr.objective_per_iter for tr in traces]
+        longest = max(map(len, objs))
         out[m] = {
             "final_energy": np.array(finals),
-            "sparsity": np.array(spas),
-            "iters_to_1pct": np.array(iters),
-            "wall_seconds": np.array(walls),
-            "mean_trace": padded.mean(axis=0),
+            "sparsity": np.array([sparsity(x, hp.clamp_state) for x in states]),
+            "iters_to_1pct": np.array(list(map(iters_to, objs, refs)),
+                                      dtype=float),
+            "wall_seconds": np.array([tr.wall_time for tr in traces]),
+            "mean_trace": np.array([o + o[-1:] * (longest - len(o))
+                                    for o in objs]).mean(axis=0),
         }
     return out
 
@@ -228,12 +213,11 @@ def _write_trace_csv(path, trace):
               ((i, float(v)) for i, v in enumerate(trace)))
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> list:
     settings = parse_bench_config(args.config)
     methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ConfigError("--methods must name at least one method")
-    manifest = _manifest(args, [settings.patches_path])
     results = run_benchmark(settings, methods, args.seed)
 
     os.makedirs(args.out, exist_ok=True)
@@ -251,11 +235,9 @@ def cmd_bench(args) -> int:
                          r["mean_trace"])
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), metric_rows)
     write_metrics_csv(os.path.join(args.out, "timings.csv"), timing_rows)
-    manifest.finished_at = _now()
-    manifest.write()
     for name, value, stddev in metric_rows:
         print(f"{name}: {value:.6g} +- {stddev:.3g}")
-    return 0
+    return [settings.patches_path]
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +251,15 @@ def _resolve_model_out(out: str):
     return out, os.path.join(out, "model.dpcn")
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> list:
     if not args.config:
         raise ConfigError("train requires --config")
     cfg = parse_network_config(args.config)
     if args.grayscale and cfg.channels != 1:
         raise ConfigError("--grayscale requires channels = 1 in the config")
+    # The manifest's output_dir is the fit directory, not the .dpcn path.
     out_dir, model_path = _resolve_model_out(args.out)
     args.out = out_dir
-    manifest = _manifest(args, [args.frames])
 
     frames = read_frames_dir(args.frames, grayscale=args.grayscale)
     specs = tuple(
@@ -306,19 +288,16 @@ def cmd_train(args) -> int:
         timing_rows.append((f"layer{i}_fit_seconds", report.wall_time, 0.0))
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), metric_rows)
     write_metrics_csv(os.path.join(out_dir, "timings.csv"), timing_rows)
-    manifest.finished_at = _now()
-    manifest.write()
     print(f"trained {len(layers)} layers on {frames.shape[0]} frames; "
           f"model at {model_path}")
-    return 0
+    return [args.frames]
 
 
 # ---------------------------------------------------------------------------
 # cluster
 
 
-def cmd_cluster(args) -> int:
-    manifest = _manifest(args, [args.model, args.frames, args.labels])
+def cmd_cluster(args) -> list:
     layers = load_network(args.model)
     frames = read_frames_dir(args.frames, grayscale=args.grayscale)
     labels = read_labels_csv(args.labels)
@@ -355,19 +334,16 @@ def cmd_cluster(args) -> int:
     write_csv(os.path.join(args.out, "assignments.csv"),
               ("frame_index", "cluster"),
               ((i, int(c)) for i, c in enumerate(report.assignments)))
-    manifest.finished_at = _now()
-    manifest.write()
     print(f"ACC {report.acc:.4f}  ARI {report.ari:.4f}  "
           f"SPA {report.spa:.2f}%  LCT {report.lct_seconds:.4f}s/frame")
-    return 0
+    return [args.model, args.frames, args.labels]
 
 
 # ---------------------------------------------------------------------------
 # reconstruct
 
 
-def cmd_reconstruct(args) -> int:
-    manifest = _manifest(args, [args.model, args.frames])
+def cmd_reconstruct(args) -> list:
     layers = load_network(args.model)
     frames = read_frames_dir(args.frames, grayscale=args.grayscale)
     grid = _parse_grid(args.grid)
@@ -388,11 +364,9 @@ def cmd_reconstruct(args) -> int:
          float(np.mean(result.per_frame_seconds)),
          float(np.std(result.per_frame_seconds))),
     ])
-    manifest.finished_at = _now()
-    manifest.write()
     print(f"reconstructed {recon.shape[0]} frames; "
           f"mean MSE {float(np.mean(mses)):.6g}")
-    return 0
+    return [args.model, args.frames]
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +433,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started_at = _now()
     try:
-        return args.fn(args)
+        inputs = args.fn(args)
+        RunManifest(command=args.command,
+                    config_path=getattr(args, "config", None) or "",
+                    seed=args.seed, input_paths=[p for p in inputs if p],
+                    output_dir=args.out, version=f"v{__version__}",
+                    started_at=started_at, finished_at=_now()).write()
     except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

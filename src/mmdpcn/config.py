@@ -42,6 +42,8 @@ from .network import LayerSpec, NetworkConfig
 class BenchSettings:
     """Benchmark problem size and solver budget.
 
+    Every solve is on one patch alone, with no previous state, so the
+    benchmark objective has no temporal term and no setting for one.
     patches_path empty means synthetic sparse-generative patches;
     otherwise it names a raw tensor file with one patch per row.
     step applies to the fixed-step solvers (ista/fista); adam_step is
@@ -51,7 +53,6 @@ class BenchSettings:
     patch_dim: int = 256
     state_dim: int = 300
     state_sparsity: float = 0.3
-    temporal_sparsity: float = 0.0
     smooth_margin: float = 0.1
     step: float = 1e-2
     adam_step: float = 5.0
@@ -128,8 +129,11 @@ def parse_network_config(path) -> NetworkConfig:
             else:
                 raise ConfigError(f"[network] unknown key {key!r}")
 
-    layer_names = sorted(s for s in parser.sections()
-                         if s.lower().startswith("layer"))
+    # Shorter names first, so that layer10 follows layer9; a name that is
+    # not layerN then fails the check below.
+    layer_names = sorted((s for s in parser.sections()
+                          if s.lower().startswith("layer")),
+                         key=lambda s: (len(s), s.lower()))
     if not layer_names:
         raise ConfigError(f"{path}: no [layerN] sections found")
     expected = [f"layer{i}" for i in range(1, len(layer_names) + 1)]

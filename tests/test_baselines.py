@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,9 @@ def scalar_model():
                       dictionary=np.array([[1.0, 0.0]]))
 
 
-def lipschitz_step(model, hp, with_temporal):
+def lipschitz_step(model):
     """The standard 1/L step for the smooth part of the state objective."""
-    lip = float(np.linalg.norm(model.dictionary, 2)) ** 2
-    if with_temporal and hp.temporal_sparsity > 0:
-        lip += hp.temporal_sparsity / hp.smooth_margin
-    return 1.0 / lip
+    return 1.0 / float(np.linalg.norm(model.dictionary, 2)) ** 2
 
 
 def random_instance(rng, p_max=10, k_max=16):
@@ -58,16 +57,21 @@ SOLVERS = {"ista": ista_solve, "fista": fista_solve, "adam": adam_solve}
 def test_trace_records_the_yardstick_of_the_returned_state(method, temporal, max_iter):
     rng = np.random.default_rng(45)
     model, y = random_instance(rng)
-    x_prev = rng.standard_normal(model.dims.state_dim) if temporal > 0 else None
     # Adam moves each component by about step per update, so this clamp
     # zeroes some of its returned components.
     hp = HyperParams(state_sparsity=0.2, temporal_sparsity=temporal,
                      clamp_state=0.15)
     cfg = BaselineConfig(step=0.1, max_iter=max_iter)
-    sv, tr = SOLVERS[method](y, model, hp, cfg, x_prev=x_prev)
+    sv, tr = SOLVERS[method](y, model, hp, cfg)
     assert tr.iterations == max_iter
     assert len(tr.objective_per_iter) == tr.iterations + 1
-    assert tr.objective_per_iter[-1] == state_objective(sv, y, model, hp, x_prev)
+    assert tr.objective_per_iter[-1] == state_objective(sv, y, model, hp)
+    # The problem has no previous state, so a temporal weight in hp (the
+    # bench leaves HyperParams' default there) changes nothing.
+    y_only = dataclasses.replace(hp, temporal_sparsity=0.0)
+    sv0, tr0 = SOLVERS[method](y, model, y_only, cfg)
+    assert np.array_equal(sv, sv0)
+    assert tr.objective_per_iter == tr0.objective_per_iter
 
 
 @pytest.mark.parametrize("method", sorted(SOLVERS))
@@ -117,7 +121,7 @@ def test_ista_objective_matches_mm_converged_value():
                          inner_tol=1e-10, max_inner_iter=2000, clamp_state=1e-8)
         mm_sv, _ = infer_state(y, None, model, hp)
         f_mm = state_objective(mm_sv, y, model, hp)
-        step = lipschitz_step(model, hp, with_temporal=False)
+        step = lipschitz_step(model)
         cfg = BaselineConfig(step=step, max_iter=20000, tol=1e-10)
         sv, _ = ista_solve(y, model, hp, cfg)
         f_ista = state_objective(sv, y, model, hp)
@@ -129,7 +133,7 @@ def test_ista_objective_trace_nonincreasing_at_safe_step():
     for _ in range(25):
         model, y = random_instance(rng)
         hp = HyperParams(temporal_sparsity=0.0)
-        step = lipschitz_step(model, hp, with_temporal=False)
+        step = lipschitz_step(model)
         cfg = BaselineConfig(step=step, max_iter=100, tol=0.0)
         _, tr = ista_solve(y, model, hp, cfg)
         assert np.all(np.diff(tr.objective_per_iter) <= 1e-10)
@@ -168,7 +172,7 @@ def test_all_methods_agree_when_smooth_dominates():
                          inner_tol=1e-12, max_inner_iter=5000, clamp_state=1e-10)
         mm_sv, _ = infer_state(y, None, model, hp)
         objs = [state_objective(mm_sv, y, model, hp)]
-        step = lipschitz_step(model, hp, with_temporal=False)
+        step = lipschitz_step(model)
         for solve in (ista_solve, fista_solve):
             cfg = BaselineConfig(step=step, max_iter=40000, tol=1e-12)
             sv, _ = solve(y, model, hp, cfg)
@@ -187,7 +191,7 @@ def test_fista_reaches_objective_gap_no_later_than_ista():
     for _ in range(15):
         model, y = random_instance(rng)
         hp = HyperParams(state_sparsity=0.3, temporal_sparsity=0.0)
-        step = lipschitz_step(model, hp, with_temporal=False)
+        step = lipschitz_step(model)
         traces = {}
         for method, solve in (("ista", ista_solve), ("fista", fista_solve)):
             cfg = BaselineConfig(step=step, max_iter=5000, tol=0.0)
@@ -200,19 +204,4 @@ def test_fista_reaches_objective_gap_no_later_than_ista():
         assert traces["fista"][hits["fista"]] <= target
         assert hits["fista"] <= hits["ista"]
 
-
-def test_temporal_term_moves_solution():
-    rng = np.random.default_rng(44)
-    model, y = random_instance(rng)
-    k = model.dims.state_dim
-    x_prev = rng.standard_normal(k)
-    hp = HyperParams(state_sparsity=0.2, temporal_sparsity=0.5)
-    step = lipschitz_step(model, hp, with_temporal=True)
-    cfg = BaselineConfig(step=step, max_iter=4000, tol=1e-10)
-    plain, _ = ista_solve(y, model, hp, cfg)
-    pulled, _ = ista_solve(y, model, hp, cfg, x_prev=x_prev)
-    prediction = model.transition @ x_prev
-    d_plain = np.abs(plain - prediction).sum()
-    d_pulled = np.abs(pulled - prediction).sum()
-    assert d_pulled < d_plain
 

@@ -162,6 +162,15 @@ def test_run_benchmark_rejects_wrong_width_patches_file(tmp_path):
         run_benchmark(settings, ["mm"], seed=0)
 
 
+def test_run_benchmark_rejects_patches_file_without_rows(tmp_path):
+    path = tmp_path / "patches.rten"
+    write_rten(path, np.zeros((0, 4)))
+    settings = BenchSettings(patch_dim=4, state_dim=6, max_iter=10,
+                             patches_path=str(path))
+    with pytest.raises(ConfigError, match="patches file"):
+        run_benchmark(settings, ["mm"], seed=0)
+
+
 def test_run_benchmark_on_zero_patches(tmp_path):
     path = tmp_path / "patches.rten"
     write_rten(path, np.zeros((2, 4)))
@@ -312,3 +321,57 @@ def test_reconstruct_blank_frames_zero_mse(tmp_path):
     metrics = read_metrics_csv(out / "metrics.csv")
     assert metrics["reconstruction_mse"] == (0.0, 0.0)
     assert read_frames_dir(out / "frames").shape == (3, 4, 4)
+
+
+TINY_INI = """
+[network]
+grid = 2x2
+
+[layer1]
+input_dim = 4
+state_dim = 6
+cause_dim = 2
+max_inner_iter = 10
+max_outer_iter = 1
+"""
+
+
+@pytest.mark.parametrize("command", ["gen-shapes", "bench", "train",
+                                     "cluster", "reconstruct"])
+def test_each_command_writes_its_manifest(tmp_path, command):
+    frames, labels, model = zero_frame_setup(tmp_path)
+    net_cfg, bench_cfg = tmp_path / "net.ini", tmp_path / "bench.ini"
+    net_cfg.write_text(TINY_INI)
+    bench_cfg.write_text(BENCH_INI)
+    short_labels = tmp_path / "short.csv"
+    write_labels_csv(short_labels, ["diamond"])
+    # argv, config path, input paths, and arguments that make it fail.
+    argv, config, inputs, breaks = {
+        "gen-shapes": (["--frames-per-shape", 1], "", [], ["--size", 8]),
+        "bench": (["--config", bench_cfg, "--methods", "mm"], bench_cfg, [],
+                  ["--methods", "magic"]),
+        "train": (["--config", net_cfg, "--frames", frames], net_cfg, [frames],
+                  ["--config", tmp_path / "missing.ini"]),
+        "cluster": (["--model", model, "--frames", frames, "--labels", labels,
+                     "--k", 1], "", [model, frames, labels],
+                    ["--labels", short_labels]),
+        "reconstruct": (["--model", model, "--frames", frames], "",
+                        [model, frames], ["--grid", "0x0"]),
+    }[command]
+    # train's --out may name the model file; the manifest goes beside it.
+    leaf = "model.dpcn" if command == "train" else ""
+
+    out = tmp_path / "out"
+    assert run(command, *argv, "--seed", 7, "--out", out / leaf) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["seed"] == 7
+    assert manifest["config_path"] == str(config)
+    assert manifest["input_paths"] == [str(p) for p in inputs]
+    assert manifest["output_dir"] == str(out)
+    assert manifest["finished_at"] >= manifest["started_at"]
+
+    failed = tmp_path / "failed"
+    failed.mkdir()
+    assert run(command, *argv, *breaks, "--out", failed / leaf) == 2
+    assert not (failed / "manifest.json").exists()

@@ -77,6 +77,25 @@ def test_layer_sections_must_be_consecutive(tmp_path):
         parse_network_config(write(tmp_path, text))
 
 
+def test_ten_layer_config_keeps_layer_order(tmp_path):
+    # Sections sort by number: layer10 comes after layer9, not after layer1.
+    text = "[network]\ngrid = 1x1\n" + "".join(
+        f"[layer{i}]\nstate_dim = 20\ncause_dim = {i + 5}\n"
+        for i in range(1, 11))
+    text = text.replace("[layer1]\n", "[layer1]\ninput_dim = 4\n")
+    cfg = parse_network_config(write(tmp_path, text))
+    assert [spec.dims.input_dim for spec in cfg.layers] == [4] + list(range(6, 15))
+    assert [spec.dims.cause_dim for spec in cfg.layers] == list(range(6, 16))
+
+
+@pytest.mark.parametrize("name", ["layerx", "layer02"])
+def test_layer_sections_must_be_numbered(tmp_path, name):
+    text = "[layer1]\ninput_dim=4\nstate_dim=8\ncause_dim=2\n" \
+           f"[{name}]\nstate_dim=4\ncause_dim=1\n"
+    with pytest.raises(ConfigError, match="layer1..layerN"):
+        parse_network_config(write(tmp_path, text))
+
+
 def test_no_layers_rejected(tmp_path):
     with pytest.raises(ConfigError):
         parse_network_config(write(tmp_path, "[network]\ngrid = 1x1\n"))
@@ -182,7 +201,6 @@ def test_bench_defaults():
     assert s.patch_dim == 256
     assert s.state_dim == 300
     assert s.state_sparsity == 0.3
-    assert s.temporal_sparsity == 0.0
     assert s.smooth_margin == 0.1
     assert s.step == 1e-2
     assert s.max_iter == 200
@@ -223,6 +241,12 @@ def test_bench_section_parsing(tmp_path):
 
     path.write_text("[bench]\nwarp_factor = 9\n")
     with pytest.raises(ConfigError):
+        parse_bench_config(path)
+
+    # Every bench solve is on one patch with no previous state, so a
+    # temporal weight would act on nothing and is not a bench key.
+    path.write_text("[bench]\ntemporal_sparsity = 0.1\n")
+    with pytest.raises(ConfigError, match="unknown key 'temporal_sparsity'"):
         parse_bench_config(path)
 
     # A config without a [bench] section falls back to defaults entirely.
