@@ -34,7 +34,8 @@ from .model import HyperParams, LayerDims, LayerModel
 from .network import NetworkConfig, infer_variables, load_network, \
     reconstruct_frames, save_network, train_network
 from .shapes import generate_shapes
-from .states import infer_state
+# perfbench/layers.py wraps infer_state and the three *_solve names here.
+from .states import infer_state, infer_states_batch
 
 _BENCH_METHODS = ("mm", "ista", "fista", "adam")
 
@@ -148,10 +149,13 @@ def _bench_hp(settings: BenchSettings) -> HyperParams:
 def run_benchmark(settings: BenchSettings, methods, seed: int):
     """Run every requested solver on the same patches.
 
-    Returns a dict per method with final objectives, sparsity percentages,
-    iterations to reach 1% above the best final objective, wall times, and
-    the padded per-iteration mean objective trace.  An unknown or repeated
-    method raises ConfigError.
+    Each method solves all patches as one batch of independent rows, whose
+    states and traces equal those of a solve on each patch alone.  Returns
+    a dict per method with final objectives, sparsity percentages,
+    iterations to reach 1% above the best final objective, wall times (each
+    patch an equal share of its method's batch), and the padded
+    per-iteration mean objective trace.  An unknown or repeated method
+    raises ConfigError.
     """
     for m in methods:
         if m not in _BENCH_METHODS:
@@ -169,19 +173,21 @@ def run_benchmark(settings: BenchSettings, methods, seed: int):
     fixed = BaselineConfig(step=settings.step, max_iter=settings.max_iter)
     adaptive = BaselineConfig(step=settings.adam_step,
                               max_iter=settings.max_iter)
+    weights = np.full((patches.shape[0], settings.state_dim),
+                      hp.state_sparsity)
     solve = {
-        "mm": lambda y: infer_state(y, None, model, hp),
-        "ista": lambda y: ista_solve(y, model, hp, fixed),
-        "fista": lambda y: fista_solve(y, model, hp, fixed),
-        "adam": lambda y: adam_solve(y, model, hp, adaptive),
+        "mm": lambda: infer_states_batch(patches, None, model, hp, weights),
+        "ista": lambda: ista_solve(patches, model, hp, fixed),
+        "fista": lambda: fista_solve(patches, model, hp, fixed),
+        "adam": lambda: adam_solve(patches, model, hp, adaptive),
     }
 
-    # (final objective, state, trace) per patch, the methods interleaved.
-    runs = {m: [] for m in methods}
-    for y in patches:
-        for m in methods:
-            x, trace = solve[m](y)
-            runs[m].append((state_objective(x, y, model, hp), x, trace))
+    # (final objective, state, trace) per patch, for each method.
+    runs = {}
+    for m in methods:
+        states, traces = solve[m]()
+        runs[m] = [(state_objective(x, y, model, hp), x, trace)
+                   for x, y, trace in zip(states, patches, traces)]
 
     # Reference objective per patch: best final value any method reached.
     refs = [min(runs[m][i][0] for m in methods) for i in range(len(patches))]

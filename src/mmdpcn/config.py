@@ -42,7 +42,7 @@ from .network import LayerSpec, NetworkConfig
 class BenchSettings:
     """Benchmark problem size and solver budget.
 
-    Every solve is on one patch alone, with no previous state, so the
+    Every patch is an independent problem with no previous state, so the
     benchmark objective has no temporal term and no setting for one.
     patches_path empty means synthetic sparse-generative patches;
     otherwise it names a raw tensor file with one patch per row.

@@ -6,7 +6,6 @@ label agreement, that variant is also available under a separate name and
 is never substituted for the completeness score.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,21 +93,55 @@ def adjusted_rand_index(labels_true, labels_pred) -> float:
     return float((sum_ij - expected) / denom)
 
 
+def _max_matching(weights: np.ndarray) -> float:
+    """Largest total weight of a one-to-one matching of rows to columns.
+
+    Kuhn-Munkres (Hungarian) assignment on the weights padded with zeros
+    to square, by shortest augmenting paths over row and column potentials,
+    O(n^3) for n labels.  Index 0 of the column arrays is the root of each
+    search; owner[j] is the 1-based row matched to column j, or 0.
+    """
+    n = max(weights.shape)
+    gain = np.zeros((n, n))
+    gain[:weights.shape[0], :weights.shape[1]] = weights
+    cost = -gain
+    u, v = np.zeros(n + 1), np.zeros(n + 1)
+    owner = np.zeros(n + 1, dtype=int)
+    for row in range(1, n + 1):
+        owner[0], col = row, 0
+        slack = np.full(n + 1, np.inf)
+        via = np.zeros(n + 1, dtype=int)
+        used = np.zeros(n + 1, dtype=bool)
+        while owner[col]:
+            used[col] = True
+            i = owner[col]
+            free = np.flatnonzero(~used)
+            reduced = cost[i - 1, free - 1] - u[i] - v[free]
+            better = reduced < slack[free]
+            slack[free[better]] = reduced[better]
+            via[free[better]] = col
+            nxt = free[np.argmin(slack[free])]
+            delta = slack[nxt]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+            col = nxt
+        while col:
+            owner[col] = owner[via[col]]
+            col = via[col]
+    return float(gain[owner[1:] - 1, np.arange(n)].sum())
+
+
 def matching_accuracy(labels_true, labels_pred) -> float:
     """Best one-to-one cluster/class matching agreement rate.
 
     The conventional reading of clustering accuracy; reported alongside
-    the completeness score, never in place of it.  Exhaustive over the
-    smaller label set (cluster counts here are single digits).
+    the completeness score, never in place of it.  The matching is a
+    Kuhn-Munkres assignment on the contingency table.
     """
     a, b = _as_labels(labels_true, labels_pred)
     cont = _contingency(a, b)
-    if cont.shape[0] > cont.shape[1]:
-        cont = cont.T
-    best = 0.0
-    for perm in itertools.permutations(range(cont.shape[1]), cont.shape[0]):
-        best = max(best, sum(cont[i, j] for i, j in enumerate(perm)))
-    return best / float(cont.sum())
+    return _max_matching(cont) / float(cont.sum())
 
 
 def pca_project(points, dims_out: int):

@@ -71,18 +71,21 @@ def _times_rows(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
     so every row rounds exactly like m @ row on its own, whatever the
     layout of m.  A matrix-matrix product, rows @ m.T, rounds differently.
     """
-    return np.matmul(m, rows[:, :, None])[:, :, 0]
+    return np.matmul(m, rows[..., None])[..., 0]
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """row @ row for every row, as one stacked matmul: a BLAS dot per row."""
+    return np.matmul(rows[..., None, :], rows[..., None])[..., 0, 0]
 
 
 def _objectives(residual, mag, innovation, alpha, mu, lam, margin):
     """Per-row objective, given |x| as mag and alpha = soft_clip(innovation).
 
     mu holds each row's per-component sparsity weights, the shape of mag.
-    The innovation term is smooth_l1 written out on rows.  The squared
-    norms are one stacked matmul, a BLAS dot per row like r @ r.
+    The innovation term is smooth_l1 written out on rows.
     """
-    sq = np.matmul(residual[:, None, :], residual[:, :, None])[:, 0, 0]
-    val = 0.5 * sq + (mu * mag).sum(axis=1)
+    val = 0.5 * _squared_norms(residual) + (mu * mag).sum(axis=1)
     if lam > 0:
         val += lam * ((alpha * innovation).sum(axis=1)
                       - 0.5 * margin * (alpha * alpha).sum(axis=1))

@@ -4,14 +4,19 @@ import os
 import numpy as np
 import pytest
 
-from mmdpcn.cli import main, run_benchmark
+from mmdpcn.baselines import (BaselineConfig, adam_solve, fista_solve,
+                              ista_solve, state_objective)
+from mmdpcn.cli import _bench_hp, _bench_model, _bench_patches, main, \
+    run_benchmark
 from mmdpcn.config import BenchSettings
 from mmdpcn.errors import ConfigError
 from mmdpcn.frames import (read_frames_dir, read_labels_csv, write_frames,
                            write_labels_csv)
 from mmdpcn.learning import init_model
+from mmdpcn.metrics import sparsity
 from mmdpcn.model import HyperParams, LayerDims
 from mmdpcn.network import Layer, save_network
+from mmdpcn.states import infer_state
 
 from io_helpers import read_metrics_csv, write_rten
 
@@ -185,6 +190,50 @@ def test_run_benchmark_on_zero_patches(tmp_path):
     # its 0.1 baseline (zeros are absorbing) and collapses in one update.
     assert np.all(results["ista"]["iters_to_1pct"] == 0.0)
     assert np.all(results["mm"]["iters_to_1pct"] == 1.0)
+
+
+def test_run_benchmark_matches_per_patch_solves():
+    # The reference solves every patch on its own.
+    settings = BenchSettings(patch_dim=8, state_dim=12, max_iter=40,
+                             patch_count=5, step=0.02, generator_sparsity=0.3)
+    methods = ["mm", "ista", "fista", "adam"]
+    results = run_benchmark(settings, methods, seed=3)
+
+    rng = np.random.default_rng(3)
+    model = _bench_model(settings, rng)
+    patches = _bench_patches(settings, model, rng)
+    hp = _bench_hp(settings)
+    fixed = BaselineConfig(step=settings.step, max_iter=settings.max_iter)
+    adaptive = BaselineConfig(step=settings.adam_step,
+                              max_iter=settings.max_iter)
+
+    def alone(solve, cfg):
+        def one(y):
+            (x,), (trace,) = solve(y[None], model, hp, cfg)
+            return x, trace
+        return one
+
+    solo = {"mm": lambda y: infer_state(y, None, model, hp),
+            "ista": alone(ista_solve, fixed),
+            "fista": alone(fista_solve, fixed),
+            "adam": alone(adam_solve, adaptive)}
+    runs = {m: [solo[m](y) for y in patches] for m in methods}
+    finals = {m: [state_objective(x, y, model, hp)
+                  for (x, _), y in zip(runs[m], patches)] for m in methods}
+    refs = [min(finals[m][i] for m in methods) for i in range(len(patches))]
+    for m in methods:
+        r = results[m]
+        assert r["final_energy"].tolist() == finals[m]
+        assert r["sparsity"].tolist() == [sparsity(x, hp.clamp_state)
+                                          for x, _ in runs[m]]
+        objs = [trace.objective_per_iter for _, trace in runs[m]]
+        iters = [next((j for j, v in enumerate(o)
+                       if v <= (1.01 * ref if ref > 0 else ref)),
+                      settings.max_iter) for o, ref in zip(objs, refs)]
+        assert r["iters_to_1pct"].tolist() == iters
+        longest = max(map(len, objs))
+        padded = [o + o[-1:] * (longest - len(o)) for o in objs]
+        assert np.array_equal(r["mean_trace"], np.mean(padded, axis=0))
 
 
 TRAIN_INI = """

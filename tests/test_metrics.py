@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,41 @@ def test_matching_accuracy():
     assert matching_accuracy([0, 0, 1, 1], [1, 1, 0, 0]) == 1.0
     assert matching_accuracy([0, 0, 1, 1], [0, 1, 0, 1]) == 0.5
     assert matching_accuracy([0, 0, 0, 1], [2, 2, 2, 2]) == 0.75
+
+
+def permutation_matching_accuracy(true, pred):
+    """The exhaustive reference: every injective map of the smaller label set."""
+    rows, cols = np.unique(true), np.unique(pred)
+    cont = np.array([[np.sum((true == a) & (pred == b)) for b in cols]
+                     for a in rows], dtype=float)
+    if cont.shape[0] > cont.shape[1]:
+        cont = cont.T
+    best = max(sum(cont[i, j] for i, j in enumerate(perm)) for perm in
+               itertools.permutations(range(cont.shape[1]), cont.shape[0]))
+    return best / float(cont.sum())
+
+
+@pytest.mark.parametrize("n_true", range(1, 8))
+def test_matching_accuracy_matches_permutation_search(n_true):
+    rng = np.random.default_rng(52 + n_true)
+    for n_pred in range(1, 8):
+        n = int(rng.integers(n_true + n_pred, 60))
+        true = rng.integers(0, n_true, n)
+        pred = rng.integers(0, n_pred, n)
+        assert matching_accuracy(true, pred) == \
+            permutation_matching_accuracy(true, pred)
+
+
+def test_matching_accuracy_on_twelve_labels_is_fast():
+    # 12! permutations would take hours; the assignment takes milliseconds.
+    rng = np.random.default_rng(53)
+    true = np.repeat(np.arange(12), 20)
+    pred = rng.permutation(12)[true]
+    pred[::20] = (pred[::20] + 1) % 12
+    start = time.perf_counter()
+    acc = matching_accuracy(true, pred)
+    assert time.perf_counter() - start < 1.0
+    assert acc == 228 / 240
 
 
 def test_pca_preserves_distances_in_exact_subspace():
