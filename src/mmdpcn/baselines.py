@@ -5,12 +5,13 @@ All three minimize the per-patch objective of the solver benchmark,
 objective without a previous state.  Like infer_states_batch, each takes
 an (n, p) batch of patches and returns the (n, k) states and one trace
 per row, and every row is an independent problem.  Each method is only
-its update step; one loop, _solve, runs all three.  It starts every row
-at x = 0, tests each iterate for NaN/Inf, records the objective, applies
-the tol stop and times the whole call, so the benchmark harness sees the
-same trace from every method.  Traces record the objective with the state
-l1 term exact, whatever the solver's internal surrogate, to keep
-final-value comparisons honest.
+its update step.  _solve starts every row at x = 0, follows the update
+with the NaN/Inf guard, the objective and, with tol > 0, the stop
+residual, and hands that step to states._run_rows, the row loop the MM
+state solver runs too.  So the benchmark harness sees the same trace from
+every method.  Traces record the objective with the state l1 term exact,
+whatever the solver's internal surrogate, to keep final-value comparisons
+honest.
 
 The products are stacked matrix-vector products and the squared norms
 stacked dots (states._times_rows, states._squared_norms), so every row
@@ -23,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite
 from .linalg import as_float_array
 from .majorize import soft_clip
 from .model import HyperParams, LayerModel, _require_finite
-from .states import SolveTrace, _squared_norms, _times_rows
+from .states import _finite, _rows, _run_rows, _squared_norms, _times_rows
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015).
@@ -39,8 +39,10 @@ class BaselineConfig:
     """Knobs for the reference solvers.
 
     tol > 0 enables early stopping on the composite gradient mapping
-    (prox-based stationarity residual), row by row; tol = 0 runs the full
-    budget, which is the fixed-iteration benchmark regime.
+    (prox-based stationarity residual), row by row, and each trace's
+    final_residual is that residual after its last update.  tol = 0 runs
+    the full budget, the fixed-iteration benchmark regime, and leaves
+    final_residual nan.  Adam ignores tol.
     """
 
     step: float = 1e-2
@@ -62,21 +64,16 @@ def _shrink(z: np.ndarray, amount: float) -> np.ndarray:
 
 
 class _Problem:
-    """The benchmark objective on the rows of a batch of patches."""
+    """The benchmark objective on the rows of a batch of patches y."""
 
-    def __init__(self, y, model: LayerModel, hp: HyperParams):
+    def __init__(self, model: LayerModel, hp: HyperParams):
         self.c = model.dictionary
-        self.y = as_float_array(y, "patches")
-        p = self.c.shape[0]
-        if self.y.ndim != 2 or self.y.shape[1] != p:
-            raise DimensionMismatch(
-                f"patches must be (n, {p}), got {self.y.shape}")
         self.mu = hp.state_sparsity
         self.margin = hp.smooth_margin
 
-    def residual(self, x):
+    def residual(self, y, x):
         """y - C x, row by row."""
-        return self.y - _times_rows(self.c, x)
+        return y - _times_rows(self.c, x)
 
     def pull(self, r):
         """C^T r, minus the reconstruction gradient where the residual is r.
@@ -87,13 +84,11 @@ class _Problem:
         """
         return _times_rows(self.c.T, r)
 
-    def objective(self, x, r) -> list:
+    def objective(self, x, r) -> np.ndarray:
         """Reconstruction + exact state l1 of each row, given r = y - C x."""
         # np.add.reduce, as .sum does, without the wrapper that costs as
         # much as the sum on a one-row batch.
-        l1 = np.add.reduce(np.abs(x), axis=1).tolist()
-        return [0.5 * sq + self.mu * a for sq, a in
-                zip(_squared_norms(r).tolist(), l1)]
+        return 0.5 * _squared_norms(r) + self.mu * np.add.reduce(np.abs(x), axis=1)
 
     def mapping_residual(self, x, r, step):
         """Stationarity measure: displacement of one prox step, per unit step."""
@@ -103,55 +98,34 @@ class _Problem:
 
 def _solve(name, update, slots: int, y, model: LayerModel, hp: HyperParams,
            cfg: BaselineConfig, tol: float) -> tuple[np.ndarray, list]:
-    """The one loop of the reference solvers.
+    """Run one reference solver: its update step through states._run_rows.
 
-    update(prob, it, x, r, carry) returns the it-th iterates of the live
-    rows and the new carry, given their current iterates x, residuals
-    r = y - C x and carry, a tuple of per-row arrays the method keeps
-    between updates; carry starts as `slots` zero arrays shaped like x.
-    The loop stops after cfg.max_iter updates.  With tol > 0, a row whose
-    prox-gradient mapping residual is at most tol stops with its state and
-    trace as they are, and leaves the batch.  Only the live rows are
-    tested for NaN/Inf.
+    update(prob, it, x, y, r, carry) returns the it-th iterates of the live
+    rows and the new carry, given their current iterates x, patches y,
+    residuals r = y - C x and carry, a list of per-row arrays the method
+    keeps between updates; carry starts as `slots` zero arrays shaped like
+    x.  The loop stops after cfg.max_iter updates.  With tol > 0, a row
+    whose prox-gradient mapping residual is at most tol stops with its
+    state and trace as they are, and leaves the batch.
     """
     start = time.perf_counter()
-    prob = _Problem(y, model, hp)
-    n, k = prob.y.shape[0], prob.c.shape[1]
-    out = np.empty((n, k))
-    rows = np.arange(n)
-    x = np.zeros((n, k))
-    carry = tuple(np.zeros((n, k)) for _ in range(slots))
-    r = prob.residual(x)
-    traces = [SolveTrace(objective_per_iter=[f])
-              for f in prob.objective(x, r)]
-    live = traces
-    for it in range(1, cfg.max_iter + 1):
-        x, carry = update(prob, it, x, r, carry)
-        if not np.isfinite(x).all():
-            raise NonFinite(f"{name} iterate diverged to NaN/Inf")
-        r = prob.residual(x)
-        for tr, f in zip(live, prob.objective(x, r)):
-            tr.objective_per_iter.append(f)
-            tr.iterations = it
-        if tol > 0:
-            done = prob.mapping_residual(x, r, cfg.step) <= tol
-            flags = done.tolist()
-            if any(flags):
-                for tr, d in zip(live, flags):
-                    tr.converged = d
-                live = [tr for tr in live if not tr.converged]
-                out[rows[done]] = x[done]
-                keep = ~done
-                rows, x, r, prob.y = rows[keep], x[keep], r[keep], prob.y[keep]
-                carry = tuple(a[keep] for a in carry)
-                if not live:
-                    break
+    prob = _Problem(model, hp)
+    p, k = prob.c.shape
+    y = _rows(y, None, p, "patches")
+    x = np.zeros((y.shape[0], k))
+    r = prob.residual(y, x)
 
-    out[rows] = x
-    elapsed = time.perf_counter() - start
-    for tr in traces:
-        tr.wall_time = elapsed / n
-    return out, traces
+    def step(it, rows):
+        x, r, y, *carry = rows
+        x, carry = update(prob, it, x, y, r, carry)
+        _finite(name, x)
+        r = prob.residual(y, x)
+        resid = prob.mapping_residual(x, r, cfg.step) if tol > 0 else None
+        return (x, r, y, *carry), prob.objective(x, r), resid
+
+    carry = tuple(np.zeros_like(x) for _ in range(slots))
+    return _run_rows(step, (x, r, y, *carry), prob.objective(x, r),
+                     cfg.max_iter, tol, start)
 
 
 def ista_solve(y, model: LayerModel, hp: HyperParams,
@@ -161,7 +135,7 @@ def ista_solve(y, model: LayerModel, hp: HyperParams,
     The gradient at x reuses the residual the loop computed for x's
     objective.
     """
-    def update(prob, it, x, r, carry):
+    def update(prob, it, x, y, r, carry):
         return _shrink(x + cfg.step * prob.pull(r), cfg.step * prob.mu), carry
 
     return _solve("ista", update, 0, y, model, hp, cfg, cfg.tol)
@@ -182,9 +156,9 @@ def fista_solve(y, model: LayerModel, hp: HyperParams,
         beta.append((t - 1.0) / t_new)
         t = t_new
 
-    def update(prob, it, x, r, carry):
+    def update(prob, it, x, y, r, carry):
         z = x + beta[it - 1] * (x - carry[0])
-        x_new = _shrink(z + cfg.step * prob.pull(prob.residual(z)),
+        x_new = _shrink(z + cfg.step * prob.pull(prob.residual(y, z)),
                         cfg.step * prob.mu)
         return x_new, (x,)
 
@@ -200,7 +174,7 @@ def adam_solve(y, model: LayerModel, hp: HyperParams,
     values below the state clamp zeroed, and the final trace entry is the
     objective of that clamped vector.  carry holds the two moments.
     """
-    def update(prob, it, x, r, carry):
+    def update(prob, it, x, y, r, carry):
         m1, m2 = carry
         g = prob.mu * soft_clip(x, prob.margin) - prob.pull(r)
         m1 = _ADAM_BETA1 * m1 + (1.0 - _ADAM_BETA1) * g
@@ -221,6 +195,7 @@ def state_objective(x, y, model: LayerModel, hp: HyperParams) -> float:
 
     It is the objective the traces record, on a batch of one patch.
     """
-    prob = _Problem(np.asarray(y, dtype=np.float64)[None], model, hp)
+    prob = _Problem(model, hp)
+    y = _rows([y], None, prob.c.shape[0], "patches")
     x = as_float_array(x, "state")[None]
-    return prob.objective(x, prob.residual(x))[0]
+    return float(prob.objective(x, prob.residual(y, x))[0])

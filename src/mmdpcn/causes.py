@@ -13,17 +13,21 @@ backtrack accepted is the next backtrack's reference, and the drive that
 the stationarity test evaluates is the next step's drive.  The loop
 evaluates the objective through cause_energy's own formula on inputs
 checked once at entry.
+
+A cause is one vector, not a batch of rows, so it keeps this loop rather
+than states._run_rows, the state and reference solvers' row loop; routed
+through that loop each cause solve ran 9-38% slower (ROADMAP.md, Settled).
 """
 
 import time
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite
+from .errors import DimensionMismatch
 from .linalg import as_float_array
 from .model import (CauseVector, HyperParams, LayerModel, _cause_inputs,
                     _cause_objective, _cause_values, _gate, pooled_weight)
-from .states import SolveTrace
+from .states import SolveTrace, _finite
 
 # Halvings of the step before giving up; by then the candidate coincides
 # with the current iterate to machine precision.
@@ -79,8 +83,7 @@ def _solve(pooled, preference, model: LayerModel, hp: HyperParams,
             full = r * drive
         else:
             full = (r / (1.0 + r)) * (preference + drive)
-        if not np.isfinite(full).all():
-            raise NonFinite("cause iterate diverged to NaN/Inf")
+        _finite("cause", full)
         u, e_cur = _descend(u, e_cur, full, hp.clamp_cause, energy)
         trace.objective_per_iter.append(e_cur)
         trace.iterations = it
@@ -132,8 +135,8 @@ def top_down_prediction(upper_model: LayerModel, upper_x_prev, upper_u,
     pooled_weight(upper_model, u)_k; everything else is zeroed.  Returns
     the survivors rendered through the upper dictionary, sized for the
     lower layer's cause vector.  upper_u is read by _cause_values, so None
-    stands for the cause solver's start.  With configs/shapes2.ini's 0.1 against 0.03 a component
-    survives wherever (coupling @ u)_k > -ln(7/3).
+    stands for the cause solver's start.  With configs/shapes2.ini's 0.1
+    against 0.03 a component survives wherever (coupling @ u)_k > -ln(7/3).
     """
     x_prev = as_float_array(upper_x_prev, "upper state")
     u = _cause_values(upper_u, upper_model)

@@ -230,7 +230,12 @@ def read_labels_csv(path):
         cells = ln.split(",")
         if len(cells) != 2:
             raise FormatError(f"{path}: malformed row {ln!r}")
-        if int(cells[0]) != len(labels):
+        try:
+            index = int(cells[0])
+        except ValueError:
+            raise FormatError(
+                f"{path}: frame index is not an integer in row {ln!r}") from None
+        if index != len(labels):
             raise LengthMismatch(
                 f"{path}: frame indices must be 0..n-1 in order")
         labels.append(cells[1])

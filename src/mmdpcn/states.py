@@ -11,21 +11,26 @@ every solve no larger than the support.
 
 A frame's states are one (patch, state) float array: the patches come in
 as rows, previous states and warm starts are arrays of the same shape, and
-the result is one such array.  One kernel runs the iteration on all rows
-at once.  The elementwise work and the per-row sums act on the whole
-array.  The matrix-vector products and the residual dot products are
-stacked matmuls, which NumPy runs as one BLAS gemv or dot per row; a
-matrix-matrix product would round differently.  The support solves
-stay one LAPACK solve per row, on that row's own support.  Every patch
-therefore gets exactly the iterates, objective values and stopping
-decision of a solve on its own, and a row that converges leaves the
-active set.  So network inference can stack the rows of several
-independent frames into one call without changing a bit.  infer_state
-is a batch of one weighted by state_sparsity.
+the result is one such array.  The elementwise work and the per-row sums
+act on the whole array.  The matrix-vector products and the residual dot
+products are stacked matmuls, which NumPy runs as one BLAS gemv or dot
+per row; a matrix-matrix product would round differently.  The support
+solves stay one LAPACK solve per row, on that row's own support.  Every
+patch therefore gets exactly the iterates, objective values and stopping
+decision of a solve on its own.  So network inference can stack the rows
+of several independent frames into one call without changing a bit.
+infer_state is a batch of one weighted by state_sparsity.
+
+_run_rows is the row loop of every batch solver, this one and the
+reference solvers in baselines.py: it keeps one trace per row, applies the
+stop test and drops each converged row from the batch, so each solver
+supplies only its update step.  The cause solver is one vector, not a
+batch of rows, and keeps its own loop (causes.py).
 """
 
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -43,9 +48,10 @@ class SolveTrace:
     holds one value per update, so it has iterations + 1 entries.
     converged says whether the stopping test passed within the iteration
     budget.  final_residual is the stationarity residual the solver tested
-    against its tolerance after the last update (nan for solvers that do
-    not measure one).  wall_time is the solve's elapsed seconds; a batch of
-    n patches is timed as a whole and each of its traces holds an equal 1/n
+    against its tolerance after the last update: nan when the solver ran
+    without a stop test, as Adam always does and ISTA and FISTA do at
+    tol = 0.  wall_time is the solve's elapsed seconds; a batch of n
+    patches is timed as a whole and each of its traces holds an equal 1/n
     share.
     """
 
@@ -56,12 +62,60 @@ class SolveTrace:
     final_residual: float = float("nan")
 
 
-def _rows(a, n: int, k: int, name: str) -> np.ndarray:
-    """Check that a holds n rows of length k, one per patch."""
+def _rows(a, n, k: int, name: str) -> np.ndarray:
+    """Check that a holds n rows of length k, one per patch; any n if None."""
     a = as_float_array(a, name)
-    if a.shape != (n, k):
-        raise DimensionMismatch(f"{name} must be ({n}, {k}), got {a.shape}")
+    if a.ndim != 2 or a.shape[1] != k or (n is not None and a.shape[0] != n):
+        raise DimensionMismatch(
+            f"{name} must be ({'n' if n is None else n}, {k}), got {a.shape}")
     return a
+
+
+def _finite(name: str, x: np.ndarray) -> None:
+    """The NaN/Inf guard of every solver iterate, causes' included."""
+    if not np.isfinite(x).all():
+        raise NonFinite(f"{name} iterate diverged to NaN/Inf")
+
+
+def _run_rows(step, rows: tuple, f: np.ndarray, max_iter: int, tol: float,
+              start: float) -> tuple[np.ndarray, list]:
+    """The loop of the batch solvers: one trace per row, stop test, row exit.
+
+    rows holds the per-row arrays (None for an unused slot), the first the
+    starting iterates; f holds their objectives.  step(it, rows) makes the
+    it-th update of the live rows and returns their new arrays, objectives
+    and stop residuals (None without a stop test).  A row whose residual is
+    at most tol is copied out as converged and leaves every array.  start
+    is the perf_counter at entry; each trace gets an equal share of the
+    time since.  Returns the final iterates and one trace per row.
+    """
+    out = np.empty_like(rows[0])
+    index = np.arange(out.shape[0])
+    traces = [SolveTrace(objective_per_iter=[f_i]) for f_i in f.tolist()]
+    live = traces
+    for it in range(1, max_iter + 1):
+        rows, f, resid = step(it, rows)
+        residuals = repeat(float("nan")) if resid is None else resid.tolist()
+        for tr, f_i, r_i in zip(live, f.tolist(), residuals):
+            tr.objective_per_iter.append(f_i)
+            tr.iterations = it
+            tr.final_residual = r_i
+        if resid is not None and (done := resid <= tol).any():
+            for tr, d in zip(live, done.tolist()):
+                tr.converged = d
+            live = [tr for tr in live if not tr.converged]
+            out[index[done]] = rows[0][done]
+            keep = ~done
+            index = index[keep]
+            rows = tuple(None if a is None else a[keep] for a in rows)
+            if not live:
+                break
+
+    out[index] = rows[0]
+    share = (time.perf_counter() - start) / max(len(traces), 1)
+    for tr in traces:
+        tr.wall_time = share
+    return out, traces
 
 
 def _times_rows(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -105,95 +159,6 @@ def _evaluate(x, y, mu, prediction, c, lam, margin):
         alpha = (innovation / margin).clip(-1.0, 1.0)
     return mag, residual, alpha, _objectives(residual, mag, innovation, alpha,
                                              mu, lam, margin)
-
-
-def _solve_rows(y, x, mu, prediction, model: LayerModel, hp: HyperParams):
-    """Run the MM iteration on every row of y together.
-
-    y is (n, p), x (n, k) holds the starting iterates and mu (n, k) the
-    positive sparsity weight of every component.  prediction is the (n, k)
-    transition-predicted state, or None to drop the temporal term.
-    Returns the (n, k) final states and one trace per row.  A row that
-    converges is copied out and dropped from the working arrays; the rest
-    keep iterating.  soft_clip is written out as a clip, since
-    HyperParams already guarantees a positive margin.
-    """
-    c = model.dictionary
-    margin = hp.smooth_margin
-    lam = hp.temporal_sparsity if prediction is not None else 0.0
-    damping = lam / margin
-    out = np.empty_like(x)
-    rows = np.arange(y.shape[0])
-    cty = _times_rows(c.T, y)
-
-    mag, residual, alpha, f = _evaluate(x, y, mu, prediction, c, lam, margin)
-    traces = [SolveTrace(objective_per_iter=[f_i]) for f_i in f.tolist()]
-
-    for it in range(1, hp.max_inner_iter + 1):
-        if lam > 0:
-            rhs = cty - lam * alpha + damping * x
-            # Combined diagonal weights mu/|x| + lam/margin, inverted entrywise;
-            # zero components stay zero.
-            r = mag * margin / (mu * margin + lam * mag)
-        else:
-            rhs = cty
-            r = mag / mu
-
-        x = _solve_on_support(model.gram, r, rhs)
-        if not np.isfinite(x).all():
-            raise NonFinite("state iterate diverged to NaN/Inf")
-
-        mag, residual, alpha, f = _evaluate(x, y, mu, prediction, c, lam, margin)
-        nonzero = x != 0.0
-
-        # Clamp small components to exact zero, but never at the cost of an
-        # objective increase: a component mid-collapse is clamped one
-        # iteration later when its removal is genuinely free.
-        small = (mag < hp.clamp_state) & nonzero
-        if small.any():
-            # Rows without small components get back their own values.
-            x_cl = np.where(small, 0.0, x)
-            mag_cl, res_cl, a_cl, f_cl = _evaluate(x_cl, y, mu, prediction, c,
-                                                   lam, margin)
-            take = f_cl <= f
-            if take.any():
-                row = take[:, None]
-                x = np.where(row, x_cl, x)
-                mag = np.where(row, mag_cl, mag)
-                residual = np.where(row, res_cl, residual)
-                f = np.where(take, f_cl, f)
-                if lam > 0:
-                    alpha = np.where(row, a_cl, alpha)
-                nonzero = x != 0.0
-
-        grad = -_times_rows(c.T, residual)
-        if lam > 0:
-            grad = grad + lam * alpha
-        # Stationarity residual on the support.
-        kkt = np.abs(grad + mu * np.sign(x)).max(axis=1, where=nonzero,
-                                                 initial=0.0)
-        for i, f_i, kkt_i in zip(rows.tolist(), f.tolist(), kkt.tolist()):
-            tr = traces[i]
-            tr.objective_per_iter.append(f_i)
-            tr.iterations = it
-            tr.final_residual = kkt_i
-        done = kkt <= hp.inner_tol
-        if done.any():
-            for i in rows[done].tolist():
-                traces[i].converged = True
-            out[rows[done]] = x[done]
-            live = ~done
-            rows, x, mag, y, cty = rows[live], x[live], mag[live], y[live], cty[live]
-            mu = mu[live]
-            if lam > 0:
-                prediction, alpha = prediction[live], alpha[live]
-            if rows.size == 0:
-                break
-
-    out[rows] = x
-    # Terminal clamp: the returned state never carries sub-threshold values.
-    out[np.abs(out) < hp.clamp_state] = 0.0
-    return out, traces
 
 
 def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
@@ -245,10 +210,8 @@ def infer_states_batch(patches, prev, model: LayerModel, hp: HyperParams,
     hp.state_sparsity, those of infer_state on that patch.
     """
     start = time.perf_counter()
-    patches = as_float_array(patches, "patches")
     p, k = model.dictionary.shape
-    if patches.ndim != 2 or patches.shape[1] != p:
-        raise DimensionMismatch(f"patches must be (n, {p}), got {patches.shape}")
+    patches = _rows(patches, None, p, "patches")
     n = patches.shape[0]
     x_prev = None if prev is None else _rows(prev, n, k, "previous states")
     x = 0.1 * np.ones((n, k)) if inits is None else _rows(inits, n, k, "state inits")
@@ -257,11 +220,64 @@ def infer_states_batch(patches, prev, model: LayerModel, hp: HyperParams,
         raise ValueError("state weights must be positive")
     if n == 0:
         return np.zeros((0, k)), []
-    prediction = None
+    c, margin = model.dictionary, hp.smooth_margin
+    prediction, lam = None, 0.0
     if x_prev is not None and hp.temporal_sparsity > 0:
         prediction = _times_rows(model.transition, x_prev)
-    x, traces = _solve_rows(patches, x, mu, prediction, model, hp)
-    share = (time.perf_counter() - start) / n
-    for tr in traces:
-        tr.wall_time = share
-    return x, traces
+        lam = hp.temporal_sparsity
+    damping = lam / margin
+
+    # One MM update of the live rows.  soft_clip is written out as a clip,
+    # since HyperParams already guarantees a positive margin.
+    def step(it, rows):
+        x, mag, alpha, y, cty, mu, prediction = rows
+        if lam > 0:
+            rhs = cty - lam * alpha + damping * x
+            # Combined diagonal weights mu/|x| + lam/margin, inverted entrywise;
+            # zero components stay zero.
+            r = mag * margin / (mu * margin + lam * mag)
+        else:
+            rhs = cty
+            r = mag / mu
+
+        x = _solve_on_support(model.gram, r, rhs)
+        _finite("state", x)
+
+        mag, residual, alpha, f = _evaluate(x, y, mu, prediction, c, lam, margin)
+        nonzero = x != 0.0
+
+        # Clamp small components to exact zero, but never at the cost of an
+        # objective increase: a component mid-collapse is clamped one
+        # iteration later when its removal is genuinely free.
+        small = (mag < hp.clamp_state) & nonzero
+        if small.any():
+            # Rows without small components get back their own values.
+            x_cl = np.where(small, 0.0, x)
+            mag_cl, res_cl, a_cl, f_cl = _evaluate(x_cl, y, mu, prediction, c,
+                                                   lam, margin)
+            take = f_cl <= f
+            if take.any():
+                row = take[:, None]
+                x = np.where(row, x_cl, x)
+                mag = np.where(row, mag_cl, mag)
+                residual = np.where(row, res_cl, residual)
+                f = np.where(take, f_cl, f)
+                if lam > 0:
+                    alpha = np.where(row, a_cl, alpha)
+                nonzero = x != 0.0
+
+        grad = -_times_rows(c.T, residual)
+        if lam > 0:
+            grad = grad + lam * alpha
+        # Stationarity residual on the support.
+        kkt = np.abs(grad + mu * np.sign(x)).max(axis=1, where=nonzero,
+                                                 initial=0.0)
+        return (x, mag, alpha, y, cty, mu, prediction), f, kkt
+
+    mag, _, alpha, f = _evaluate(x, patches, mu, prediction, c, lam, margin)
+    out, traces = _run_rows(
+        step, (x, mag, alpha, patches, _times_rows(c.T, patches), mu, prediction),
+        f, hp.max_inner_iter, hp.inner_tol, start)
+    # Terminal clamp: the returned state never carries sub-threshold values.
+    out[np.abs(out) < hp.clamp_state] = 0.0
+    return out, traces

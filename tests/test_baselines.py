@@ -135,6 +135,36 @@ def test_finished_row_leaves_the_batch(method):
         SOLVERS[method](patches[:1], model, hp, kept_on)
 
 
+@pytest.mark.parametrize("method", ["ista", "fista"])
+def test_final_residual_is_the_stop_residual(method):
+    rng = np.random.default_rng(48)
+    model, _ = random_instance(rng)
+    c = model.dictionary
+    patches = 3.0 * rng.standard_normal((6, c.shape[0]))
+    patches[2] = 0.0
+    hp = HyperParams(state_sparsity=0.2)
+    step = lipschitz_step(model)
+    cfg = BaselineConfig(step=step, max_iter=100, tol=1e-3)
+    states, traces = SOLVERS[method](patches, model, hp, cfg)
+    converged = [tr.converged for tr in traces]
+    assert converged[2] and not all(converged)
+    for y, x, tr in zip(patches, states, traces):
+        # The prox-gradient mapping residual of the returned state.
+        z = x + step * (c.T @ (y - c @ x))
+        prox = np.sign(z) * np.maximum(np.abs(z) - step * hp.state_sparsity, 0.0)
+        expected = np.abs(x - prox).max() / step
+        assert tr.final_residual == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        if tr.converged:
+            assert tr.final_residual <= cfg.tol
+        else:
+            assert tr.iterations == cfg.max_iter
+            assert cfg.tol < tr.final_residual < np.inf
+    # With tol = 0 no row is tested, so no residual is reported.
+    _, traces = SOLVERS[method](patches, model, hp,
+                                dataclasses.replace(cfg, tol=0.0))
+    assert all(np.isnan(tr.final_residual) for tr in traces)
+
+
 def test_ista_scalar_converges_to_soft_threshold():
     model = scalar_model()
     hp = HyperParams(state_sparsity=0.3, temporal_sparsity=0.0)

@@ -5,7 +5,7 @@ import pytest
 
 from mmdpcn.causes import (infer_cause, infer_cause_topdown,
                            top_down_prediction)
-from mmdpcn.errors import DimensionMismatch
+from mmdpcn.errors import DimensionMismatch, NonFinite
 from mmdpcn.learning import grad_model
 from mmdpcn.linalg import column_normalize
 from mmdpcn.model import (CAUSE_INIT, CauseVector, HyperParams, LayerDims,
@@ -303,6 +303,21 @@ def test_every_cause_entry_checks_its_inputs(entry):
     if entry in ("cause_energy", "infer_cause_topdown"):
         with pytest.raises(DimensionMismatch):
             call(scalar_pooled(1.0), u, np.ones(2), model, hp)
+
+
+@pytest.mark.parametrize("topdown", [False, True])
+def test_overflowing_drive_raises_nonfinite(topdown):
+    dims = LayerDims(1, 2, 1, 1)
+    model = LayerModel(dims, transition=np.eye(2),
+                       coupling=np.array([[1.0], [1.0]]),
+                       dictionary=np.array([[1.0, 0.0]]))
+    pooled, hp = np.full(2, 1e308), HyperParams()
+    with np.errstate(all="ignore"), \
+            pytest.raises(NonFinite, match="^cause iterate diverged"):
+        if topdown:
+            infer_cause_topdown(pooled, np.zeros(1), model, hp)
+        else:
+            infer_cause(pooled, model, hp)
 
 
 def test_no_cause_init_is_the_cause_init_start():

@@ -160,6 +160,13 @@ def test_labels_csv_roundtrip_and_validation(tmp_path):
         read_labels_csv(path)
 
 
+def test_labels_csv_non_integer_index_names_file_and_row(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("frame_index,label\n0,a\nx1,b\n")
+    with pytest.raises(FormatError, match="labels.csv.*'x1,b'"):
+        read_labels_csv(path)
+
+
 def test_metrics_csv_roundtrip_full_precision(tmp_path):
     path = tmp_path / "metrics.csv"
     rows = [("alpha", 0.1 + 0.2, 1.0 / 3.0), ("beta", -7.25e-19, 0.0)]
