@@ -14,7 +14,7 @@ whatever the solver's internal surrogate, to keep final-value comparisons
 honest.
 
 The products are stacked matrix-vector products and the squared norms
-stacked dots (states._times_rows, states._squared_norms), so every row
+stacked dots (linalg._times_rows, linalg._dots), so every row
 rounds exactly as a batch of that row alone.  A row that stops on the tol
 test leaves the batch; the others keep iterating.
 """
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_float_array
+from .linalg import _dots, _times_rows, as_float_array
 from .majorize import soft_clip
 from .model import HyperParams, LayerModel, _require_finite
-from .states import _finite, _rows, _run_rows, _squared_norms, _times_rows
+from .states import _finite, _rows, _run_rows
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015).
@@ -88,7 +88,7 @@ class _Problem:
         """Reconstruction + exact state l1 of each row, given r = y - C x."""
         # np.add.reduce, as .sum does, without the wrapper that costs as
         # much as the sum on a one-row batch.
-        return 0.5 * _squared_norms(r) + self.mu * np.add.reduce(np.abs(x), axis=1)
+        return 0.5 * _dots(r, r) + self.mu * np.add.reduce(np.abs(x), axis=1)
 
     def mapping_residual(self, x, r, step):
         """Stationarity measure: displacement of one prox step, per unit step."""

@@ -46,15 +46,15 @@ class BenchSettings:
     benchmark objective has no temporal term and no setting for one.
     patches_path empty means synthetic sparse-generative patches;
     otherwise it names a raw tensor file with one patch per row.
-    step applies to the fixed-step solvers (ista/fista); adam_step is
-    the adaptive solver's scale.
+    The fixed-step solvers (ista/fista) take no step setting: the bench
+    dictionary is scaled to a known curvature L = ||C||^2, and they run at
+    the textbook step 1/L.  adam_step is the adaptive solver's scale.
     """
 
     patch_dim: int = 256
     state_dim: int = 300
     state_sparsity: float = 0.3
     smooth_margin: float = 0.1
-    step: float = 1e-2
     adam_step: float = 5.0
     max_iter: int = 200
     patch_count: int = 20
@@ -65,9 +65,9 @@ class BenchSettings:
         _require_finite(self, ConfigError)
         if self.patch_dim < 1 or self.state_dim < 1:
             raise ConfigError("bench dimensions must be positive")
-        if self.step <= 0 or self.adam_step <= 0 or self.max_iter < 1 \
-                or self.patch_count < 1:
-            raise ConfigError("bench step/max_iter/patch_count must be positive")
+        if self.adam_step <= 0 or self.max_iter < 1 or self.patch_count < 1:
+            raise ConfigError(
+                "bench adam_step/max_iter/patch_count must be positive")
         if not (0 < self.generator_sparsity <= 1):
             raise ConfigError("generator_sparsity must lie in (0, 1]")
 

@@ -1,5 +1,5 @@
-"""Dense linear-algebra substrate: input coercion, aligned storage and
-column normalization.
+"""Dense linear-algebra substrate: input coercion, aligned storage, column
+normalization and the per-row products of the batch solvers.
 
 All arrays are 64-bit floats in C (row-major) order. Everything here is a
 pure function; inputs are never mutated.
@@ -58,3 +58,18 @@ def column_normalize(m: np.ndarray) -> np.ndarray:
         bad = int(np.argmin(norms))
         raise ZeroColumn(f"column {bad} has norm {norms[bad]:.3e}")
     return m / norms
+
+
+def _times_rows(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """m @ row for every row, as one stacked matmul.
+
+    NumPy runs a stack of matrix-vector products as one BLAS gemv per row,
+    so every row rounds exactly like m @ row on its own, whatever the
+    layout of m.  A matrix-matrix product, rows @ m.T, rounds differently.
+    """
+    return np.matmul(m, rows[..., None])[..., 0]
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i @ b_i for every row i, as one stacked matmul: a BLAS dot per row."""
+    return np.matmul(a[..., None, :], b[..., None])[..., 0, 0]

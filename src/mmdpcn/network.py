@@ -15,11 +15,11 @@ import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, FormatError, GridMismatch,
                      ShapeError)
-from .linalg import as_float_array
+from .linalg import _times_rows, as_float_array
 from .model import HyperParams, LayerDims, LayerModel, pool_states, state_weights
 from .causes import infer_cause, infer_cause_topdown, top_down_prediction
 from .learning import LearnConfig, fit_layer
-from .states import _times_rows, infer_states_batch
+from .states import infer_states_batch
 
 _MAGIC = b"DPCN"
 _VERSION = 1

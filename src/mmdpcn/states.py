@@ -1,8 +1,13 @@
 """Sparse state inference by reweighted least squares.
 
 Each iteration rebuilds the quadratic bound on the sparsity penalty at the
-current iterate and solves the resulting normal equations directly on the
-live support, using the layer's cached Gram matrix.  The penalty weighs
+current iterate and lowers it on the live support, using the layer's
+cached Gram matrix: exactly, by one LU solve, on a support of at most
+_CG_MIN_SUPPORT components, and by a few conjugate-gradient steps from the
+current iterate on a larger one, which cost a fraction of the LU.  Either
+update lowers the bound, which equals the objective at the current iterate
+and lies above it elsewhere, so the objective cannot rise (majorize.py).  A
+layer with k <= _CG_MIN_SUPPORT never takes CG steps.  The penalty weighs
 every component by its own mu_k: the weight total_energy charges it under
 the frame's cause (model.state_weights), or, in infer_state,
 state_sparsity.  Components that reach exact zero stay zero, which is what
@@ -13,13 +18,14 @@ A frame's states are one (patch, state) float array: the patches come in
 as rows, previous states and warm starts are arrays of the same shape, and
 the result is one such array.  The elementwise work and the per-row sums
 act on the whole array.  The matrix-vector products and the residual dot
-products are stacked matmuls, which NumPy runs as one BLAS gemv or dot
-per row; a matrix-matrix product would round differently.  The support
-solves stay one LAPACK solve per row, on that row's own support.  Every
-patch therefore gets exactly the iterates, objective values and stopping
-decision of a solve on its own.  So network inference can stack the rows
-of several independent frames into one call without changing a bit.
-infer_state is a batch of one weighted by state_sparsity.
+products are stacked matmuls, which NumPy runs as one BLAS gemv or dot per
+row; a matrix-matrix product would round differently.  The LU solves stay
+one LAPACK solve per row, on that row's own support, and the CG steps are
+stacked gemvs and dots that mix no rows.  Every patch therefore gets
+exactly the iterates, objective values and stopping decision of a solve on
+its own.  So network inference can stack the rows of several independent
+frames into one call without changing a bit.  infer_state is a batch of
+one weighted by state_sparsity.
 
 _run_rows is the row loop of every batch solver, this one and the
 reference solvers in baselines.py: it keeps one trace per row, applies the
@@ -35,9 +41,18 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .linalg import as_float_array
-from .majorize import _solve_on_support
+from .linalg import _dots, _times_rows, as_float_array
+from .majorize import _descend_on_support, _solve_on_support
 from .model import HyperParams, LayerModel
+
+# Rows whose live support exceeds this many components take CG steps
+# (majorize._descend_on_support) instead of the LU support solve.  CPU
+# seconds of the MM solves on the solver-bench problems of seeds 0, 4 and
+# 41 (p = 256, k = 300; 1 BLAS thread, 2-core x86-64 host, best of 4): LU
+# only 1.98; this threshold at 150, 100, 60 and 30: 1.15, 1.19, 1.28 and
+# 2.35.  An LU solve costs about |S|^3 and a CG step k^2, so CG pays only
+# on large supports.
+_CG_MIN_SUPPORT = 100
 
 
 @dataclass
@@ -118,28 +133,13 @@ def _run_rows(step, rows: tuple, f: np.ndarray, max_iter: int, tol: float,
     return out, traces
 
 
-def _times_rows(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """m @ row for every row, as one stacked matmul.
-
-    NumPy runs a stack of matrix-vector products as one BLAS gemv per row,
-    so every row rounds exactly like m @ row on its own, whatever the
-    layout of m.  A matrix-matrix product, rows @ m.T, rounds differently.
-    """
-    return np.matmul(m, rows[..., None])[..., 0]
-
-
-def _squared_norms(rows: np.ndarray) -> np.ndarray:
-    """row @ row for every row, as one stacked matmul: a BLAS dot per row."""
-    return np.matmul(rows[..., None, :], rows[..., None])[..., 0, 0]
-
-
 def _objectives(residual, mag, innovation, alpha, mu, lam, margin):
     """Per-row objective, given |x| as mag and alpha = soft_clip(innovation).
 
     mu holds each row's per-component sparsity weights, the shape of mag.
     The innovation term is smooth_l1 written out on rows.
     """
-    val = 0.5 * _squared_norms(residual) + (mu * mag).sum(axis=1)
+    val = 0.5 * _dots(residual, residual) + (mu * mag).sum(axis=1)
     if lam > 0:
         val += lam * ((alpha * innovation).sum(axis=1)
                       - 0.5 * margin * (alpha * alpha).sum(axis=1))
@@ -161,6 +161,22 @@ def _evaluate(x, y, mu, prediction, c, lam, margin):
                                              mu, lam, margin)
 
 
+def _update(gram, r, rhs, x):
+    """The MM support update: LU on small supports, CG steps from x on large.
+
+    A layer with k <= _CG_MIN_SUPPORT never counts supports.
+    """
+    if gram.shape[0] > _CG_MIN_SUPPORT:
+        large = np.count_nonzero(r, axis=1) > _CG_MIN_SUPPORT
+        if large.any():
+            out = np.empty_like(rhs)
+            out[large] = _descend_on_support(gram, r[large], rhs[large],
+                                             x[large])
+            out[~large] = _solve_on_support(gram, r[~large], rhs[~large])
+            return out
+    return _solve_on_support(gram, r, rhs)
+
+
 def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
                 x_init=None) -> tuple[np.ndarray, SolveTrace]:
     """Infer one patch's sparse state given the previous frame's state.
@@ -168,12 +184,16 @@ def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
     Iterates x <- (C^T C + diag(1/r))^-1 (C^T y - lam*a), solved on the
     support of r, with r = |x|/mu rebuilt from the current iterate and
     mu = hp.state_sparsity, where a is the clipped gradient of the smoothed
-    innovation penalty.  When the temporal weight is active, the solve
-    carries the curvature bound lam/margin of the smoothed term on its
-    diagonal (and the matching pull toward the current iterate on the
-    right-hand side); this leaves the fixed points of the stationarity
-    equation untouched but makes every step minimize a true upper bound of
-    the objective, so the recorded objective cannot increase.
+    innovation penalty.  Supports of at most _CG_MIN_SUPPORT components
+    are solved exactly; larger ones take _CG_STEPS conjugate-gradient
+    steps on the same system from the current iterate, which lower the
+    quadratic bound without minimizing it, and so still lower the
+    objective.  When the temporal weight is active, the system carries the
+    curvature bound lam/margin of the smoothed term on its diagonal (and
+    the matching pull toward the current iterate on the right-hand side);
+    this leaves the fixed points of the stationarity equation untouched
+    but makes the quadratic a true upper bound of the objective, which
+    every step lowers, so the recorded objective cannot increase.
 
     Stops when the stationarity residual on the support,
     ||C^T(Cx - y) + mu*sign(x) + lam*a||_inf, falls below hp.inner_tol,
@@ -240,7 +260,7 @@ def infer_states_batch(patches, prev, model: LayerModel, hp: HyperParams,
             rhs = cty
             r = mag / mu
 
-        x = _solve_on_support(model.gram, r, rhs)
+        x = _update(model.gram, r, rhs, x)
         _finite("state", x)
 
         mag, residual, alpha, f = _evaluate(x, y, mu, prediction, c, lam, margin)

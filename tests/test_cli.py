@@ -6,8 +6,8 @@ import pytest
 
 from mmdpcn.baselines import (BaselineConfig, adam_solve, fista_solve,
                               ista_solve, state_objective)
-from mmdpcn.cli import _bench_hp, _bench_model, _bench_patches, main, \
-    run_benchmark
+from mmdpcn.cli import _BENCH_CURVATURE, _bench_hp, _bench_model, \
+    _bench_patches, main, run_benchmark
 from mmdpcn.config import BenchSettings
 from mmdpcn.errors import ConfigError
 from mmdpcn.frames import (read_frames_dir, read_labels_csv, write_frames,
@@ -110,7 +110,6 @@ patch_dim = 6
 state_dim = 9
 max_iter = 30
 patch_count = 3
-step = 0.02
 generator_sparsity = 0.3
 """
 
@@ -198,7 +197,7 @@ def test_run_benchmark_on_zero_patches(tmp_path):
 def test_run_benchmark_matches_per_patch_solves():
     # The reference solves every patch on its own.
     settings = BenchSettings(patch_dim=8, state_dim=12, max_iter=40,
-                             patch_count=5, step=0.02, generator_sparsity=0.3)
+                             patch_count=5, generator_sparsity=0.3)
     methods = ["mm", "ista", "fista", "adam"]
     results = run_benchmark(settings, methods, seed=3)
 
@@ -206,7 +205,8 @@ def test_run_benchmark_matches_per_patch_solves():
     model = _bench_model(settings, rng)
     patches = _bench_patches(settings, model, rng)
     hp = _bench_hp(settings)
-    fixed = BaselineConfig(step=settings.step, max_iter=settings.max_iter)
+    fixed = BaselineConfig(step=1.0 / _BENCH_CURVATURE,
+                           max_iter=settings.max_iter)
     adaptive = BaselineConfig(step=settings.adam_step,
                               max_iter=settings.max_iter)
 

@@ -135,12 +135,13 @@ def test_non_finite_values_rejected(tmp_path):
         with pytest.raises(ConfigError):
             parse_network_config(write(tmp_path, TWO_LAYER + line + "\n"))
     path = tmp_path / "bench.ini"
-    for line in ("step = nan", "adam_step = inf", "smooth_margin = -inf"):
+    for line in ("state_sparsity = nan", "adam_step = inf",
+                 "smooth_margin = -inf"):
         path.write_text(f"[bench]\n{line}\n")
         with pytest.raises(ConfigError):
             parse_bench_config(path)
     with pytest.raises(ConfigError):
-        BenchSettings(step=float("nan"))
+        BenchSettings(adam_step=float("nan"))
 
 
 def test_keys_parse_to_their_field_types(tmp_path):
@@ -202,7 +203,6 @@ def test_bench_defaults():
     assert s.state_dim == 300
     assert s.state_sparsity == 0.3
     assert s.smooth_margin == 0.1
-    assert s.step == 1e-2
     assert s.max_iter == 200
     assert s.patch_count == 20
     assert s.generator_sparsity == 0.05
@@ -214,7 +214,7 @@ def test_bench_validation():
     with pytest.raises(ConfigError):
         BenchSettings(patch_dim=0)
     with pytest.raises(ConfigError):
-        BenchSettings(step=0.0)
+        BenchSettings(adam_step=0.0)
     with pytest.raises(ConfigError):
         BenchSettings(max_iter=0)
     with pytest.raises(ConfigError):
@@ -228,13 +228,13 @@ def test_bench_validation():
 def test_bench_section_parsing(tmp_path):
     path = tmp_path / "bench.ini"
     path.write_text("[bench]\npatch_dim = 16\nstate_dim = 24\n"
-                    "max_iter = 50\nstep = 0.02\npatches_path = pp.rten\n")
+                    "max_iter = 50\nadam_step = 0.02\npatches_path = pp.rten\n")
     s = parse_bench_config(path)
     # Integer fields must come back as ints; sizes feed RNG shape tuples.
     assert s.patch_dim == 16 and isinstance(s.patch_dim, int)
     assert s.state_dim == 24 and isinstance(s.state_dim, int)
     assert s.max_iter == 50 and isinstance(s.max_iter, int)
-    assert s.step == 0.02
+    assert s.adam_step == 0.02
     assert s.patches_path == "pp.rten"
     # Unstated keys keep defaults.
     assert s.patch_count == 20
@@ -247,6 +247,12 @@ def test_bench_section_parsing(tmp_path):
     # temporal weight would act on nothing and is not a bench key.
     path.write_text("[bench]\ntemporal_sparsity = 0.1\n")
     with pytest.raises(ConfigError, match="unknown key 'temporal_sparsity'"):
+        parse_bench_config(path)
+
+    # ISTA and FISTA run at 1/L of the bench dictionary, so the step is
+    # not a bench key either.
+    path.write_text("[bench]\nstep = 0.01\n")
+    with pytest.raises(ConfigError, match="unknown key 'step'"):
         parse_bench_config(path)
 
     # A config without a [bench] section falls back to defaults entirely.

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from mmdpcn import states
 from mmdpcn.errors import NonFinite
-from mmdpcn.majorize import _solve_on_support, smooth_l1, soft_clip
+from mmdpcn.majorize import (_descend_on_support, _solve_on_support, smooth_l1,
+                             soft_clip)
 from mmdpcn.model import HyperParams, LayerDims, LayerModel
 from mmdpcn.states import infer_states_batch
 
@@ -228,3 +232,80 @@ def test_infer_states_batch_raises_non_finite_on_an_overflowing_solve():
         with pytest.raises(NonFinite):
             infer_states_batch(rng.standard_normal((2, p)), None, model, hp,
                                np.full((2, k), hp.state_sparsity), inits=inits)
+
+
+def support_quadratic(gram, r, rhs, x):
+    """0.5 z^T A z - b^T z per row, with A = I + H G H, b = h rhs, x = h z.
+
+    Each row on its own support, where z = x / h.
+    """
+    out = []
+    for r_i, rhs_i, x_i in zip(r, rhs, x):
+        s = np.flatnonzero(r_i)
+        h = np.sqrt(r_i[s])
+        z = x_i[s] / h
+        a = np.eye(s.size) + h[:, None] * gram[np.ix_(s, s)] * h
+        out.append(0.5 * z @ a @ z - (h * rhs_i[s]) @ z)
+    return np.array(out)
+
+
+def test_descend_on_support_lowers_the_quadratic_and_keeps_zeros():
+    # Supports from 1 component to all 40, well- and ill-scaled weights,
+    # started at random points of each support.
+    rng = np.random.default_rng(20)
+    p, k = 30, 40
+    c = rng.standard_normal((p, k))
+    c /= np.linalg.norm(c, axis=0)
+    gram = c.T @ c
+    ill_scaled = np.logspace(-6, 2, k)
+    rng.shuffle(ill_scaled)
+    live = rng.random((8, k)) < rng.uniform(0.05, 0.9, size=(8, 1))
+    live[0] = True
+    live[1] = False
+    live[1, rng.integers(k)] = True
+    for weights in (rng.uniform(0.05, 3.0, size=(8, k)),
+                    np.tile(ill_scaled, (8, 1))):
+        r = np.where(live, weights, 0.0)
+        rhs = rng.standard_normal((8, k))
+        x = np.where(live, rng.standard_normal((8, k)), 0.0)
+        out = _descend_on_support(gram, r, rhs, x)
+        assert np.all(out[~live] == 0.0)
+        assert np.all(support_quadratic(gram, r, rhs, out)
+                      < support_quadratic(gram, r, rhs, x))
+
+
+def test_descend_on_support_from_a_solution_raises_no_warning():
+    # A zero right-hand side from zero, and an empty support, make the
+    # first residual and every CG denominator exactly 0; a start at the LU
+    # solution makes them tiny.
+    rng = np.random.default_rng(21)
+    c = rng.standard_normal((10, 16))
+    gram = c.T @ c
+    r = rng.uniform(0.1, 2.0, size=(3, 16))
+    r[2] = 0.0
+    rhs = rng.standard_normal((3, 16))
+    rhs[0] = 0.0
+    x = _solve_on_support(gram, r, rhs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _descend_on_support(gram, r, rhs, x)
+    assert np.all(out[[0, 2]] == 0.0)
+    assert np.allclose(out[1], x[1], rtol=0.0, atol=1e-12)
+
+
+def test_shapes_sized_solves_never_take_cg_steps(monkeypatch):
+    # At shapes2.ini's layer-1 size (p = 64, k = 72) every support is at
+    # most k, below the CG threshold, so every row takes the LU solve.
+    def refuse(*args):
+        raise AssertionError("CG steps on a k = 72 layer")
+
+    monkeypatch.setattr(states, "_descend_on_support", refuse)
+    rng = np.random.default_rng(22)
+    c = rng.standard_normal((64, 72))
+    c /= np.linalg.norm(c, axis=0)
+    model = LayerModel(LayerDims(64, 72, 16, 4), np.eye(72), np.zeros((72, 16)), c)
+    hp = HyperParams(state_sparsity=0.25, max_inner_iter=30)
+    _, traces = infer_states_batch(rng.standard_normal((4, 64)),
+                                   rng.standard_normal((4, 72)), model, hp,
+                                   np.full((4, 72), hp.state_sparsity))
+    assert all(tr.iterations > 0 for tr in traces)

@@ -3,6 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mmdpcn import states as states_module
+from mmdpcn.cli import _bench_model, _bench_patches
+from mmdpcn.config import BenchSettings
 from mmdpcn.errors import DimensionMismatch
 from mmdpcn.linalg import column_normalize
 from mmdpcn.model import (CauseVector, HyperParams, LayerDims, LayerModel,
@@ -348,3 +351,44 @@ def test_weighted_rows_sum_to_total_energy():
     rows = sum(tr.objective_per_iter[-1] for tr in traces)
     rows += hp.cause_sparsity * np.abs(cause.values).sum()
     assert abs(rows - total) <= 1e-12 * abs(total)
+
+
+@pytest.mark.parametrize("temporal", [0.0, 0.1])
+def test_large_supports_descend_keep_zeros_and_match_solo_solves(temporal,
+                                                                 monkeypatch):
+    # The solver-bench scale, k = 300: rows that start on full or nearly
+    # full supports take CG steps, and a row started on 60 components takes
+    # the LU solve, in the same batch.  At a sparsity weight this low the
+    # supports stay large while the iterates settle, so CG steps started
+    # anywhere but the current iterate would let some objective rise.
+    settings = BenchSettings(patch_count=4)
+    rng = np.random.default_rng(19)
+    model = _bench_model(settings, rng)
+    patches = _bench_patches(settings, model, rng)
+    k = settings.state_dim
+    prev = rng.standard_normal((4, k))
+    inits = np.full((4, k), 0.1)
+    dead = rng.random((4, k)) < 0.1
+    inits[dead] = 0.0
+    inits[1] = 0.0
+    inits[1, rng.choice(k, size=60, replace=False)] = 0.1
+    hp = HyperParams(state_sparsity=0.05, temporal_sparsity=temporal,
+                     inner_tol=1e-9, max_inner_iter=30)
+    cg_rows = []
+    descend = states_module._descend_on_support
+
+    def counted(gram, r, rhs, x):
+        cg_rows.append(r.shape[0])
+        return descend(gram, r, rhs, x)
+
+    monkeypatch.setattr(states_module, "_descend_on_support", counted)
+    batch_states, batch_traces = infer_states_batch(
+        patches, prev, model, hp, flat(hp, 4, k), inits=inits)
+    # Three rows took CG steps together and the sparse row did not.
+    assert cg_rows[0] == 3
+    for tr in batch_traces:
+        assert np.all(np.diff(tr.objective_per_iter) <= 1e-9)
+    assert np.all(batch_states[inits == 0.0] == 0.0)
+    for i in range(4):
+        sv, tr = infer_state(patches[i], prev[i], model, hp, inits[i])
+        _assert_same_solve(batch_states[i], batch_traces[i], sv, tr)
