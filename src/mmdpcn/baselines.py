@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _dots, _times_rows, as_float_array
+from .linalg import _dots, _rows, _times_rows, as_float_array
 from .majorize import soft_clip
 from .model import HyperParams, LayerModel, _require_finite
-from .states import _finite, _rows, _run_rows
+from .states import _finite, _run_rows
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015).

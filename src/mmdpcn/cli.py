@@ -31,8 +31,8 @@ from .linalg import aligned_zeros
 from .metrics import evaluate_clustering, matching_accuracy, per_frame_mse, \
     sparsity
 from .model import HyperParams, LayerDims, LayerModel
-from .network import NetworkConfig, infer_variables, load_network, \
-    reconstruct_frames, save_network, train_network
+from .network import infer_variables, load_network, reconstruct_frames, \
+    save_network, train_network
 from .shapes import generate_shapes
 # perfbench/layers.py wraps infer_state and the three *_solve names here.
 from .states import infer_state, infer_states_batch
@@ -142,7 +142,6 @@ def _bench_hp(settings: BenchSettings) -> HyperParams:
     # inner_tol is effectively disabled so every method gets the same
     # fixed iteration budget.
     return HyperParams(state_sparsity=settings.state_sparsity,
-                       smooth_margin=settings.smooth_margin,
                        inner_tol=1e-300,
                        max_inner_iter=settings.max_iter)
 
@@ -275,7 +274,7 @@ def cmd_train(args) -> list:
             spec, learn=dataclasses.replace(spec.learn,
                                             seed=spec.learn.seed + args.seed))
         for spec in cfg.layers)
-    cfg = NetworkConfig(layers=specs, grid=cfg.grid, channels=cfg.channels)
+    cfg = dataclasses.replace(cfg, layers=specs)
 
     layers, reports = train_network(frames, cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -381,6 +380,12 @@ def cmd_reconstruct(args) -> list:
 # argument wiring
 
 
+_GRID_HELP = ("patch grid, rows x cols: the training config's grid.  The "
+              "model file does not record it (ROADMAP.md item 5), so a grid "
+              "with the same patch count and length, such as 1x4 or 4x1 for "
+              "2x2, runs without error and gives other results")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmdpcn",
@@ -424,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", required=True)
     p.add_argument("--labels", required=True, help="frame_index,label CSV")
     p.add_argument("--k", type=int, default=3, help="number of clusters")
-    p.add_argument("--grid", default="2x2", help="patch grid, rows x cols")
+    p.add_argument("--grid", default="2x2", help=_GRID_HELP)
     p.add_argument("--grayscale", action="store_true")
     p.set_defaults(fn=cmd_cluster)
 
@@ -432,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--frames", required=True)
-    p.add_argument("--grid", default="2x2")
+    p.add_argument("--grid", default="2x2", help=_GRID_HELP)
     p.add_argument("--grayscale", action="store_true")
     p.set_defaults(fn=cmd_reconstruct)
 

@@ -18,14 +18,14 @@ layer, numbered consecutively from 1:
     cause_dim = 12
 
 The dataclasses are the schema.  A layer section takes the fields of
-LayerDims (but patch_count, which the grid sets), HyperParams and
-LearnConfig, and a bench file's [bench] section those of BenchSettings;
-each key parses to its field's type, and an absent key keeps the default.
-input_dim is required for layer1 (patch pixels times channels) and derived
-for upper layers from the cause dimension below, so stating it there is
-only allowed when it agrees.  An unknown key, a value that does not parse
-and a value the dataclass refuses, NaN and infinities included, all raise
-ConfigError.
+LayerDims (but patch_count), HyperParams and LearnConfig, and [bench]
+those of BenchSettings; _read_section parses each key to its type, and an
+absent key keeps the default.  The parser only routes keys, requires
+layer1's input_dim (patch pixels times channels) and derives patch_count
+(the grid's for layer1, 1 above) and an unstated upper input_dim (the
+cause dimension below); the dataclasses check the rest, the chain too.  An
+unknown key, a value that does not parse and a value the dataclass
+refuses, NaN and infinities included, all raise ConfigError.
 """
 
 import configparser
@@ -48,13 +48,13 @@ class BenchSettings:
     otherwise it names a raw tensor file with one patch per row.
     The fixed-step solvers (ista/fista) take no step setting: the bench
     dictionary is scaled to a known curvature L = ||C||^2, and they run at
-    the textbook step 1/L.  adam_step is the adaptive solver's scale.
+    the textbook step 1/L.  adam_step is the adaptive solver's scale;
+    Adam's smoothing margin is the HyperParams default.
     """
 
     patch_dim: int = 256
     state_dim: int = 300
     state_sparsity: float = 0.3
-    smooth_margin: float = 0.1
     adam_step: float = 5.0
     max_iter: int = 200
     patch_count: int = 20
@@ -97,14 +97,6 @@ _LAYER_KEYS = (_field_types(LayerDims, skip={"patch_count"}),
 _BENCH_KEYS = _field_types(BenchSettings)
 
 
-def _convert(section: str, key: str, raw: str, kind: type):
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"[{section}] {key}: cannot parse {raw!r}") from exc
-
-
 def _parse_grid(raw: str):
     m = re.fullmatch(r"\s*(\d+)\s*[xX]\s*(\d+)\s*", raw)
     if not m:
@@ -115,19 +107,34 @@ def _parse_grid(raw: str):
     return rows, cols
 
 
+def _read_section(parser, section: str, *schemas) -> tuple:
+    """The one settings-section reader: one kwargs dict per schema, each
+    key parsed by the first schema that names it (an absent section gives
+    empty dicts); an unknown key or a value that does not parse raises."""
+    kwargs = tuple({} for _ in schemas)
+    if not parser.has_section(section):
+        return kwargs
+    for key, raw in parser.items(section):
+        for kw, types in zip(kwargs, schemas):
+            if key in types:
+                try:
+                    kw[key] = types[key](raw)
+                except ConfigError:  # _parse_grid's own message
+                    raise
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"[{section}] {key}: cannot parse {raw!r}") from exc
+                break
+        else:
+            raise ConfigError(f"[{section}] unknown key {key!r}")
+    return kwargs
+
+
 def parse_network_config(path) -> NetworkConfig:
     parser = _read_ini(path)
-
-    grid = (2, 2)
-    channels = 1
-    if parser.has_section("network"):
-        for key, raw in parser.items("network"):
-            if key == "grid":
-                grid = _parse_grid(raw)
-            elif key == "channels":
-                channels = _convert("network", key, raw, int)
-            else:
-                raise ConfigError(f"[network] unknown key {key!r}")
+    network_kw, = _read_section(parser, "network",
+                                {"grid": _parse_grid, "channels": int})
+    grid = network_kw.get("grid", NetworkConfig.grid)
 
     # Shorter names first, so that layer10 follows layer9; a name that is
     # not layerN then fails the check below.
@@ -142,33 +149,19 @@ def parse_network_config(path) -> NetworkConfig:
             f"layer sections must be layer1..layerN, got {layer_names}")
 
     specs = []
-    prev_cause = None
-    for idx, section in enumerate(layer_names, start=1):
-        kwargs = ({}, {}, {})
-        for key, raw in parser.items(section):
-            for kw, types in zip(kwargs, _LAYER_KEYS):
-                if key in types:
-                    kw[key] = _convert(section, key, raw, types[key])
-                    break
-            else:
-                raise ConfigError(f"[{section}] unknown key {key!r}")
-        dims_kw, hp_kw, learn_kw = kwargs
-
+    for section in layer_names:
+        dims_kw, hp_kw, learn_kw = _read_section(parser, section, *_LAYER_KEYS)
         for need in ("state_dim", "cause_dim"):
             if need not in dims_kw:
                 raise ConfigError(f"[{section}] missing required key {need}")
-        if idx == 1:
+        if not specs:
             if "input_dim" not in dims_kw:
                 raise ConfigError("[layer1] must state input_dim "
                                   "(patch pixels times channels)")
             patch_count = grid[0] * grid[1]
         else:
-            if dims_kw.setdefault("input_dim", prev_cause) != prev_cause:
-                raise ConfigError(
-                    f"[{section}] input_dim {dims_kw['input_dim']} conflicts "
-                    f"with the cause dimension {prev_cause} below")
+            dims_kw.setdefault("input_dim", specs[-1].dims.cause_dim)
             patch_count = 1
-        prev_cause = dims_kw["cause_dim"]
 
         try:
             dims = LayerDims(patch_count=patch_count, **dims_kw)
@@ -178,19 +171,12 @@ def parse_network_config(path) -> NetworkConfig:
             raise ConfigError(f"[{section}]: {exc}") from exc
         specs.append(LayerSpec(dims=dims, hp=hp, learn=learn))
 
-    return NetworkConfig(layers=tuple(specs), grid=grid, channels=channels)
+    return NetworkConfig(layers=tuple(specs), **network_kw)
 
 
 def parse_bench_config(path) -> BenchSettings:
     """Read the optional [bench] section; absent keys keep their defaults."""
     if path is None:
         return BenchSettings()
-    parser = _read_ini(path)
-    if not parser.has_section("bench"):
-        return BenchSettings()
-    kwargs = {}
-    for key, raw in parser.items("bench"):
-        if key not in _BENCH_KEYS:
-            raise ConfigError(f"[bench] unknown key {key!r}")
-        kwargs[key] = _convert("bench", key, raw, _BENCH_KEYS[key])
+    kwargs, = _read_section(_read_ini(path), "bench", _BENCH_KEYS)
     return BenchSettings(**kwargs)

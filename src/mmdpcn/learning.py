@@ -12,11 +12,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .linalg import as_float_array, column_normalize
+from .linalg import _rows, column_normalize
 from .majorize import soft_clip
 from .model import (HyperParams, LayerDims, LayerModel, _cause_inputs, _gate,
-                    _require_finite, pool_states, state_weights, total_energy)
+                    _require_finite, _state_terms, pool_states, state_weights,
+                    total_energy)
 from .causes import infer_cause
 from .states import infer_states_batch
 
@@ -65,28 +65,22 @@ def grad_model(patches, states, prev_states, cause, pooled, model: LayerModel,
                hp: HyperParams):
     """Analytic gradients of the full objective in the three matrices.
 
-    patches is the frame's (patch, pixel) array.  Evaluated at fixed
+    The frame is read by model._state_terms, the one check and formation
+    of its state terms that state_energy reads too.  Evaluated at fixed
     variables: the dictionary sees the reconstruction residual, the
     transition sees the clipped innovation gradient, and the coupling sees
     the exponential gating term.  Returns (dA, dB, dC) for
     (transition, coupling, dictionary).
     """
-    y = np.asarray(patches, dtype=np.float64)
-    x = as_float_array(states, "states")
+    x, residual, x_prev, innovation = _state_terms(patches, states,
+                                                   prev_states, model, hp)
     u, pooled, _ = _cause_inputs(model, cause, pooled, None)
-    if y.shape[0] != x.shape[0]:
-        raise DimensionMismatch(f"{y.shape[0]} patches but {x.shape[0]} state rows")
-
-    residual = y - x @ model.dictionary.T
     d_dict = -(residual.T @ x)
-
-    if prev_states is not None and hp.temporal_sparsity > 0:
-        x_prev = as_float_array(prev_states, "previous states")
-        innovation = x - x_prev @ model.transition.T
+    if innovation is None:
+        d_trans = np.zeros_like(model.transition)
+    else:
         alpha = soft_clip(innovation, hp.smooth_margin)
         d_trans = -hp.temporal_sparsity * (alpha.T @ x_prev)
-    else:
-        d_trans = np.zeros_like(model.transition)
 
     d_coup = -np.outer(pooled * _gate(model.coupling, u), u)
 
@@ -184,14 +178,10 @@ def fit_layer(frames, dims: LayerDims, hp: HyperParams,
     inputs), and the fit report.
     """
     start = time.perf_counter()
-    frames = [as_float_array(f, "frame patches") for f in frames]
+    frames = [_rows(f, dims.patch_count, dims.input_dim, "frame patches")
+              for f in frames]
     if not frames:
         raise ValueError("fit_layer needs at least one frame")
-    for f in frames:
-        if f.shape != (dims.patch_count, dims.input_dim):
-            raise DimensionMismatch(
-                f"frame patches must be {(dims.patch_count, dims.input_dim)}, "
-                f"got {f.shape}")
 
     rng = np.random.default_rng(cfg.seed)
     theta = init_model(dims, rng)

@@ -1,5 +1,5 @@
-"""Dense linear-algebra substrate: input coercion, aligned storage, column
-normalization and the per-row products of the batch solvers.
+"""Dense linear-algebra substrate: input and row checks, aligned storage,
+column normalization and the per-row products of the batch solvers.
 
 All arrays are 64-bit floats in C (row-major) order. Everything here is a
 pure function; inputs are never mutated.
@@ -7,7 +7,7 @@ pure function; inputs are never mutated.
 
 import numpy as np
 
-from .errors import NonFinite, ZeroColumn
+from .errors import DimensionMismatch, NonFinite, ZeroColumn
 
 # Norm below which a column counts as zero and cannot be normalized.
 ZERO_COLUMN_TOL = 1e-12
@@ -27,6 +27,16 @@ def as_float_array(a, name: str = "array") -> np.ndarray:
     if not np.isfinite(out).all():
         raise NonFinite(f"{name} contains NaN or Inf")
     return out
+
+
+def _rows(a, n, k: int, name: str) -> np.ndarray:
+    """The one row check of the solvers, the energy and the gradient: a
+    holds n rows of length k, one per patch; any n if None."""
+    a = as_float_array(a, name)
+    if a.ndim != 2 or a.shape[1] != k or (n is not None and a.shape[0] != n):
+        raise DimensionMismatch(
+            f"{name} must be ({'n' if n is None else n}, {k}), got {a.shape}")
+    return a
 
 
 def aligned_zeros(shape) -> np.ndarray:

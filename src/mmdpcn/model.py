@@ -9,7 +9,8 @@ vector).
 A frame's patches are one (patch, pixel) float array, its states one
 (patch, state) float array, its pooled magnitudes one (state,) vector
 (pool_states) and its cause a CauseVector holding one vector; exact zeros
-are the sparsity, and nothing else marks them.  _cause_values is the one
+are the sparsity, and nothing else marks them.  _state_terms is the one
+check and formation of a frame's state terms, _cause_values the one
 reader of a cause, and _cause_inputs the one check of a cause objective's
 inputs.  The cause objective takes an optional top-down preference, so
 plain and pulled cause solves descend one energy.
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import aligned_zeros, as_aligned_array, as_float_array
+from .linalg import _rows, aligned_zeros, as_aligned_array, as_float_array
 
 # Where every cause component starts when a solve is given no start.  Zero
 # is absorbing for the cause iteration, so the start must be nonzero.
@@ -184,32 +185,35 @@ def _cause_inputs(model: LayerModel, cause, pooled, preference):
     return u, pooled, preference
 
 
+def _state_terms(patches, states, prev_states, model: LayerModel,
+                 hp: HyperParams):
+    """The one check and formation of a frame's state terms: the rows
+    checked by _rows, then (x, y - x C^T, x_prev, x - x_prev A^T), the
+    last two None without prev_states or a temporal weight."""
+    p, k = model.dictionary.shape
+    y = _rows(patches, None, p, "patches")
+    x = _rows(states, y.shape[0], k, "states")
+    residual = y - x @ model.dictionary.T
+    if prev_states is None or hp.temporal_sparsity <= 0:
+        return x, residual, None, None
+    x_prev = _rows(prev_states, y.shape[0], k, "previous states")
+    return x, residual, x_prev, x - x_prev @ model.transition.T
+
+
 def state_energy(patches, states, prev_states, model: LayerModel, hp: HyperParams) -> float:
     """Exact per-frame state objective: reconstruction + sparsity + innovation.
 
     patches is the frame's (patch, pixel) array; states and prev_states
-    are (patch, state) arrays.  Sum over patches of
+    are (patch, state) arrays, read by _state_terms.  Sum over patches of
     0.5*||y - dictionary@x||^2 + state_sparsity*||x||_1 plus
     temporal_sparsity*||x - transition@x_prev||_1.  Pass prev_states as
     None to drop the temporal term (first frame of a sequence).
     """
-    y = as_float_array(patches, "patches")
-    x = as_float_array(states, "states")
-    p, k = model.dictionary.shape
-    if y.ndim != 2 or y.shape[1] != p or x.shape != (y.shape[0], k):
-        raise DimensionMismatch(
-            f"patches {y.shape} and states {x.shape} do not fit a "
-            f"({p}, {k}) dictionary")
-
-    residual = y - x @ model.dictionary.T
+    x, residual, _, innovation = _state_terms(patches, states, prev_states,
+                                              model, hp)
     total = 0.5 * float(np.sum(residual * residual))
     total += hp.state_sparsity * float(np.abs(x).sum())
-
-    if prev_states is not None and hp.temporal_sparsity > 0:
-        x_prev = as_float_array(prev_states, "previous states")
-        if x_prev.shape != x.shape:
-            raise DimensionMismatch("previous states must match current state shape")
-        innovation = x - x_prev @ model.transition.T
+    if innovation is not None:
         total += hp.temporal_sparsity * float(np.abs(innovation).sum())
     return total
 

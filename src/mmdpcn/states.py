@@ -40,8 +40,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite
-from .linalg import _dots, _times_rows, as_float_array
+from .errors import NonFinite
+from .linalg import _dots, _rows, _times_rows
 from .majorize import _descend_on_support, _solve_on_support
 from .model import HyperParams, LayerModel
 
@@ -75,15 +75,6 @@ class SolveTrace:
     iterations: int = 0
     converged: bool = False
     final_residual: float = float("nan")
-
-
-def _rows(a, n, k: int, name: str) -> np.ndarray:
-    """Check that a holds n rows of length k, one per patch; any n if None."""
-    a = as_float_array(a, name)
-    if a.ndim != 2 or a.shape[1] != k or (n is not None and a.shape[0] != n):
-        raise DimensionMismatch(
-            f"{name} must be ({'n' if n is None else n}, {k}), got {a.shape}")
-    return a
 
 
 def _finite(name: str, x: np.ndarray) -> None:
@@ -205,13 +196,10 @@ def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
     is a fixed point of the iteration and therefore useless.  This is
     infer_states_batch on one row, every weight hp.state_sparsity.
     """
-    y = as_float_array(y, "patch")
-    p, k = model.dictionary.shape
-    if y.shape != (p,):
-        raise DimensionMismatch(f"patch must have length {p}, got {y.shape}")
     states, traces = infer_states_batch(
-        y[None, :], None if x_prev is None else [x_prev], model, hp,
-        np.full((1, k), hp.state_sparsity), None if x_init is None else [x_init])
+        [y], None if x_prev is None else [x_prev], model, hp,
+        np.full((1, model.dims.state_dim), hp.state_sparsity),
+        None if x_init is None else [x_init])
     return states[0], traces[0]
 
 

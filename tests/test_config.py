@@ -64,6 +64,15 @@ def test_upper_layer_input_dim_must_agree(tmp_path):
         parse_network_config(write(tmp_path, bad))
 
 
+def test_upper_layer_input_dim_conflict_is_refused_by_network_config(tmp_path):
+    # The parser derives an unstated upper input_dim but does not restate
+    # the chain rule; NetworkConfig refuses a conflicting one.
+    bad = TWO_LAYER.replace("[layer2]", "[layer2]\ninput_dim = 20")
+    with pytest.raises(ConfigError,
+                       match="layer 2 input dim 20 must equal layer 1 cause dim 24"):
+        parse_network_config(write(tmp_path, bad))
+
+
 def test_layer1_requires_input_dim(tmp_path):
     with pytest.raises(ConfigError):
         parse_network_config(write(
@@ -136,7 +145,7 @@ def test_non_finite_values_rejected(tmp_path):
             parse_network_config(write(tmp_path, TWO_LAYER + line + "\n"))
     path = tmp_path / "bench.ini"
     for line in ("state_sparsity = nan", "adam_step = inf",
-                 "smooth_margin = -inf"):
+                 "generator_sparsity = -inf"):
         path.write_text(f"[bench]\n{line}\n")
         with pytest.raises(ConfigError):
             parse_bench_config(path)
@@ -202,12 +211,19 @@ def test_bench_defaults():
     assert s.patch_dim == 256
     assert s.state_dim == 300
     assert s.state_sparsity == 0.3
-    assert s.smooth_margin == 0.1
     assert s.max_iter == 200
     assert s.patch_count == 20
     assert s.generator_sparsity == 0.05
     assert s.patches_path == ""
     assert parse_bench_config(None) == s
+
+
+def test_bench_smooth_margin_is_not_a_key(tmp_path):
+    # Adam smooths |x| with the HyperParams margin, which no key sets.
+    path = tmp_path / "bench.ini"
+    path.write_text("[bench]\nsmooth_margin = 0.1\n")
+    with pytest.raises(ConfigError, match="unknown key 'smooth_margin'"):
+        parse_bench_config(path)
 
 
 def test_bench_validation():

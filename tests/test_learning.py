@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mmdpcn.errors import DimensionMismatch, NonFinite
 from mmdpcn.learning import (FitReport, LearnConfig, fit_layer, grad_model,
                              infer_frame_variables, init_model, update_model)
 from mmdpcn.linalg import column_normalize
@@ -89,6 +90,42 @@ def test_coupling_gradient_zero_at_zero_pool():
     pooled = np.zeros(model.dims.state_dim)
     _, db, _ = grad_model(y, x, None, u, pooled, model, hp)
     assert np.array_equal(db, np.zeros_like(db))
+
+
+@pytest.mark.parametrize("with_temporal", [True, False])
+def test_grad_model_bits_equal_the_explicit_formulas(with_temporal):
+    # The frame's residual and innovation come from model._state_terms,
+    # the formation state_energy reads too; the gradients keep their bits.
+    rng = np.random.default_rng(38)
+    model, y, x, x_prev, u, pooled, hp = random_learn_instance(rng, with_temporal)
+    da, db, dc = grad_model(y, x, x_prev, u, pooled, model, hp)
+    a, b, c = model.transition, model.coupling, model.dictionary
+    assert np.array_equal(dc, -((y - x @ c.T).T @ x))
+    assert np.array_equal(db, -np.outer(pooled * np.exp(-(b @ u)), u))
+    if with_temporal:
+        alpha = np.clip((x - x_prev @ a.T) / hp.smooth_margin, -1.0, 1.0)
+        assert np.array_equal(da, -hp.temporal_sparsity * (alpha.T @ x_prev))
+    else:
+        assert np.array_equal(da, np.zeros_like(a))
+
+
+def test_grad_model_rejects_a_non_finite_patch():
+    rng = np.random.default_rng(39)
+    model, y, x, x_prev, u, pooled, hp = random_learn_instance(rng)
+    y[1, 2] = np.nan
+    with pytest.raises(NonFinite):
+        grad_model(y, x, x_prev, u, pooled, model, hp)
+
+
+def test_grad_model_rejects_the_shapes_state_energy_rejects():
+    rng = np.random.default_rng(39)
+    model, y, x, x_prev, u, pooled, hp = random_learn_instance(rng)
+    for args in ((y[:, :-1], x, x_prev), (y, x[:, :-1], x_prev),
+                 (y, x, x_prev[:, :-1]), (y, x, x_prev[:-1])):
+        with pytest.raises(DimensionMismatch):
+            grad_model(*args, u, pooled, model, hp)
+        with pytest.raises(DimensionMismatch):
+            total_energy(*args, u, pooled, model, hp)
 
 
 def test_update_model_normalizes_coupling_and_dictionary():
