@@ -84,10 +84,11 @@ def cmd_gen_shapes(args) -> list:
 
 
 # Synthetic problem scale.  The dictionary is scaled to the spectral
-# curvature L = ||C||^2 = _BENCH_CURVATURE, so ISTA and FISTA take the
-# textbook step 1/L (Beck & Teboulle, SIAM J. Imaging Sci. 2009) without
-# an SVD per run.  The code amplitude is large enough that no method closes
-# the remaining gap within the iteration budget.
+# curvature L = ||C||^2 = _BENCH_CURVATURE, by one SVD per problem
+# (np.linalg.norm(dictionary, 2)), so ISTA and FISTA take the textbook step
+# 1/L (Beck & Teboulle, SIAM J. Imaging Sci. 2009) and compute none.  The
+# code amplitude is large enough that no method closes the remaining gap
+# within the iteration budget.
 _BENCH_CURVATURE = 5.0
 _BENCH_SIGNAL = 150.0
 

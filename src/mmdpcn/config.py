@@ -82,6 +82,9 @@ def _read_ini(path) -> configparser.ConfigParser:
         raise IoError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    # configparser would merge [DEFAULT] keys into every section.
+    if parser.defaults():
+        raise ConfigError(f"{path}: [DEFAULT] keys are not supported")
     return parser
 
 

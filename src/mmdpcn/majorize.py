@@ -1,12 +1,13 @@
 """Surrogate machinery for the sparse-coding iterations.
 
-Two pieces make the updates closed-form: a smoothed absolute value whose
-gradient is a clipped linear map, and a quadratic upper bound on the l1
-penalty that touches it at the current iterate.  Minimizing the bound turns
-each update into a diagonally reweighted least-squares solve,
-(C^T C + diag(1/r)) x = rhs.  Components with r_k = 0 stay exactly zero, so
-the system lives on the live support S = {k : r_k > 0}: a scaled |S| x |S|
-system built from the Gram matrix C^T C.
+A quadratic upper bound on each l1 penalty, touching it at the current
+iterate, makes the state updates closed-form: minimizing the bound is a
+diagonally reweighted least-squares solve, (C^T C + diag(1/r)) x = rhs.
+Components with r_k = 0 stay exactly zero, so the system lives on the live
+support S = {k : r_k > 0}: a scaled |S| x |S| system built from the Gram
+matrix C^T C.  The smoothed absolute value (smooth_l1, whose gradient
+soft_clip is a clipped linear map) serves only the transition gradient and
+Adam.
 
 Small supports are solved exactly (_solve_on_support), by solve1 from
 numpy.linalg._umath_linalg, the LAPACK gesv gufunc that np.linalg.solve

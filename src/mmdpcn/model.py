@@ -51,7 +51,8 @@ class HyperParams:
     energy charges them, it also weights the states, which pay
     state_sparsity + pool_gain*(1 + exp(-coupling@u)) per unit of |x|
     (state_weights).  smooth_margin is the width of the smoothed absolute
-    value used wherever an l1 term must be differentiated.
+    value that only the transition gradient (grad_model) and Adam use;
+    the state solver, like the energy, charges the exact l1.
     """
 
     state_sparsity: float = 0.3

@@ -1,7 +1,8 @@
 """Sparse state inference by reweighted least squares.
 
-Each iteration rebuilds the quadratic bound on the sparsity penalty at the
-current iterate and lowers it on the live support, using the layer's
+Each iteration rebuilds the quadratic bounds on the two l1 penalties, of
+the state and, on later frames, of its innovation x - A x_prev, at the
+current iterate and lowers their sum on the live support, using the layer's
 cached Gram matrix: exactly, by one LU solve, on a support of at most
 _CG_MIN_SUPPORT components, and by a few conjugate-gradient steps from the
 current iterate on a larger one, which cost a fraction of the LU.  Either
@@ -124,32 +125,22 @@ def _run_rows(step, rows: tuple, f: np.ndarray, max_iter: int, tol: float,
     return out, traces
 
 
-def _objectives(residual, mag, innovation, alpha, mu, lam, margin):
-    """Per-row objective, given |x| as mag and alpha = soft_clip(innovation).
-
-    mu holds each row's per-component sparsity weights, the shape of mag.
-    The innovation term is smooth_l1 written out on rows.
-    """
+def _objectives(residual, mag, innovation, mu, lam):
+    """Each row's exact state energy, given |x| as mag and per-component
+    sparsity weights mu of its shape; innovation is read only if lam > 0."""
     val = 0.5 * _dots(residual, residual) + (mu * mag).sum(axis=1)
     if lam > 0:
-        val += lam * ((alpha * innovation).sum(axis=1)
-                      - 0.5 * margin * (alpha * alpha).sum(axis=1))
+        val += lam * np.abs(innovation).sum(axis=1)
     return val
 
 
-def _evaluate(x, y, mu, prediction, c, lam, margin):
-    """|x|, the residual, soft_clip(innovation) and the row objectives at x.
-
-    alpha is None when lam is 0, and prediction is read only when lam > 0.
-    """
+def _evaluate(x, y, mu, prediction, c, lam):
+    """|x|, the residual, the innovation (None if lam is 0) and the row
+    objectives at x."""
     mag = np.abs(x)
     residual = y - _times_rows(c, x)
-    innovation = alpha = None
-    if lam > 0:
-        innovation = x - prediction
-        alpha = (innovation / margin).clip(-1.0, 1.0)
-    return mag, residual, alpha, _objectives(residual, mag, innovation, alpha,
-                                             mu, lam, margin)
+    e = x - prediction if lam > 0 else None
+    return mag, residual, e, _objectives(residual, mag, e, mu, lam)
 
 
 def _update(gram, r, rhs, x):
@@ -172,23 +163,23 @@ def infer_state(y, x_prev, model: LayerModel, hp: HyperParams,
                 x_init=None) -> tuple[np.ndarray, SolveTrace]:
     """Infer one patch's sparse state given the previous frame's state.
 
-    Iterates x <- (C^T C + diag(1/r))^-1 (C^T y - lam*a), solved on the
-    support of r, with r = |x|/mu rebuilt from the current iterate and
-    mu = hp.state_sparsity, where a is the clipped gradient of the smoothed
-    innovation penalty.  Supports of at most _CG_MIN_SUPPORT components
-    are solved exactly; larger ones take _CG_STEPS conjugate-gradient
-    steps on the same system from the current iterate, which lower the
-    quadratic bound without minimizing it, and so still lower the
-    objective.  When the temporal weight is active, the system carries the
-    curvature bound lam/margin of the smoothed term on its diagonal (and
-    the matching pull toward the current iterate on the right-hand side);
-    this leaves the fixed points of the stationarity equation untouched
-    but makes the quadratic a true upper bound of the objective, which
-    every step lowers, so the recorded objective cannot increase.
+    Iterates x <- (C^T C + diag(1/r))^-1 (C^T y + w*(A x_prev)), solved
+    on the support of r, with r = |x|/(mu + w|x|) and w = lam/|e| rebuilt
+    from the current iterate and its innovation e = x - A x_prev, where
+    mu = hp.state_sparsity and lam = hp.temporal_sparsity (w = 0 without
+    the temporal term).  These are the weights of the quadratic bound that
+    touches each l1 term at the current iterate, so every step lowers the
+    exact objective that state_energy charges, and that is the objective
+    recorded.  Supports of at most _CG_MIN_SUPPORT components are solved
+    exactly; larger ones take _CG_STEPS conjugate-gradient steps on the
+    same system from the current iterate, which lower the bound without
+    minimizing it, and so still lower the objective.  A component whose
+    innovation is exactly zero is held at its prediction.
 
     Stops when the stationarity residual on the support,
-    ||C^T(Cx - y) + mu*sign(x) + lam*a||_inf, falls below hp.inner_tol,
-    or after hp.max_inner_iter updates (converged flag false).
+    ||C^T(Cx - y) + mu*sign(x) + lam*sign(e)||_inf, falls below
+    hp.inner_tol, or after hp.max_inner_iter updates (converged flag
+    false).
 
     Returns the state as a 1-d array; entries under hp.clamp_state are
     exact zeros.  Pass x_prev=None to drop the temporal term (first
@@ -209,13 +200,13 @@ def infer_states_batch(patches, prev, model: LayerModel, hp: HyperParams,
 
     patches is an (n, p) array; weights is an (n, k) array, and prev and
     inits are None or (n, k) arrays.  weights holds each row's positive
-    per-component sparsity mu_k, so r = |x|/mu_k; network and learning
-    pass model.state_weights of each frame's cause, the state weight that
-    total_energy charges.  The rows may come from one frame or from
-    several.  Returns the (n, k) states and one trace per patch.  Each row
-    and trace equal those of a batch of that row alone, except wall_time,
-    which is an equal share of the batch's elapsed time; with every weight
-    hp.state_sparsity, those of infer_state on that patch.
+    per-component sparsity mu_k, the mu of infer_state's update; network
+    and learning pass model.state_weights of each frame's cause, the state
+    weight that total_energy charges.  The rows may come from one frame or
+    from several.  Returns the (n, k) states and one trace per patch.  Each
+    row and trace equal those of a batch of that row alone, except
+    wall_time, which is an equal share of the batch's elapsed time; with
+    every weight hp.state_sparsity, those of infer_state on that patch.
     """
     start = time.perf_counter()
     p, k = model.dictionary.shape
@@ -228,30 +219,33 @@ def infer_states_batch(patches, prev, model: LayerModel, hp: HyperParams,
         raise ValueError("state weights must be positive")
     if n == 0:
         return np.zeros((0, k)), []
-    c, margin = model.dictionary, hp.smooth_margin
+    c = model.dictionary
     prediction, lam = None, 0.0
     if x_prev is not None and hp.temporal_sparsity > 0:
         prediction = _times_rows(model.transition, x_prev)
         lam = hp.temporal_sparsity
-    damping = lam / margin
 
-    # One MM update of the live rows.  soft_clip is written out as a clip,
-    # since HyperParams already guarantees a positive margin.
+    # One MM update of the live rows.
     def step(it, rows):
-        x, mag, alpha, y, cty, mu, prediction = rows
+        x, mag, innovation, y, cty, mu, prediction = rows
         if lam > 0:
-            rhs = cty - lam * alpha + damping * x
-            # Combined diagonal weights mu/|x| + lam/margin, inverted entrywise;
-            # zero components stay zero.
-            r = mag * margin / (mu * margin + lam * mag)
+            # |e_k| <= e_k^2/(2|e0_k|) + |e0_k|/2 at the current innovation
+            # e0, the bound behind mu/|x_k| too: weights mu/|x_k| + w_k,
+            # w = lam/|e0|, inverted entrywise, and the pull w*(A x_prev).
+            # Where e0_k is exactly zero the curvature is infinite: x_k is
+            # held at its prediction, out of the solve, which sees it in rhs.
+            held = innovation == 0.0
+            w = lam / np.where(held, 1.0, np.abs(innovation))
+            r = np.where(held, 0.0, mag / (mu + w * mag))
+            rhs = cty + w * prediction
+            if held.any():
+                rhs -= _times_rows(model.gram, np.where(held, x, 0.0))
+            x = np.where(held, x, _update(model.gram, r, rhs, x))
         else:
-            rhs = cty
-            r = mag / mu
-
-        x = _update(model.gram, r, rhs, x)
+            x = _update(model.gram, mag / mu, cty, x)
         _finite("state", x)
 
-        mag, residual, alpha, f = _evaluate(x, y, mu, prediction, c, lam, margin)
+        mag, residual, innovation, f = _evaluate(x, y, mu, prediction, c, lam)
         nonzero = x != 0.0
 
         # Clamp small components to exact zero, but never at the cost of an
@@ -261,8 +255,8 @@ def infer_states_batch(patches, prev, model: LayerModel, hp: HyperParams,
         if small.any():
             # Rows without small components get back their own values.
             x_cl = np.where(small, 0.0, x)
-            mag_cl, res_cl, a_cl, f_cl = _evaluate(x_cl, y, mu, prediction, c,
-                                                   lam, margin)
+            mag_cl, res_cl, e_cl, f_cl = _evaluate(x_cl, y, mu, prediction,
+                                                   c, lam)
             take = f_cl <= f
             if take.any():
                 row = take[:, None]
@@ -271,20 +265,20 @@ def infer_states_batch(patches, prev, model: LayerModel, hp: HyperParams,
                 residual = np.where(row, res_cl, residual)
                 f = np.where(take, f_cl, f)
                 if lam > 0:
-                    alpha = np.where(row, a_cl, alpha)
+                    innovation = np.where(row, e_cl, innovation)
                 nonzero = x != 0.0
 
         grad = -_times_rows(c.T, residual)
         if lam > 0:
-            grad = grad + lam * alpha
+            grad = grad + lam * np.sign(innovation)
         # Stationarity residual on the support.
         kkt = np.abs(grad + mu * np.sign(x)).max(axis=1, where=nonzero,
                                                  initial=0.0)
-        return (x, mag, alpha, y, cty, mu, prediction), f, kkt
+        return (x, mag, innovation, y, cty, mu, prediction), f, kkt
 
-    mag, _, alpha, f = _evaluate(x, patches, mu, prediction, c, lam, margin)
+    mag, _, innovation, f = _evaluate(x, patches, mu, prediction, c, lam)
     out, traces = _run_rows(
-        step, (x, mag, alpha, patches, _times_rows(c.T, patches), mu, prediction),
+        step, (x, mag, innovation, patches, _times_rows(c.T, patches), mu, prediction),
         f, hp.max_inner_iter, hp.inner_tol, start)
     # Terminal clamp: the returned state never carries sub-threshold values.
     out[np.abs(out) < hp.clamp_state] = 0.0

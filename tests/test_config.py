@@ -226,6 +226,18 @@ def test_bench_smooth_margin_is_not_a_key(tmp_path):
         parse_bench_config(path)
 
 
+@pytest.mark.parametrize("network", ["[network]\ngrid = 2x2\n\n", ""],
+                         ids=["with_network", "without_network"])
+def test_default_section_keys_are_refused(tmp_path, network):
+    # configparser merges [DEFAULT] keys into every section: with a
+    # [network] section the seed was an unknown key there, and without one
+    # every layer silently took seed = 3.
+    layers = TWO_LAYER[TWO_LAYER.index("[layer1]"):]
+    path = write(tmp_path, "[DEFAULT]\nseed = 3\n\n" + network + layers)
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+        parse_network_config(path)
+
+
 def test_bench_validation():
     with pytest.raises(ConfigError):
         BenchSettings(patch_dim=0)

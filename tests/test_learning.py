@@ -276,16 +276,20 @@ def test_interleaving_settles():
 
 
 def test_state_and_cause_blocks_never_raise_the_frame_energy(monkeypatch):
-    # A first frame has no temporal term, so each state block solves
-    # exactly total_energy at the last cause, and each cause block at the
-    # new states.  The settings are layer 1's before pool_gain was scaled
-    # down, where weighting the states by state_sparsity alone raised the
-    # energy.
-    frame = generate_shapes(frames_per_shape=1, seed=4).frames[0]
-    patches = decompose_frame(frame, (2, 2))
+    # Each state block descends total_energy at the last cause, the exact
+    # l1 of the innovation included on the second frame, whose previous
+    # states are the first frame's, and each cause block descends it at the
+    # new states.  The first settings are layer 1's before pool_gain was
+    # scaled down, where weighting the states by state_sparsity alone
+    # raised the energy; they leave no state nonzero, so the second frame
+    # runs under layer 1's shipped settings as well, where they live on.
+    frames = generate_shapes(frames_per_shape=1, seed=4).frames[:2]
     model = init_model(LayerDims(64, 72, 16, 4), np.random.default_rng(0))
-    hp = HyperParams(pool_gain=3.0, cause_sparsity=0.08, state_passes=2,
-                     cause_passes=2, inner_tol=1e-3, max_inner_iter=30)
+    old = HyperParams(pool_gain=3.0, cause_sparsity=0.08, state_passes=2,
+                      cause_passes=2, inner_tol=1e-3, max_inner_iter=30)
+    shipped = HyperParams(state_sparsity=0.25, pool_gain=0.03,
+                          cause_sparsity=0.0008, state_passes=2,
+                          cause_passes=2, inner_tol=1e-3, max_inner_iter=30)
     energies = []
 
     def spy(*args):
@@ -293,7 +297,14 @@ def test_state_and_cause_blocks_never_raise_the_frame_energy(monkeypatch):
         return energies[-1]
 
     monkeypatch.setattr("mmdpcn.learning.total_energy", spy)
-    infer_frame_variables(patches, None, model, hp)
-    assert len(energies) > 2
-    for before, after in zip(energies, energies[1:]):
-        assert after <= before + 1e-12 * abs(before)
+    for hp in (old, shipped):
+        prev_states = None
+        for frame in frames:
+            energies.clear()
+            prev_states, *_ = infer_frame_variables(
+                decompose_frame(frame, (2, 2)), prev_states, model, hp)
+            assert len(energies) > 2
+            for before, after in zip(energies, energies[1:]):
+                assert after <= before + 1e-12 * abs(before)
+        if hp is shipped:
+            assert np.count_nonzero(prev_states) > 0

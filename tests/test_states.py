@@ -9,7 +9,8 @@ from mmdpcn.config import BenchSettings
 from mmdpcn.errors import DimensionMismatch
 from mmdpcn.linalg import column_normalize
 from mmdpcn.model import (CauseVector, HyperParams, LayerDims, LayerModel,
-                          pool_states, state_weights, total_energy)
+                          pool_states, state_energy, state_weights,
+                          total_energy)
 from mmdpcn.states import _objectives, _times_rows, infer_state, infer_states_batch
 
 
@@ -322,7 +323,7 @@ def test_stacked_products_round_like_one_product_per_row(n):
     residual = rng.standard_normal((n, 23))
     mag = np.abs(rng.standard_normal((n, 41)))
     mu = 0.3 + rng.random((n, 41))
-    got = _objectives(residual, mag, None, None, mu, 0.0, 0.1)
+    got = _objectives(residual, mag, None, mu, 0.0)
     expected = np.array([0.5 * (r @ r) + (w * a).sum()
                          for r, a, w in zip(residual, mag, mu)])
     assert np.array_equal(_bits(got), _bits(expected))
@@ -330,9 +331,10 @@ def test_stacked_products_round_like_one_product_per_row(n):
 
 def test_weighted_rows_sum_to_total_energy():
     # Weighted by state_weights of a cause, the rows' last objectives add
-    # up to total_energy at that cause, less its cause penalty.  No
-    # temporal term and no clamp, so each last objective is that of the
-    # returned row.
+    # up to total_energy at that cause, less its cause penalty: on a first
+    # frame, and on a later one, where the rows record the exact l1 of the
+    # innovation that total_energy charges.  No clamp, so each last
+    # objective is that of the returned row.
     rng = np.random.default_rng(50)
     dims = LayerDims(input_dim=6, state_dim=9, cause_dim=3, patch_count=4)
     model = LayerModel(dims,
@@ -344,13 +346,50 @@ def test_weighted_rows_sum_to_total_energy():
     patches = rng.standard_normal((4, 6))
     cause = CauseVector(np.array([0.4, 0.0, 1.3]))
     weights = state_weights(model, [cause], 4, hp)
-    states, traces = infer_states_batch(patches, None, model, hp, weights)
-    assert np.count_nonzero(states) > 0
-    pooled = pool_states(states, hp.pool_gain)
-    total = total_energy(patches, states, None, cause, pooled, model, hp)
-    rows = sum(tr.objective_per_iter[-1] for tr in traces)
-    rows += hp.cause_sparsity * np.abs(cause.values).sum()
-    assert abs(rows - total) <= 1e-12 * abs(total)
+    later = (rng.standard_normal((4, 9)), replace(hp, temporal_sparsity=0.1))
+    for prev, frame_hp in ((None, hp), later):
+        states, traces = infer_states_batch(patches, prev, model, frame_hp,
+                                            weights)
+        assert np.count_nonzero(states) > 0
+        pooled = pool_states(states, hp.pool_gain)
+        total = total_energy(patches, states, prev, cause, pooled, model,
+                             frame_hp)
+        rows = sum(tr.objective_per_iter[-1] for tr in traces)
+        rows += hp.cause_sparsity * np.abs(cause.values).sum()
+        assert abs(rows - total) <= 1e-12 * abs(total)
+
+
+def test_exactly_zero_innovation_is_held_at_its_prediction():
+    # Started at x_k = (A x_prev)_k on live components, the innovation is
+    # exactly zero there, where the quadratic bound of |e_k| has infinite
+    # curvature.  Those components keep their prediction, the states stay
+    # finite, the trace never rises and ends at the state energy, and each
+    # row is still the solve of that row alone.
+    rng = np.random.default_rng(23)
+    model, _ = random_instance(rng, p_max=12, k_max=20)
+    p, k = model.dims.input_dim, model.dims.state_dim
+    patches = rng.standard_normal((3, p))
+    prev = rng.standard_normal((3, k))
+    prediction = _times_rows(model.transition, prev)
+    inits = np.full((3, k), 0.1)
+    held = rng.random((3, k)) < 0.5
+    held[2] = False
+    inits[held] = prediction[held]
+    hp = HyperParams(state_sparsity=0.2, temporal_sparsity=0.3,
+                     clamp_state=0.0, inner_tol=1e-9, max_inner_iter=30)
+    states, traces = infer_states_batch(patches, prev, model, hp,
+                                        flat(hp, 3, k), inits=inits)
+    assert np.isfinite(states).all()
+    assert np.array_equal(states[held], prediction[held])
+    for i, tr in enumerate(traces):
+        obj = np.asarray(tr.objective_per_iter)
+        assert np.all(np.diff(obj) <= 1e-12 * abs(obj[0]))
+        energy = state_energy(patches[i:i + 1], states[i:i + 1],
+                              prev[i:i + 1], model, hp)
+        assert abs(obj[-1] - energy) <= 1e-12 * abs(energy)
+        _assert_same_solve(states[i], tr,
+                           *infer_state(patches[i], prev[i], model, hp,
+                                        inits[i]))
 
 
 @pytest.mark.parametrize("temporal", [0.0, 0.1])
