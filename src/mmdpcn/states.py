@@ -8,12 +8,12 @@ _CG_MIN_SUPPORT components, and by a few conjugate-gradient steps from the
 current iterate on a larger one, which cost a fraction of the LU.  Either
 update lowers the bound, which equals the objective at the current iterate
 and lies above it elsewhere, so the objective cannot rise (majorize.py).  A
-layer with k <= _CG_MIN_SUPPORT never takes CG steps.  The penalty weighs
-every component by its own mu_k: the weight total_energy charges it under
-the frame's cause (model.state_weights), or, in infer_state,
-state_sparsity.  Components that reach exact zero stay zero, which is what
-produces genuinely sparse codes without a shrinkage step, and which keeps
-every solve no larger than the support.
+layer with k <= _CG_MIN_SUPPORT never takes CG steps.  The state penalty
+weighs every component by its own mu_k: the weight total_energy charges
+it under the frame's cause (model.state_weights), or, in infer_state,
+state_sparsity.  Components that reach exact zero stay zero, which is
+what produces genuinely sparse codes without a shrinkage step, and which
+keeps every solve no larger than the support.
 
 A frame's states are one (patch, state) float array: the patches come in
 as rows, previous states and warm starts are arrays of the same shape, and
