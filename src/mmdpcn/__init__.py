@@ -13,7 +13,6 @@ from .baselines import (BaselineConfig, adam_solve, fista_solve, ista_solve,
 from .causes import infer_cause, infer_cause_topdown, top_down_prediction
 from .config import BenchSettings, parse_bench_config, parse_network_config
 from .learning import FitReport, LearnConfig, fit_layer, init_model
-from .majorize import smooth_l1, soft_clip
 from .metrics import (ClusterReport, adjusted_rand_index, completeness,
                       evaluate_clustering, kmeans, matching_accuracy,
                       pca_project, sparsity)
@@ -37,6 +36,6 @@ __all__ = [
     "infer_variables", "init_model", "ista_solve", "kmeans", "load_network",
     "matching_accuracy", "parse_bench_config", "parse_network_config",
     "pca_project", "pool_states", "recompose_frame", "reconstruct_frames",
-    "save_network", "smooth_l1", "soft_clip", "sparsity", "state_energy",
-    "state_objective", "top_down_prediction", "total_energy", "train_network",
+    "save_network", "sparsity", "state_energy", "state_objective",
+    "top_down_prediction", "total_energy", "train_network",
 ]

@@ -25,13 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _dots, _rows, _times_rows, as_float_array
-from .majorize import soft_clip
 from .model import HyperParams, LayerModel, _require_finite
 from .states import _finite, _run_rows
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, ICLR 2015).
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+# Adam has no prox step, so it descends mu*|x| smoothed to a quadratic
+# within this margin of zero; its gradient is mu*clip(x/margin, -1, 1).
+_ADAM_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,6 @@ class _Problem:
     def __init__(self, model: LayerModel, hp: HyperParams):
         self.c = model.dictionary
         self.mu = hp.state_sparsity
-        self.margin = hp.smooth_margin
 
     def residual(self, y, x):
         """y - C x, row by row."""
@@ -167,7 +168,7 @@ def fista_solve(y, model: LayerModel, hp: HyperParams,
 
 def adam_solve(y, model: LayerModel, hp: HyperParams,
                cfg: BaselineConfig) -> tuple[np.ndarray, list]:
-    """Adam on the fully smoothed objective (state l1 smoothed as well).
+    """Adam on the objective with the state l1 smoothed by _ADAM_MARGIN.
 
     It has no prox step, so it ignores tol and runs the full budget.  The
     trace still records the exact-l1 objective.  The last iterate has its
@@ -176,7 +177,7 @@ def adam_solve(y, model: LayerModel, hp: HyperParams,
     """
     def update(prob, it, x, y, r, carry):
         m1, m2 = carry
-        g = prob.mu * soft_clip(x, prob.margin) - prob.pull(r)
+        g = prob.mu * np.clip(x / _ADAM_MARGIN, -1.0, 1.0) - prob.pull(r)
         m1 = _ADAM_BETA1 * m1 + (1.0 - _ADAM_BETA1) * g
         m2 = _ADAM_BETA2 * m2 + (1.0 - _ADAM_BETA2) * g * g
         hat1 = m1 / (1.0 - _ADAM_BETA1 ** it)

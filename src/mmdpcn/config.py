@@ -49,7 +49,7 @@ class BenchSettings:
     The fixed-step solvers (ista/fista) take no step setting: the bench
     dictionary is scaled to a known curvature L = ||C||^2, and they run at
     the textbook step 1/L.  adam_step is the adaptive solver's scale;
-    Adam's smoothing margin is the HyperParams default.
+    Adam's smoothing margin is the constant baselines._ADAM_MARGIN.
     """
 
     patch_dim: int = 256

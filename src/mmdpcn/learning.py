@@ -1,10 +1,10 @@
 """Dictionary learning for one layer.
 
 Variables (states, causes) are inferred to convergence for the current
-matrices, then the matrices take exactly one gradient step; the pass energy
-decides whether that step is kept.  Rejected steps halve the learning rate
-and retry from the last accepted model, so the recorded energy trace is
-nonincreasing by construction.
+matrices, then the matrices take exactly one (sub)gradient step of the
+energy total_energy reports; the pass energy decides whether it is kept.
+Rejected steps halve the learning rate and retry from the last accepted
+model, so the recorded energy trace is nonincreasing by construction.
 """
 
 import time
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import _rows, column_normalize
-from .majorize import soft_clip
 from .model import (HyperParams, LayerDims, LayerModel, _cause_inputs, _gate,
                     _require_finite, _state_terms, pool_states, state_weights,
                     total_energy)
@@ -63,14 +62,16 @@ class FitReport:
 
 def grad_model(patches, states, prev_states, cause, pooled, model: LayerModel,
                hp: HyperParams):
-    """Analytic gradients of the full objective in the three matrices.
+    """Analytic (sub)gradients of the full objective in the three matrices.
 
     The frame is read by model._state_terms, the one check and formation
     of its state terms that state_energy reads too.  Evaluated at fixed
     variables: the dictionary sees the reconstruction residual, the
-    transition sees the clipped innovation gradient, and the coupling sees
-    the exponential gating term.  Returns (dA, dB, dC) for
-    (transition, coupling, dictionary).
+    transition sees lambda*sign(e) of the innovation e = x - A x_prev (a
+    subgradient of lambda*||e||_1; a component held at its prediction,
+    e = 0 exactly, contributes 0), and the coupling sees the exponential
+    gating term.  Returns (dA, dB, dC) for (transition, coupling,
+    dictionary).
     """
     x, residual, x_prev, innovation = _state_terms(patches, states,
                                                    prev_states, model, hp)
@@ -79,8 +80,7 @@ def grad_model(patches, states, prev_states, cause, pooled, model: LayerModel,
     if innovation is None:
         d_trans = np.zeros_like(model.transition)
     else:
-        alpha = soft_clip(innovation, hp.smooth_margin)
-        d_trans = -hp.temporal_sparsity * (alpha.T @ x_prev)
+        d_trans = -hp.temporal_sparsity * (np.sign(innovation).T @ x_prev)
 
     d_coup = -np.outer(pooled * _gate(model.coupling, u), u)
 

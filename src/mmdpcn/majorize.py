@@ -5,9 +5,7 @@ iterate, makes the state updates closed-form: minimizing the bound is a
 diagonally reweighted least-squares solve, (C^T C + diag(1/r)) x = rhs.
 Components with r_k = 0 stay exactly zero, so the system lives on the live
 support S = {k : r_k > 0}: a scaled |S| x |S| system built from the Gram
-matrix C^T C.  The smoothed absolute value (smooth_l1, whose gradient
-soft_clip is a clipped linear map) serves only the transition gradient and
-Adam.
+matrix C^T C.
 
 Small supports are solved exactly (_solve_on_support), by solve1 from
 numpy.linalg._umath_linalg, the LAPACK gesv gufunc that np.linalg.solve
@@ -39,24 +37,6 @@ from .linalg import _dots, _times_rows
 # 27 iterations to come within 1% of its final objective instead of 13-14,
 # and ended up to 3e-4 higher; at 10 it ends within 1e-5 of the LU solves.
 _CG_STEPS = 10
-
-
-def soft_clip(e: np.ndarray, margin: float) -> np.ndarray:
-    """Gradient of the smoothed absolute value: e/margin clipped to [-1, 1]."""
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    return np.clip(np.asarray(e, dtype=np.float64) / margin, -1.0, 1.0)
-
-
-def smooth_l1(e: np.ndarray, margin: float) -> float:
-    """Smoothed l1 norm: quadratic within the margin, linear outside.
-
-    Equals a^T e - (margin/2)*||a||^2 with a = soft_clip(e, margin), which
-    undershoots the true l1 norm by at most margin/2 per component.
-    """
-    a = soft_clip(e, margin)
-    e = np.asarray(e, dtype=np.float64)
-    return float(np.sum(a * e) - 0.5 * margin * np.sum(a * a))
 
 
 def _solve_on_support(gram: np.ndarray, r: np.ndarray,

@@ -50,16 +50,14 @@ class HyperParams:
     the pooled state magnitudes that drive cause inference; since the
     energy charges them, it also weights the states, which pay
     state_sparsity + pool_gain*(1 + exp(-coupling@u)) per unit of |x|
-    (state_weights).  smooth_margin is the width of the smoothed absolute
-    value that only the transition gradient (grad_model) and Adam use;
-    the state solver, like the energy, charges the exact l1.
+    (state_weights).  Every l1 is exact: the energy, the state solver and
+    the transition (sub)gradient (grad_model) all read |.|.
     """
 
     state_sparsity: float = 0.3
     temporal_sparsity: float = 0.1
     pool_gain: float = 0.1
     cause_sparsity: float = 0.3
-    smooth_margin: float = 0.1
     clamp_state: float = 1e-4
     clamp_cause: float = 1e-4
     state_passes: int = 5
@@ -75,8 +73,6 @@ class HyperParams:
             raise ValueError("pool_gain must be positive")
         if self.temporal_sparsity < 0:
             raise ValueError("temporal_sparsity must be nonnegative")
-        if self.smooth_margin <= 0:
-            raise ValueError("smooth_margin must be positive")
         if self.clamp_state < 0 or self.clamp_cause < 0:
             raise ValueError("clamp thresholds must be nonnegative")
         if self.state_passes < 1 or self.cause_passes < 1:

@@ -22,11 +22,13 @@ from .learning import LearnConfig, fit_layer
 from .states import infer_states_batch
 
 _MAGIC = b"DPCN"
-_VERSION = 1
+_VERSION = 2
 
-# Order in which hyperparameters are serialized, one f64 each.
+# Order in which hyperparameters are serialized, one f64 each.  Version 1
+# files hold one more slot, a smoothing margin that nothing reads now,
+# after cause_sparsity; load_network drops it.
 _HP_FIELDS = ("state_sparsity", "temporal_sparsity", "pool_gain",
-              "cause_sparsity", "smooth_margin", "clamp_state", "clamp_cause",
+              "cause_sparsity", "clamp_state", "clamp_cause",
               "state_passes", "cause_passes", "inner_tol", "max_inner_iter")
 _INT_HP = {f.name for f in fields(HyperParams) if f.type is int}
 
@@ -308,7 +310,7 @@ def save_network(layers, path):
     """Write the layer stack to a self-describing binary file.
 
     Layout: magic, version (u16), layer count (u16); per layer the four
-    dims (u32), the hyperparameters (11 f64), then the transition,
+    dims (u32), the hyperparameters (_HP_FIELDS, f64), then the transition,
     coupling, and dictionary matrices row-major as little-endian f64.
     """
     blob = bytearray()
@@ -318,7 +320,8 @@ def save_network(layers, path):
         d = layer.model.dims
         blob += struct.pack("<IIII", d.input_dim, d.state_dim, d.cause_dim,
                             d.patch_count)
-        blob += struct.pack("<11d", *(float(getattr(layer.hp, f)) for f in _HP_FIELDS))
+        blob += struct.pack(f"<{len(_HP_FIELDS)}d",
+                            *(float(getattr(layer.hp, f)) for f in _HP_FIELDS))
         for m in (layer.model.transition, layer.model.coupling, layer.model.dictionary):
             blob += np.ascontiguousarray(m, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
@@ -332,15 +335,16 @@ def _take(buf: memoryview, offset: int, count: int) -> tuple[memoryview, int]:
 
 
 def load_network(path) -> list:
-    """Read a layer stack written by save_network."""
+    """Read a layer stack written by save_network, or a version 1 file."""
     with open(path, "rb") as fh:
         buf = memoryview(fh.read())
     head, off = _take(buf, 0, 8)
     if bytes(head[:4]) != _MAGIC:
         raise FormatError("bad magic; not a model file")
     version, count = struct.unpack("<HH", head[4:])
-    if version != _VERSION:
+    if version not in (1, _VERSION):
         raise FormatError(f"unsupported model file version {version}")
+    slots = len(_HP_FIELDS) + (version == 1)
 
     layers = []
     for _ in range(count):
@@ -350,8 +354,10 @@ def load_network(path) -> list:
             dims = LayerDims(p, k, d, n)
         except ValueError as exc:
             raise ShapeError(str(exc)) from None
-        raw, off = _take(buf, off, 11 * 8)
-        values = struct.unpack("<11d", raw)
+        raw, off = _take(buf, off, slots * 8)
+        values = list(struct.unpack(f"<{slots}d", raw))
+        if version == 1:
+            del values[4]
         try:
             hp = HyperParams(**{
                 name: int(round(value)) if name in _INT_HP else value

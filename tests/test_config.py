@@ -219,11 +219,14 @@ def test_bench_defaults():
 
 
 def test_bench_smooth_margin_is_not_a_key(tmp_path):
-    # Adam smooths |x| with the HyperParams margin, which no key sets.
-    path = tmp_path / "bench.ini"
-    path.write_text("[bench]\nsmooth_margin = 0.1\n")
-    with pytest.raises(ConfigError, match="unknown key 'smooth_margin'"):
-        parse_bench_config(path)
+    # Adam smooths |x| with a fixed margin, and every other l1 is exact, so
+    # neither the bench nor a layer has a smoothing-margin key.
+    path = tmp_path / "settings.ini"
+    for section, parse in (("bench", parse_bench_config),
+                           ("layer1", parse_network_config)):
+        path.write_text(f"[{section}]\nsmooth_margin = 0.1\n")
+        with pytest.raises(ConfigError, match="unknown key 'smooth_margin'"):
+            parse(path)
 
 
 @pytest.mark.parametrize("network", ["[network]\ngrid = 2x2\n\n", ""],

@@ -5,7 +5,6 @@ from mmdpcn.errors import DimensionMismatch, NonFinite
 from mmdpcn.learning import (FitReport, LearnConfig, fit_layer, grad_model,
                              infer_frame_variables, init_model, update_model)
 from mmdpcn.linalg import column_normalize
-from mmdpcn.majorize import smooth_l1
 from mmdpcn.model import (CauseVector, HyperParams, LayerDims, LayerModel,
                           pool_states, total_energy)
 from mmdpcn.network import decompose_frame
@@ -13,12 +12,12 @@ from mmdpcn.shapes import generate_shapes
 from mmdpcn.states import infer_states_batch
 
 
-def pass_energy(a, b, c, y, x, x_prev, u, pooled, lam, margin):
+def pass_energy(a, b, c, y, x, x_prev, u, pooled, lam):
     """Independent evaluation of the model-dependent part of the objective."""
     resid = y - x @ c.T
     total = 0.5 * float(np.sum(resid * resid))
     if x_prev is not None and lam > 0:
-        total += lam * smooth_l1((x - x_prev @ a.T).ravel(), margin)
+        total += lam * float(np.abs(x - x_prev @ a.T).sum())
     total += float(pooled @ (1.0 + np.exp(-(b @ u))))
     return total
 
@@ -60,17 +59,17 @@ def test_gradients_match_finite_differences():
         model, y, x, x_prev, u, pooled, hp = random_learn_instance(
             rng, with_temporal=bool(i % 2))
         da, db, dc = grad_model(y, x, x_prev, u, pooled, model, hp)
-        lam, m = hp.temporal_sparsity, hp.smooth_margin
+        lam = hp.temporal_sparsity
         a0, b0, c0 = model.transition, model.coupling, model.dictionary
         fd_c = finite_difference(
-            lambda c: pass_energy(a0, b0, c, y, x, x_prev, u, pooled, lam, m), c0)
+            lambda c: pass_energy(a0, b0, c, y, x, x_prev, u, pooled, lam), c0)
         assert rel_err(fd_c, dc) <= 1e-4
         fd_b = finite_difference(
-            lambda b: pass_energy(a0, b, c0, y, x, x_prev, u, pooled, lam, m), b0)
+            lambda b: pass_energy(a0, b, c0, y, x, x_prev, u, pooled, lam), b0)
         assert rel_err(fd_b, db) <= 1e-4
         if x_prev is not None:
             fd_a = finite_difference(
-                lambda a: pass_energy(a, b0, c0, y, x, x_prev, u, pooled, lam, m), a0)
+                lambda a: pass_energy(a, b0, c0, y, x, x_prev, u, pooled, lam), a0)
             assert rel_err(fd_a, da) <= 1e-4
         else:
             assert np.array_equal(da, np.zeros_like(a0))
@@ -103,8 +102,8 @@ def test_grad_model_bits_equal_the_explicit_formulas(with_temporal):
     assert np.array_equal(dc, -((y - x @ c.T).T @ x))
     assert np.array_equal(db, -np.outer(pooled * np.exp(-(b @ u)), u))
     if with_temporal:
-        alpha = np.clip((x - x_prev @ a.T) / hp.smooth_margin, -1.0, 1.0)
-        assert np.array_equal(da, -hp.temporal_sparsity * (alpha.T @ x_prev))
+        sign = np.sign(x - x_prev @ a.T)
+        assert np.array_equal(da, -hp.temporal_sparsity * (sign.T @ x_prev))
     else:
         assert np.array_equal(da, np.zeros_like(a))
 

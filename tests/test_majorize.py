@@ -5,8 +5,7 @@ import pytest
 
 from mmdpcn import states
 from mmdpcn.errors import NonFinite
-from mmdpcn.majorize import (_descend_on_support, _solve_on_support, smooth_l1,
-                             soft_clip)
+from mmdpcn.majorize import _descend_on_support, _solve_on_support
 from mmdpcn.model import HyperParams, LayerDims, LayerModel
 from mmdpcn.states import infer_states_batch
 
@@ -14,62 +13,6 @@ from mmdpcn.states import infer_states_batch
 def support_solve(c, r, rhs):
     """The support solve of one row, with the Gram matrix built here."""
     return _solve_on_support(c.T @ c, r[None], rhs[None])[0]
-
-
-def test_soft_clip_closed_forms():
-    assert np.array_equal(soft_clip(np.zeros(3), 0.1), np.zeros(3))
-    assert np.array_equal(soft_clip(np.array([0.5, -0.2]), 0.1),
-                          np.array([1.0, -1.0]))
-    assert np.allclose(soft_clip(np.array([0.05]), 0.1), [0.5])
-
-
-def test_soft_clip_rejects_bad_margin():
-    with pytest.raises(ValueError):
-        soft_clip(np.ones(2), 0.0)
-
-
-def test_soft_clip_nonexpansive():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        m = float(rng.uniform(0.01, 1.0))
-        a = rng.standard_normal(8)
-        b = rng.standard_normal(8)
-        lhs = np.max(np.abs(soft_clip(a, m) - soft_clip(b, m)))
-        assert lhs <= np.max(np.abs(a - b)) / m + 1e-12
-
-
-def test_smooth_l1_closed_forms():
-    assert smooth_l1(np.zeros(4), 0.1) == 0.0
-    # Interior: e^2/(2m); boundary crossing: |e| - m/2.
-    assert abs(smooth_l1(np.array([0.05]), 0.1) - 0.0125) < 1e-15
-    assert abs(smooth_l1(np.array([1.0]), 0.1) - 0.95) < 1e-15
-
-
-def test_smooth_l1_sandwich():
-    rng = np.random.default_rng(1)
-    for _ in range(300):
-        m = float(rng.uniform(0.01, 0.5))
-        e = rng.standard_normal(int(rng.integers(1, 12))) * 2.0
-        l1 = float(np.abs(e).sum())
-        val = smooth_l1(e, m)
-        assert 0.0 <= l1 - val <= 0.5 * m * e.size + 1e-12
-
-
-def test_smooth_l1_gradient_is_soft_clip():
-    # Central finite differences of the smoothed norm against its
-    # advertised gradient, including points inside and outside the margin.
-    rng = np.random.default_rng(2)
-    h = 1e-7
-    for _ in range(50):
-        m = float(rng.uniform(0.05, 0.3))
-        e = rng.standard_normal(6)
-        g = soft_clip(e, m)
-        for k in range(e.size):
-            ep, em = e.copy(), e.copy()
-            ep[k] += h
-            em[k] -= h
-            fd = (smooth_l1(ep, m) - smooth_l1(em, m)) / (2 * h)
-            assert abs(fd - g[k]) < 1e-6
 
 
 def test_woodbury_scalar_closed_form():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mmdpcn.errors import DimensionMismatch
-from mmdpcn.majorize import smooth_l1
 from mmdpcn.model import (CAUSE_INIT, HyperParams, LayerDims, LayerModel,
                           cause_energy, pool_states, state_energy,
                           state_weights, total_energy)
@@ -23,7 +22,7 @@ def scalar_model():
 
 def scalar_hp(**kw):
     base = dict(state_sparsity=0.3, temporal_sparsity=0.0, pool_gain=0.1,
-                cause_sparsity=0.3, smooth_margin=0.1)
+                cause_sparsity=0.3)
     base.update(kw)
     return HyperParams(**base)
 
@@ -56,25 +55,6 @@ def test_state_energy_temporal_term():
     base = state_energy(batch, x, None, model, hp)
     with_temporal = state_energy(batch, x, x_prev, model, hp)
     assert abs(with_temporal - base - 0.2 * 0.3) < 1e-12
-
-
-def test_smoothed_state_energy_gap_bound():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        model = random_model(rng, n=3)
-        hp = HyperParams(temporal_sparsity=float(rng.uniform(0.05, 0.5)),
-                         smooth_margin=float(rng.uniform(0.02, 0.3)))
-        k = model.dims.state_dim
-        batch = rng.standard_normal((3, model.dims.input_dim))
-        x = rng.standard_normal((3, k))
-        x_prev = rng.standard_normal((3, k))
-        exact = state_energy(batch, x, x_prev, model, hp)
-        innovation = x - x_prev @ model.transition.T
-        smooth = (state_energy(batch, x, None, model, hp)
-                  + hp.temporal_sparsity * smooth_l1(innovation.ravel(),
-                                                     hp.smooth_margin))
-        cap = hp.temporal_sparsity * 0.5 * hp.smooth_margin * x.size
-        assert 0.0 <= exact - smooth <= cap + 1e-12
 
 
 def test_state_energy_prev_none_drops_temporal():
@@ -183,8 +163,6 @@ def test_hyperparams_validation():
         HyperParams(temporal_sparsity=-0.1)
     with pytest.raises(ValueError):
         HyperParams(pool_gain=0.0)
-    with pytest.raises(ValueError):
-        HyperParams(smooth_margin=0.0)
     with pytest.raises(ValueError):
         HyperParams(clamp_state=-1e-4)
     with pytest.raises(ValueError):

@@ -198,12 +198,12 @@ def test_every_model_carries_its_gram_matrix_and_files_omit_it(tmp_path):
     save_network(layers, path)
     for layer in load_network(path):
         check(layer.model)
-    # Version 1 layout: header, then per layer dims, hyperparameters and the
-    # transition, coupling and dictionary only.
+    # Version 2 layout: header, then per layer dims, 10 hyperparameters and
+    # the transition, coupling and dictionary only.
     size = 8
     for layer in layers:
         p, k, d = layer.model.dictionary.shape + (layer.model.dims.cause_dim,)
-        size += 16 + 11 * 8 + 8 * (k * k + k * d + p * k)
+        size += 16 + 10 * 8 + 8 * (k * k + k * d + p * k)
     assert path.stat().st_size == size
 
 
@@ -282,12 +282,48 @@ def test_load_rejects_non_finite_hyperparameters(tmp_path):
     # Layer 1's hyperparameters follow the 8-byte header and its 4 dims.
     start = 8 + 16
     bad = tmp_path / "bad.dpcn"
-    for values in ([float("nan")] + [0.5] * 10, [float("nan")] * 11,
-                   [0.3, float("inf")] + [0.5] * 9):
-        bad.write_bytes(blob[:start] + struct.pack("<11d", *values)
-                        + blob[start + 88:])
+    for values in ([float("nan")] + [0.5] * 9, [float("nan")] * 10,
+                   [0.3, float("inf")] + [0.5] * 8):
+        bad.write_bytes(blob[:start] + struct.pack("<10d", *values)
+                        + blob[start + 80:])
         with pytest.raises(FormatError, match="hyperparameters"):
             load_network(bad)
+
+
+def test_load_reads_version_1_files(tmp_path):
+    # A version 1 file holds an 11th hyperparameter, a smoothing margin,
+    # after cause_sparsity; loading drops it and nothing else changes.
+    layers = random_stack(seed=33, hp=HyperParams(
+        state_sparsity=0.05, pool_gain=0.03, cause_sparsity=0.001,
+        max_inner_iter=40))
+    path = tmp_path / "net.dpcn"
+    save_network(layers, path)
+    blob = path.read_bytes()
+    old = bytearray(blob[:4] + struct.pack("<HH", 1, len(layers)))
+    off = 8
+    for layer in layers:
+        p, k, d = layer.model.dictionary.shape + (layer.model.dims.cause_dim,)
+        old += blob[off:off + 16 + 4 * 8] + struct.pack("<d", 0.1)
+        end = off + 16 + 10 * 8 + 8 * (k * k + k * d + p * k)
+        old += blob[off + 16 + 4 * 8:end]
+        off = end
+    assert off == len(blob)
+    v1 = tmp_path / "v1.dpcn"
+    v1.write_bytes(bytes(old))
+    back = load_network(v1)
+    for orig, got in zip(layers, back):
+        assert got.model.dims == orig.model.dims
+        assert got.hp == orig.hp
+        assert np.array_equal(got.model.transition, orig.model.transition)
+        assert np.array_equal(got.model.coupling, orig.model.coupling)
+        assert np.array_equal(got.model.dictionary, orig.model.dictionary)
+    frames = np.random.default_rng(33).random((3, 4, 4))
+    want = infer_variables(frames, layers, (2, 2), sweeps=2).causes
+    got = infer_variables(frames, back, (2, 2), sweeps=2).causes
+    assert np.count_nonzero(want[-1][-1].values) > 0
+    for cw, cg in zip(want, got):
+        for a, b in zip(cw, cg):
+            assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_infer_variables_shapes_and_zero_frames():
