@@ -292,6 +292,8 @@ def cmd_train(args) -> list:
             (f"layer{i}_outer_iterations", float(report.outer_iterations), 0.0),
             (f"layer{i}_rejected_steps", float(report.rejected_steps), 0.0),
             (f"layer{i}_converged", float(report.converged), 0.0),
+            (f"layer{i}_blocks_per_frame",
+             report.blocks / (report.outer_iterations * frames.shape[0]), 0.0),
         ]
         timing_rows.append((f"layer{i}_fit_seconds", report.wall_time, 0.0))
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), metric_rows)

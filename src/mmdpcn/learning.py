@@ -1,10 +1,23 @@
 """Dictionary learning for one layer.
 
-Variables (states, causes) are inferred to convergence for the current
-matrices, then the matrices take exactly one (sub)gradient step of the
-energy total_energy reports; the pass energy decides whether it is kept.
-Rejected steps halve the learning rate and retry from the last accepted
-model, so the recorded energy trace is nonincreasing by construction.
+Each outer pass infers every frame's variables (states, causes) for the
+current matrices in short state and cause blocks (hp.state_passes and
+hp.cause_passes iterations, 2 each in configs/shapes2.ini) until the frame
+energy settles, not to convergence.  Then the matrices take exactly one
+(sub)gradient step of the energy total_energy reports; the pass energy
+decides whether it is kept.  Rejected steps halve the learning rate and
+retry from the last accepted model, so the recorded energy trace is
+nonincreasing by construction.
+
+The two steps alternate as block-coordinate descent, so each block starts
+where it last was: from pass 2 on, a frame's states start from its states
+in the last accepted pass, never from a rejected one.  A component that
+was exactly zero there restarts at _RESTART * clamp_state, since zeros are
+absorbing in the MM state kernel; near the clamp one MM step scales a
+component by about |gradient|/mu, so one that the new matrices favour
+grows back and any other is clamped again within an iteration or two.
+With clamp_state = 0 the zeros stay zero from pass to pass.  Causes start
+at CAUSE_INIT in every pass.
 """
 
 import time
@@ -21,6 +34,10 @@ from .states import infer_states_batch
 
 # Cap on state/cause alternation blocks within one frame.
 _MAX_BLOCKS = 50
+
+# Where a state component that was exactly zero in the last accepted pass
+# restarts, in units of hp.clamp_state.
+_RESTART = 10
 
 # A trial step is accepted if the pass energy did not rise beyond this
 # relative slack; rejections below this are indistinguishable from noise.
@@ -51,13 +68,17 @@ class LearnConfig:
 
 @dataclass
 class FitReport:
-    """What happened during fit_layer: accepted-pass energies and counters."""
+    """What happened during fit_layer: accepted-pass energies and counters.
+
+    blocks counts the state/cause blocks of every pass, accepted or not.
+    """
 
     energy_per_outer: list = field(default_factory=list)
     outer_iterations: int = 0
     rejected_steps: int = 0
     converged: bool = False
     wall_time: float = 0.0
+    blocks: int = 0
 
 
 def grad_model(patches, states, prev_states, cause, pooled, model: LayerModel,
@@ -116,21 +137,27 @@ def init_model(dims: LayerDims, rng: np.random.Generator) -> LayerModel:
 
 
 def infer_frame_variables(patches: np.ndarray, prev_states, model: LayerModel,
-                          hp: HyperParams):
+                          hp: HyperParams, start=None):
     """Alternate short state and cause blocks until the frame's energy settles.
 
     Each state block weights the states by state_weights of the previous
     block's cause, the first by those of the cause solver's start, so it
     descends total_energy at that cause, as the cause block does at its
-    states.  Returns (states, cause, pooled, energy).  prev_states is None
-    on the first frame, dropping the temporal term.
+    states.  The first state block starts from start, an (n, k) array
+    whose exact zeros move to _RESTART * hp.clamp_state, or from the
+    solver's 0.1 everywhere when start is None; the cause starts at
+    CAUSE_INIT.  Returns (states, cause, pooled, energy, blocks), blocks
+    being the number of state/cause blocks run.  prev_states is None on
+    the first frame, dropping the temporal term.
     """
     hp_states = replace(hp, max_inner_iter=hp.state_passes)
     hp_causes = replace(hp, max_inner_iter=hp.cause_passes)
 
-    states, cause = None, None
+    states = None if start is None else \
+        np.where(start == 0.0, _RESTART * hp.clamp_state, start)
+    cause = None
     energy_prev = None
-    for _ in range(_MAX_BLOCKS):
+    for blocks in range(1, _MAX_BLOCKS + 1):
         weights = state_weights(model, [cause], patches.shape[0], hp)
         states, _ = infer_states_batch(patches, prev_states, model, hp_states,
                                        weights, inits=states)
@@ -141,29 +168,36 @@ def infer_frame_variables(patches: np.ndarray, prev_states, model: LayerModel,
                 abs(energy - energy_prev) <= hp.inner_tol * max(1.0, abs(energy_prev)):
             break
         energy_prev = energy
-    return states, cause, pooled, energy
+    return states, cause, pooled, energy, blocks
 
 
-def _sweep(frames, model: LayerModel, hp: HyperParams):
-    """One pass over all frames: inferred variables, summed gradients, energy."""
+def _sweep(frames, starts, model: LayerModel, hp: HyperParams):
+    """One pass over all frames from one state start per frame.
+
+    Returns the pass energy, the summed gradients, each frame's cause and
+    states, and the number of state/cause blocks run.
+    """
     k, d, p = model.dims.state_dim, model.dims.cause_dim, model.dims.input_dim
     g_trans = np.zeros((k, k))
     g_coup = np.zeros((k, d))
     g_dict = np.zeros((p, k))
     total = 0.0
-    causes = []
+    causes, all_states = [], []
+    blocks = 0
     prev_states = None
-    for patches in frames:
-        states, cause, pooled, energy = infer_frame_variables(
-            patches, prev_states, model, hp)
+    for patches, start in zip(frames, starts):
+        states, cause, pooled, energy, frame_blocks = infer_frame_variables(
+            patches, prev_states, model, hp, start)
         da, db, dc = grad_model(patches, states, prev_states, cause, pooled, model, hp)
         g_trans += da
         g_coup += db
         g_dict += dc
         total += energy
         causes.append(cause)
+        all_states.append(states)
+        blocks += frame_blocks
         prev_states = states
-    return total, (g_trans, g_coup, g_dict), causes
+    return total, (g_trans, g_coup, g_dict), causes, all_states, blocks
 
 
 def fit_layer(frames, dims: LayerDims, hp: HyperParams,
@@ -172,8 +206,11 @@ def fit_layer(frames, dims: LayerDims, hp: HyperParams,
 
     frames holds one (patch, pixel) array per frame.  Every outer pass
     re-infers all variables under the trial matrices and takes one
-    gradient step.  A pass whose energy rises is rejected: the step is
-    retried from the last accepted model at half the rate.  Returns the
+    gradient step.  Pass 1 starts the states at the solver's 0.1; every
+    later pass starts each frame's states from that frame's states in the
+    last accepted pass (see infer_frame_variables).  A pass whose energy
+    rises is rejected: the step is retried from the last accepted model at
+    half the rate, and its states are never a start.  Returns the
     accepted model, the per-frame causes from its pass (the next layer's
     inputs), and the fit report.
     """
@@ -190,10 +227,12 @@ def fit_layer(frames, dims: LayerDims, hp: HyperParams,
     best_theta, best_energy, best_grads, best_causes = None, None, None, None
     prev_accepted = theta
     lr_scale = 1.0
+    starts = [None] * len(frames)
 
     for outer in range(1, cfg.max_outer_iter + 1):
         report.outer_iterations = outer
-        energy, grads, causes = _sweep(frames, theta, hp)
+        energy, grads, causes, states, blocks = _sweep(frames, starts, theta, hp)
+        report.blocks += blocks
 
         if best_energy is None or \
                 energy <= best_energy + _ACCEPT_SLACK * max(1.0, abs(best_energy)):
@@ -202,7 +241,7 @@ def fit_layer(frames, dims: LayerDims, hp: HyperParams,
             if best_theta is not None:
                 prev_accepted = best_theta
             best_theta, best_energy = theta, energy
-            best_grads, best_causes = grads, causes
+            best_grads, best_causes, starts = grads, causes, states
             report.energy_per_outer.append(energy)
             if converged:
                 report.converged = True

@@ -12,7 +12,7 @@ from mmdpcn.config import BenchSettings
 from mmdpcn.errors import ConfigError
 from mmdpcn.frames import (read_frames_dir, read_labels_csv, write_frames,
                            write_labels_csv)
-from mmdpcn.learning import init_model
+from mmdpcn.learning import _MAX_BLOCKS, init_model
 from mmdpcn.metrics import sparsity
 from mmdpcn.model import HyperParams, LayerDims
 from mmdpcn.network import Layer, save_network
@@ -323,6 +323,24 @@ inner_tol = 1e-3
 max_inner_iter = 30
 max_outer_iter = 2
 """
+
+
+def test_train_metrics_are_bitwise_reproducible(tmp_path):
+    # Every row of train's metrics.csv is seed-deterministic, the blocks
+    # per frame and pass included; clock times go to timings.csv.
+    data = tmp_path / "data"
+    assert run("gen-shapes", "--out", data, "--frames-per-shape", 1,
+               "--seed", 6) == 0
+    cfg = tmp_path / "net.ini"
+    cfg.write_text(SHAPES_INI)
+    for name in ("f1", "f2"):
+        assert run("train", "--config", cfg, "--frames", data / "frames",
+                   "--out", tmp_path / name / "shapes.dpcn") == 0
+    assert (tmp_path / "f1" / "metrics.csv").read_bytes() == \
+        (tmp_path / "f2" / "metrics.csv").read_bytes()
+    metrics = read_metrics_csv(tmp_path / "f1" / "metrics.csv")
+    for layer in (1, 2):
+        assert 1 <= metrics[f"layer{layer}_blocks_per_frame"][0] <= _MAX_BLOCKS
 
 
 def test_cluster_outputs_are_bitwise_reproducible(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mmdpcn.errors import DimensionMismatch, NonFinite
-from mmdpcn.learning import (FitReport, LearnConfig, fit_layer, grad_model,
+from mmdpcn.learning import (_RESTART, FitReport, LearnConfig,
+                             _sweep, fit_layer, grad_model,
                              infer_frame_variables, init_model, update_model)
 from mmdpcn.linalg import column_normalize
 from mmdpcn.model import (CauseVector, HyperParams, LayerDims, LayerModel,
@@ -256,7 +257,8 @@ def test_interleaving_settles():
     model = init_model(dims, rng)
     hp = HyperParams(temporal_sparsity=0.0, inner_tol=1e-6)
     batch = 0.5 * rng.standard_normal((2, 4))
-    states, cause, pooled, energy = infer_frame_variables(batch, None, model, hp)
+    states, cause, pooled, energy, _ = infer_frame_variables(batch, None,
+                                                             model, hp)
 
     from dataclasses import replace
     from mmdpcn.causes import infer_cause
@@ -307,3 +309,106 @@ def test_state_and_cause_blocks_never_raise_the_frame_energy(monkeypatch):
                 assert after <= before + 1e-12 * abs(before)
         if hp is shipped:
             assert np.count_nonzero(prev_states) > 0
+
+
+SHIPPED_L1 = HyperParams(state_sparsity=0.25, temporal_sparsity=0.1,
+                         pool_gain=0.03, cause_sparsity=0.0008,
+                         state_passes=2, cause_passes=2, inner_tol=1e-3,
+                         max_inner_iter=30)
+
+
+def shapes_patches(seed=1):
+    frames = generate_shapes(frames_per_shape=1, seed=seed).frames
+    return [decompose_frame(f, (2, 2)) for f in frames]
+
+
+def fit_with_starts(monkeypatch, frames, dims, hp, cfg):
+    """fit_layer, recording per pass each frame's first-block inits, its
+    returned states and the pass energy, and the state blocks run."""
+    passes = []
+    first = []
+    blocks = []
+
+    def spy_solve(*args, inits=None, **kwargs):
+        blocks.append(1)
+        if first:
+            passes[-1]["inits"].append(None if inits is None else inits.copy())
+            first.clear()
+        return infer_states_batch(*args, inits=inits, **kwargs)
+
+    def spy_settle(*args):
+        if not passes or len(passes[-1]["states"]) == len(frames):
+            passes.append({"inits": [], "states": [], "energy": 0.0})
+        first.append(True)
+        out = infer_frame_variables(*args)
+        passes[-1]["states"].append(out[0])
+        passes[-1]["energy"] += out[3]
+        return out
+
+    monkeypatch.setattr("mmdpcn.learning.infer_states_batch", spy_solve)
+    monkeypatch.setattr("mmdpcn.learning.infer_frame_variables", spy_settle)
+    _, _, report = fit_layer(frames, dims, hp, cfg)
+    accepted = iter(report.energy_per_outer)
+    expected = next(accepted)
+    for p in passes:
+        p["accepted"] = p["energy"] == expected
+        if p["accepted"]:
+            expected = next(accepted, None)
+    assert len(passes) == report.outer_iterations
+    assert report.blocks == len(blocks)
+    return passes, report
+
+
+def restarted(states, hp):
+    return np.where(states == 0.0, _RESTART * hp.clamp_state, states)
+
+
+def test_first_pass_starts_cold_and_later_passes_from_the_accepted_states(
+        monkeypatch):
+    frames = shapes_patches()
+    dims = LayerDims(64, 72, 16, 4)
+    passes, report = fit_with_starts(monkeypatch, frames, dims, SHIPPED_L1,
+                                     LearnConfig(max_outer_iter=3))
+    assert report.rejected_steps == 0 and len(passes) == 3
+    assert passes[0]["inits"] == [None] * len(frames)
+    zeros = 0
+    for before, after in zip(passes, passes[1:]):
+        for states, inits in zip(before["states"], after["inits"]):
+            assert np.array_equal(inits, restarted(states, SHIPPED_L1))
+            assert np.count_nonzero(inits) == inits.size
+            zeros += np.count_nonzero(states == 0.0)
+    # The restart is exercised: the accepted states have exact zeros.
+    assert zeros > 0
+
+
+def test_a_rejected_pass_is_never_a_start(monkeypatch):
+    frames = shapes_patches()
+    dims = LayerDims(64, 72, 16, 4)
+    passes, report = fit_with_starts(
+        monkeypatch, frames, dims, SHIPPED_L1,
+        LearnConfig(lr_c=50.0, max_outer_iter=6))
+    assert report.rejected_steps >= 1
+    assert passes[0]["accepted"]
+    last = passes[0]
+    checked = 0
+    for before, p in zip(passes, passes[1:]):
+        for states, inits in zip(last["states"], p["inits"]):
+            assert np.array_equal(inits, restarted(states, SHIPPED_L1))
+        if not before["accepted"]:
+            checked += 1
+            assert not all(np.array_equal(inits, restarted(states, SHIPPED_L1))
+                           for states, inits in zip(before["states"],
+                                                    p["inits"]))
+        if p["accepted"]:
+            last = p
+    assert checked >= 1
+
+
+def test_first_accepted_energy_is_that_of_a_cold_sweep():
+    frames = shapes_patches(seed=2)
+    dims = LayerDims(64, 72, 16, 4)
+    cfg = LearnConfig(max_outer_iter=2, seed=3)
+    _, _, report = fit_layer(frames, dims, SHIPPED_L1, cfg)
+    model = init_model(dims, np.random.default_rng(cfg.seed))
+    cold = _sweep(frames, [None] * len(frames), model, SHIPPED_L1)[0]
+    assert report.energy_per_outer[0] == cold
