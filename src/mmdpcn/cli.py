@@ -270,14 +270,7 @@ def cmd_train(args) -> list:
     args.out = out_dir
 
     frames = read_frames_dir(args.frames, grayscale=args.grayscale)
-    specs = tuple(
-        dataclasses.replace(
-            spec, learn=dataclasses.replace(spec.learn,
-                                            seed=spec.learn.seed + args.seed))
-        for spec in cfg.layers)
-    cfg = dataclasses.replace(cfg, layers=specs)
-
-    layers, reports = train_network(frames, cfg)
+    layers, reports = train_network(frames, cfg, args.seed)
     os.makedirs(out_dir, exist_ok=True)
     save_network(layers, model_path)
 

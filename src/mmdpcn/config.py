@@ -18,12 +18,13 @@ layer, numbered consecutively from 1:
     cause_dim = 12
 
 The dataclasses are the schema.  A layer section takes the fields of
-LayerDims (but patch_count), HyperParams and LearnConfig, and [bench]
-those of BenchSettings; _read_section parses each key to its type, and an
-absent key keeps the default.  The parser only routes keys, requires
-layer1's input_dim (patch pixels times channels) and derives patch_count
-(the grid's for layer1, 1 above) and an unstated upper input_dim (the
-cause dimension below); the dataclasses check the rest, the chain too.  An
+LayerDims (but patch_count), HyperParams and LearnConfig (lr, outer_tol,
+max_outer_iter; the run's seed is a command option), and [bench] those of
+BenchSettings; _read_section parses each key to its type, and an absent
+key keeps the default.  The parser only routes keys, requires layer1's
+input_dim (patch pixels times channels) and derives patch_count (the
+grid's for layer1, 1 above) and an unstated upper input_dim (the cause
+dimension below); the dataclasses check the rest, the chain too.  An
 unknown key, a value that does not parse and a value the dataclass
 refuses, NaN and infinities included, all raise ConfigError.
 """

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import _rows, column_normalize
-from .model import (HyperParams, LayerDims, LayerModel, _cause_inputs, _gate,
+from .model import (HyperParams, LayerDims, LayerModel, _cause_values, _gate,
                     _require_finite, _state_terms, pool_states, state_weights,
                     total_energy)
 from .causes import infer_cause
@@ -39,6 +39,9 @@ _MAX_BLOCKS = 50
 # restarts, in units of hp.clamp_state.
 _RESTART = 10
 
+# Weight of each step's proximity pull toward the last accepted model.
+_THETA_PROX = 0.5
+
 # A trial step is accepted if the pass energy did not rise beyond this
 # relative slack; rejections below this are indistinguishable from noise.
 _ACCEPT_SLACK = 1e-9
@@ -46,22 +49,16 @@ _ACCEPT_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class LearnConfig:
-    """Gradient-step sizes and outer-loop controls for fitting one layer."""
+    """Gradient-step size and outer-loop controls for fitting one layer."""
 
-    lr_a: float = 1e-3
-    lr_b: float = 1e-3
-    lr_c: float = 1e-3
-    theta_prox: float = 0.5
+    lr: float = 1e-3
     outer_tol: float = 1e-4
     max_outer_iter: int = 300
-    seed: int = 0
 
     def __post_init__(self):
         _require_finite(self)
-        if min(self.lr_a, self.lr_b, self.lr_c) <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.theta_prox < 0:
-            raise ValueError("theta_prox must be nonnegative")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
         if self.outer_tol <= 0 or self.max_outer_iter < 1:
             raise ValueError("outer_tol must be positive, max_outer_iter >= 1")
 
@@ -81,22 +78,22 @@ class FitReport:
     blocks: int = 0
 
 
-def grad_model(patches, states, prev_states, cause, pooled, model: LayerModel,
+def grad_model(patches, states, prev_states, cause, model: LayerModel,
                hp: HyperParams):
     """Analytic (sub)gradients of the full objective in the three matrices.
 
     The frame is read by model._state_terms, the one check and formation
-    of its state terms that state_energy reads too.  Evaluated at fixed
-    variables: the dictionary sees the reconstruction residual, the
-    transition sees lambda*sign(e) of the innovation e = x - A x_prev (a
-    subgradient of lambda*||e||_1; a component held at its prediction,
-    e = 0 exactly, contributes 0), and the coupling sees the exponential
-    gating term.  Returns (dA, dB, dC) for (transition, coupling,
-    dictionary).
+    of its state terms that state_energy reads too, and pooled by
+    pool_states.  Evaluated at fixed variables: the dictionary sees the
+    reconstruction residual, the transition sees lambda*sign(e) of the
+    innovation e = x - A x_prev (a subgradient of lambda*||e||_1; a
+    component held at its prediction, e = 0 exactly, contributes 0), and
+    the coupling sees the exponential gating term.  Returns (dA, dB, dC)
+    for (transition, coupling, dictionary).
     """
     x, residual, x_prev, innovation = _state_terms(patches, states,
                                                    prev_states, model, hp)
-    u, pooled, _ = _cause_inputs(model, cause, pooled, None)
+    u, pooled = _cause_values(cause, model), pool_states(x, hp.pool_gain)
     d_dict = -(residual.T @ x)
     if innovation is None:
         d_trans = np.zeros_like(model.transition)
@@ -112,18 +109,18 @@ def update_model(model: LayerModel, grads, cfg: LearnConfig,
                  model_prev: LayerModel, lr_scale: float = 1.0) -> LayerModel:
     """One gradient step with a proximity pull toward the previous model.
 
-    Each matrix moves along -(grad + theta_prox*(theta - theta_prev)).
-    Columns of the coupling and dictionary are renormalized afterwards;
-    the transition is left unnormalized.
+    Each matrix moves by lr_scale*cfg.lr along -(grad + _THETA_PROX*d),
+    d = theta - theta_prev.  Columns of the coupling and dictionary are
+    renormalized afterwards; the transition is left unnormalized.
     """
     d_trans, d_coup, d_dict = grads
-    prox = cfg.theta_prox
-    a = model.transition - lr_scale * cfg.lr_a * (
-        d_trans + prox * (model.transition - model_prev.transition))
-    b = model.coupling - lr_scale * cfg.lr_b * (
-        d_coup + prox * (model.coupling - model_prev.coupling))
-    c = model.dictionary - lr_scale * cfg.lr_c * (
-        d_dict + prox * (model.dictionary - model_prev.dictionary))
+    lr = lr_scale * cfg.lr
+    a = model.transition - lr * (
+        d_trans + _THETA_PROX * (model.transition - model_prev.transition))
+    b = model.coupling - lr * (
+        d_coup + _THETA_PROX * (model.coupling - model_prev.coupling))
+    c = model.dictionary - lr * (
+        d_dict + _THETA_PROX * (model.dictionary - model_prev.dictionary))
     return LayerModel(model.dims, a, column_normalize(b), column_normalize(c))
 
 
@@ -146,7 +143,7 @@ def infer_frame_variables(patches: np.ndarray, prev_states, model: LayerModel,
     states.  The first state block starts from start, an (n, k) array
     whose exact zeros move to _RESTART * hp.clamp_state, or from the
     solver's 0.1 everywhere when start is None; the cause starts at
-    CAUSE_INIT.  Returns (states, cause, pooled, energy, blocks), blocks
+    CAUSE_INIT.  Returns (states, cause, energy, blocks), blocks
     being the number of state/cause blocks run.  prev_states is None on
     the first frame, dropping the temporal term.
     """
@@ -161,14 +158,14 @@ def infer_frame_variables(patches: np.ndarray, prev_states, model: LayerModel,
         weights = state_weights(model, [cause], patches.shape[0], hp)
         states, _ = infer_states_batch(patches, prev_states, model, hp_states,
                                        weights, inits=states)
-        pooled = pool_states(states, hp.pool_gain)
-        cause, _ = infer_cause(pooled, model, hp_causes, u_init=cause)
-        energy = total_energy(patches, states, prev_states, cause, pooled, model, hp)
+        cause, _ = infer_cause(pool_states(states, hp.pool_gain), model,
+                               hp_causes, u_init=cause)
+        energy = total_energy(patches, states, prev_states, cause, model, hp)
         if energy_prev is not None and \
                 abs(energy - energy_prev) <= hp.inner_tol * max(1.0, abs(energy_prev)):
             break
         energy_prev = energy
-    return states, cause, pooled, energy, blocks
+    return states, cause, energy, blocks
 
 
 def _sweep(frames, starts, model: LayerModel, hp: HyperParams):
@@ -186,9 +183,9 @@ def _sweep(frames, starts, model: LayerModel, hp: HyperParams):
     blocks = 0
     prev_states = None
     for patches, start in zip(frames, starts):
-        states, cause, pooled, energy, frame_blocks = infer_frame_variables(
+        states, cause, energy, frame_blocks = infer_frame_variables(
             patches, prev_states, model, hp, start)
-        da, db, dc = grad_model(patches, states, prev_states, cause, pooled, model, hp)
+        da, db, dc = grad_model(patches, states, prev_states, cause, model, hp)
         g_trans += da
         g_coup += db
         g_dict += dc
@@ -200,19 +197,19 @@ def _sweep(frames, starts, model: LayerModel, hp: HyperParams):
     return total, (g_trans, g_coup, g_dict), causes, all_states, blocks
 
 
-def fit_layer(frames, dims: LayerDims, hp: HyperParams,
-              cfg: LearnConfig) -> tuple[LayerModel, list, FitReport]:
+def fit_layer(frames, dims: LayerDims, hp: HyperParams, cfg: LearnConfig,
+              seed: int = 0) -> tuple[LayerModel, list, FitReport]:
     """Fit one layer's matrices to a frame sequence.
 
-    frames holds one (patch, pixel) array per frame.  Every outer pass
-    re-infers all variables under the trial matrices and takes one
-    gradient step.  Pass 1 starts the states at the solver's 0.1; every
-    later pass starts each frame's states from that frame's states in the
-    last accepted pass (see infer_frame_variables).  A pass whose energy
-    rises is rejected: the step is retried from the last accepted model at
-    half the rate, and its states are never a start.  Returns the
-    accepted model, the per-frame causes from its pass (the next layer's
-    inputs), and the fit report.
+    frames holds one (patch, pixel) array per frame; seed seeds the
+    starting matrices (init_model).  Every outer pass re-infers all
+    variables under the trial matrices and takes one gradient step.  Pass
+    1 starts the states at the solver's 0.1; every later pass starts each
+    frame's states from that frame's states in the last accepted pass (see
+    infer_frame_variables).  A pass whose energy rises is rejected: the
+    step is retried from the last accepted model at half the rate, and its
+    states are never a start.  Returns the accepted model, the per-frame
+    causes from its pass (the next layer's inputs), and the fit report.
     """
     start = time.perf_counter()
     frames = [_rows(f, dims.patch_count, dims.input_dim, "frame patches")
@@ -220,8 +217,7 @@ def fit_layer(frames, dims: LayerDims, hp: HyperParams,
     if not frames:
         raise ValueError("fit_layer needs at least one frame")
 
-    rng = np.random.default_rng(cfg.seed)
-    theta = init_model(dims, rng)
+    theta = init_model(dims, np.random.default_rng(seed))
     report = FitReport()
 
     best_theta, best_energy, best_grads, best_causes = None, None, None, None

@@ -275,8 +275,8 @@ def _cause_objective(u, pooled, coupling, beta, preference) -> float:
     return total
 
 
-def total_energy(patches, states, prev_states, cause, pooled, model: LayerModel,
+def total_energy(patches, states, prev_states, cause, model: LayerModel,
                  hp: HyperParams) -> float:
-    """Full per-frame objective: state part plus cause part."""
+    """Full per-frame objective: state part plus cause part of the states."""
     return (state_energy(patches, states, prev_states, model, hp)
-            + cause_energy(cause, pooled, model, hp))
+            + cause_energy(cause, pool_states(states, hp.pool_gain), model, hp))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, FormatError, GridMismatch,
                      ShapeError)
+from .frames import _read_file, _write_file
 from .linalg import _times_rows, as_float_array
 from .model import HyperParams, LayerDims, LayerModel, pool_states, state_weights
 from .causes import infer_cause, infer_cause_topdown, top_down_prediction
@@ -42,12 +43,23 @@ class LayerSpec:
     learn: LearnConfig
 
 
+def _check_chain(dims, error):
+    """Raise error unless a stack of LayerDims chains: layer l+1's
+    input_dim equals layer l's cause_dim, and only layer 1 sees more than
+    one patch per frame."""
+    for i, (lower, upper) in enumerate(zip(dims, dims[1:]), start=1):
+        if upper.input_dim != lower.cause_dim:
+            raise error(f"layer {i + 1} input dim {upper.input_dim} must "
+                        f"equal layer {i} cause dim {lower.cause_dim}")
+        if upper.patch_count != 1:
+            raise error("layers above the first take a single patch")
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Layer stack plus the frame patching scheme.
 
-    Adjacent layers must chain: layer l+1's input dim equals layer l's
-    cause dim, and only layer 1 sees more than one patch per frame.
+    Adjacent layers must chain (_check_chain).
     """
 
     layers: tuple
@@ -67,14 +79,7 @@ class NetworkConfig:
             raise ConfigError(
                 f"layer 1 must have {rows * cols} patches for a {rows}x{cols} grid, "
                 f"got {first.patch_count}")
-        for i in range(1, len(self.layers)):
-            lower, upper = self.layers[i - 1].dims, self.layers[i].dims
-            if upper.input_dim != lower.cause_dim:
-                raise ConfigError(
-                    f"layer {i + 1} input dim {upper.input_dim} must equal "
-                    f"layer {i} cause dim {lower.cause_dim}")
-            if upper.patch_count != 1:
-                raise ConfigError("layers above the first take a single patch")
+        _check_chain([spec.dims for spec in self.layers], ConfigError)
 
 
 @dataclass
@@ -130,11 +135,12 @@ def _fit_frames(frames, dims: LayerDims, grid: tuple) -> np.ndarray:
     return frames
 
 
-def train_network(frames, cfg: NetworkConfig):
+def train_network(frames, cfg: NetworkConfig, seed: int = 0):
     """Fit the stack bottom-up on a frame sequence.
 
     Layer 1 is fit on the patch decomposition; each further layer is fit on
     the per-frame causes of the layer below, treated as single-patch frames.
+    seed seeds every layer's starting matrices (fit_layer).
     Returns (layers, fit reports).  Frames that layer 1 cannot take raise
     as in _fit_frames; a channel count other than cfg.channels raises
     ConfigError.
@@ -147,7 +153,8 @@ def train_network(frames, cfg: NetworkConfig):
     inputs = [decompose_frame(f, cfg.grid) for f in frames]
     layers, reports = [], []
     for spec in cfg.layers:
-        model, causes, report = fit_layer(inputs, spec.dims, spec.hp, spec.learn)
+        model, causes, report = fit_layer(inputs, spec.dims, spec.hp,
+                                          spec.learn, seed)
         layers.append(Layer(model, spec.hp))
         reports.append(report)
         inputs = [cv.values[None, :] for cv in causes]
@@ -324,8 +331,7 @@ def save_network(layers, path):
                             *(float(getattr(layer.hp, f)) for f in _HP_FIELDS))
         for m in (layer.model.transition, layer.model.coupling, layer.model.dictionary):
             blob += np.ascontiguousarray(m, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    _write_file(path, bytes(blob))
 
 
 def _take(buf: memoryview, offset: int, count: int) -> tuple[memoryview, int]:
@@ -336,8 +342,7 @@ def _take(buf: memoryview, offset: int, count: int) -> tuple[memoryview, int]:
 
 def load_network(path) -> list:
     """Read a layer stack written by save_network, or a version 1 file."""
-    with open(path, "rb") as fh:
-        buf = memoryview(fh.read())
+    buf = memoryview(_read_file(path))
     head, off = _take(buf, 0, 8)
     if bytes(head[:4]) != _MAGIC:
         raise FormatError("bad magic; not a model file")
@@ -373,4 +378,5 @@ def load_network(path) -> list:
         layers.append(Layer(LayerModel(dims, *mats), hp))
     if off != len(buf):
         raise FormatError("trailing bytes after the last layer")
+    _check_chain([layer.model.dims for layer in layers], FormatError)
     return layers

@@ -49,8 +49,8 @@ def generate_shapes(frames_per_shape: int = 100, size: int = 16, seed: int = 0,
         raise ValueError("frame size must be at least 16")
     if frames_per_shape < 1:
         raise ValueError("frames_per_shape must be >= 1")
-    if noise_level < 0:
-        raise ValueError("noise_level must be nonnegative")
+    if not (np.isfinite(noise_level) and noise_level >= 0):
+        raise ValueError("noise_level must be finite and nonnegative")
 
     rng = np.random.default_rng(seed)
     half = size // 4

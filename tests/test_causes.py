@@ -6,7 +6,6 @@ import pytest
 from mmdpcn.causes import (infer_cause, infer_cause_topdown,
                            top_down_prediction)
 from mmdpcn.errors import DimensionMismatch, NonFinite
-from mmdpcn.learning import grad_model
 from mmdpcn.linalg import column_normalize
 from mmdpcn.model import (CAUSE_INIT, CauseVector, HyperParams, LayerDims,
                           LayerModel, cause_energy)
@@ -275,10 +274,11 @@ def test_dimension_errors():
 
 
 # Every entry that reads pooled magnitudes and a cause, with the cause as
-# cause_energy's and grad_model's argument or the solvers' u_init.
+# cause_energy's argument or the solvers' u_init.  grad_model and
+# total_energy pool the states they are given, and
+# test_grad_model_rejects_the_shapes_state_energy_rejects checks their
+# cause.
 CAUSE_ENTRIES = {
-    "grad_model": lambda pooled, u, pref, model, hp: grad_model(
-        np.ones((1, 1)), np.ones((1, 2)), None, u, pooled, model, hp),
     "cause_energy": lambda pooled, u, pref, model, hp: cause_energy(
         u, pooled, model, hp, preference=pref),
     "infer_cause": lambda pooled, u, pref, model, hp: infer_cause(

@@ -77,6 +77,8 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     # gen-shapes validation failure inside the command, not argparse.
     assert run("gen-shapes", "--out", tmp_path / "x", "--size", 8) == 2
     assert "error:" in capsys.readouterr().err
+    assert run("gen-shapes", "--out", tmp_path / "x", "--noise", "nan") == 2
+    assert "noise_level" in capsys.readouterr().err
     # train without --config.
     assert run("train", "--frames", tmp_path, "--out", tmp_path / "y") == 2
     assert "error:" in capsys.readouterr().err

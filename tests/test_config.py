@@ -21,13 +21,13 @@ input_dim = 64
 state_dim = 96
 cause_dim = 24
 pool_gain = 1.0
-seed = 5
+max_outer_iter = 5
 
 [layer2]
 state_dim = 48
 cause_dim = 12
 state_sparsity = 0.2
-lr_c = 0.002
+lr = 0.002
 """
 
 
@@ -43,16 +43,16 @@ def test_two_layer_config(tmp_path):
     assert bottom.dims.cause_dim == 24
     assert bottom.dims.patch_count == 4  # grid rows * cols
     assert bottom.hp.pool_gain == 1.0
-    assert bottom.learn.seed == 5
+    assert bottom.learn.max_outer_iter == 5
     # Untouched keys keep package defaults.
     assert bottom.hp.state_sparsity == 0.3
-    assert bottom.learn.lr_c == 1e-3
+    assert bottom.learn.lr == 1e-3
 
     # Upper layer input defaults to the cause dimension below, one patch.
     assert top.dims.input_dim == 24
     assert top.dims.patch_count == 1
     assert top.hp.state_sparsity == 0.2
-    assert top.learn.lr_c == 0.002
+    assert top.learn.lr == 0.002
 
 
 def test_upper_layer_input_dim_must_agree(tmp_path):
@@ -139,7 +139,7 @@ def test_bad_values_rejected(tmp_path):
 def test_non_finite_values_rejected(tmp_path):
     # NaN fails every range comparison, so each check must refuse it
     # itself; an infinity would pass a lower bound.
-    for line in ("state_sparsity = inf", "pool_gain = nan", "lr_a = inf",
+    for line in ("state_sparsity = inf", "pool_gain = nan", "lr = inf",
                  "inner_tol = nan", "state_passes = inf"):
         with pytest.raises(ConfigError):
             parse_network_config(write(tmp_path, TWO_LAYER + line + "\n"))
@@ -160,11 +160,11 @@ def test_keys_parse_to_their_field_types(tmp_path):
     top = cfg.layers[1]
     for value in (top.hp.state_passes, top.hp.cause_passes,
                   top.hp.max_inner_iter, top.learn.max_outer_iter,
-                  cfg.layers[0].learn.seed, top.dims.state_dim):
+                  cfg.layers[0].learn.max_outer_iter, top.dims.state_dim):
         assert type(value) is int
     assert (top.hp.state_passes, top.hp.max_inner_iter) == (3, 7)
     assert type(top.hp.state_sparsity) is float
-    assert type(top.learn.lr_c) is float
+    assert type(top.learn.lr) is float
     with pytest.raises(ConfigError):
         parse_network_config(write(tmp_path, TWO_LAYER + "state_passes = 2.5\n"))
 
@@ -220,12 +220,17 @@ def test_bench_defaults():
 
 def test_bench_smooth_margin_is_not_a_key(tmp_path):
     # Adam smooths |x| with a fixed margin, and every other l1 is exact, so
-    # neither the bench nor a layer has a smoothing-margin key.
+    # neither the bench nor a layer has a smoothing-margin key.  A layer
+    # has one learning rate (lr), a fixed proximal weight and no seed of
+    # its own either: train's --seed seeds every layer.
     path = tmp_path / "settings.ini"
-    for section, parse in (("bench", parse_bench_config),
-                           ("layer1", parse_network_config)):
-        path.write_text(f"[{section}]\nsmooth_margin = 0.1\n")
-        with pytest.raises(ConfigError, match="unknown key 'smooth_margin'"):
+    cases = [("bench", parse_bench_config, "smooth_margin")] + [
+        ("layer1", parse_network_config, key)
+        for key in ("smooth_margin", "lr_a", "lr_b", "lr_c", "theta_prox",
+                    "seed")]
+    for section, parse, key in cases:
+        path.write_text(f"[{section}]\n{key} = 0.1\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse(path)
 
 
@@ -233,10 +238,11 @@ def test_bench_smooth_margin_is_not_a_key(tmp_path):
                          ids=["with_network", "without_network"])
 def test_default_section_keys_are_refused(tmp_path, network):
     # configparser merges [DEFAULT] keys into every section: with a
-    # [network] section the seed was an unknown key there, and without one
-    # every layer silently took seed = 3.
+    # [network] section a layer key was an unknown key there, and without
+    # one every layer silently took max_outer_iter = 3.
     layers = TWO_LAYER[TWO_LAYER.index("[layer1]"):]
-    path = write(tmp_path, "[DEFAULT]\nseed = 3\n\n" + network + layers)
+    path = write(tmp_path,
+                 "[DEFAULT]\nmax_outer_iter = 3\n\n" + network + layers)
     with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
         parse_network_config(path)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmdpcn.errors import DimensionMismatch, NonFinite
-from mmdpcn.learning import (_RESTART, FitReport, LearnConfig,
+from mmdpcn.learning import (_RESTART, _THETA_PROX, FitReport, LearnConfig,
                              _sweep, fit_layer, grad_model,
                              infer_frame_variables, init_model, update_model)
 from mmdpcn.linalg import column_normalize
@@ -34,8 +34,10 @@ def random_learn_instance(rng, with_temporal=True):
     x = rng.standard_normal((n, k))
     x_prev = rng.standard_normal((n, k)) if with_temporal else None
     u = rng.standard_normal(d)
-    pooled = rng.uniform(0.1, 1.0, k)
     hp = HyperParams(temporal_sparsity=0.2 if with_temporal else 0.0)
+    # grad_model pools the states itself; pass_energy and the explicit
+    # formulas take the same pooled magnitudes.
+    pooled = pool_states(x, hp.pool_gain)
     return model, y, x, x_prev, u, pooled, hp
 
 
@@ -59,7 +61,7 @@ def test_gradients_match_finite_differences():
     for i in range(40):
         model, y, x, x_prev, u, pooled, hp = random_learn_instance(
             rng, with_temporal=bool(i % 2))
-        da, db, dc = grad_model(y, x, x_prev, u, pooled, model, hp)
+        da, db, dc = grad_model(y, x, x_prev, u, model, hp)
         lam = hp.temporal_sparsity
         a0, b0, c0 = model.transition, model.coupling, model.dictionary
         fd_c = finite_difference(
@@ -78,17 +80,17 @@ def test_gradients_match_finite_differences():
 
 def test_dictionary_gradient_zero_at_perfect_reconstruction():
     rng = np.random.default_rng(31)
-    model, _, x, _, u, pooled, hp = random_learn_instance(rng, with_temporal=False)
+    model, _, x, _, u, _, hp = random_learn_instance(rng, with_temporal=False)
     y = x @ model.dictionary.T
-    _, _, dc = grad_model(y, x, None, u, pooled, model, hp)
+    _, _, dc = grad_model(y, x, None, u, model, hp)
     assert np.allclose(dc, 0.0, atol=1e-12)
 
 
 def test_coupling_gradient_zero_at_zero_pool():
+    # All-zero states pool to zero magnitudes.
     rng = np.random.default_rng(32)
     model, y, x, _, u, _, hp = random_learn_instance(rng, with_temporal=False)
-    pooled = np.zeros(model.dims.state_dim)
-    _, db, _ = grad_model(y, x, None, u, pooled, model, hp)
+    _, db, _ = grad_model(y, np.zeros_like(x), None, u, model, hp)
     assert np.array_equal(db, np.zeros_like(db))
 
 
@@ -98,7 +100,7 @@ def test_grad_model_bits_equal_the_explicit_formulas(with_temporal):
     # the formation state_energy reads too; the gradients keep their bits.
     rng = np.random.default_rng(38)
     model, y, x, x_prev, u, pooled, hp = random_learn_instance(rng, with_temporal)
-    da, db, dc = grad_model(y, x, x_prev, u, pooled, model, hp)
+    da, db, dc = grad_model(y, x, x_prev, u, model, hp)
     a, b, c = model.transition, model.coupling, model.dictionary
     assert np.array_equal(dc, -((y - x @ c.T).T @ x))
     assert np.array_equal(db, -np.outer(pooled * np.exp(-(b @ u)), u))
@@ -111,28 +113,33 @@ def test_grad_model_bits_equal_the_explicit_formulas(with_temporal):
 
 def test_grad_model_rejects_a_non_finite_patch():
     rng = np.random.default_rng(39)
-    model, y, x, x_prev, u, pooled, hp = random_learn_instance(rng)
+    model, y, x, x_prev, u, _, hp = random_learn_instance(rng)
     y[1, 2] = np.nan
     with pytest.raises(NonFinite):
-        grad_model(y, x, x_prev, u, pooled, model, hp)
+        grad_model(y, x, x_prev, u, model, hp)
 
 
 def test_grad_model_rejects_the_shapes_state_energy_rejects():
     rng = np.random.default_rng(39)
-    model, y, x, x_prev, u, pooled, hp = random_learn_instance(rng)
+    model, y, x, x_prev, u, _, hp = random_learn_instance(rng)
     for args in ((y[:, :-1], x, x_prev), (y, x[:, :-1], x_prev),
                  (y, x, x_prev[:, :-1]), (y, x, x_prev[:-1])):
         with pytest.raises(DimensionMismatch):
-            grad_model(*args, u, pooled, model, hp)
+            grad_model(*args, u, model, hp)
         with pytest.raises(DimensionMismatch):
-            total_energy(*args, u, pooled, model, hp)
+            total_energy(*args, u, model, hp)
+    # And the cause, read by model._cause_values.
+    with pytest.raises(DimensionMismatch):
+        grad_model(y, x, x_prev, np.ones(u.size + 1), model, hp)
+    with pytest.raises(DimensionMismatch):
+        total_energy(y, x, x_prev, np.ones(u.size + 1), model, hp)
 
 
 def test_update_model_normalizes_coupling_and_dictionary():
     rng = np.random.default_rng(33)
-    model, y, x, x_prev, u, pooled, hp = random_learn_instance(rng)
-    grads = grad_model(y, x, x_prev, u, pooled, model, hp)
-    cfg = LearnConfig(lr_a=0.1, lr_b=0.1, lr_c=0.1)
+    model, y, x, x_prev, u, _, hp = random_learn_instance(rng)
+    grads = grad_model(y, x, x_prev, u, model, hp)
+    cfg = LearnConfig(lr=0.1)
     new = update_model(model, grads, cfg, model)
     assert np.allclose(np.linalg.norm(new.coupling, axis=0), 1.0, atol=1e-12)
     assert np.allclose(np.linalg.norm(new.dictionary, axis=0), 1.0, atol=1e-12)
@@ -146,21 +153,18 @@ def test_update_model_zero_gradients_is_identity():
     model, *_ = random_learn_instance(rng)
     zeros = (np.zeros_like(model.transition), np.zeros_like(model.coupling),
              np.zeros_like(model.dictionary))
-    new = update_model(model, zeros, LearnConfig(theta_prox=0.0), model)
+    # The proximity pull toward the model itself is zero too.
+    new = update_model(model, zeros, LearnConfig(), model)
     assert np.allclose(new.transition, model.transition, atol=1e-12)
     assert np.allclose(new.coupling, model.coupling, atol=1e-12)
-    assert np.allclose(new.dictionary, model.dictionary, atol=1e-12)
-    # With a proximity pull toward itself the step is still zero.
-    new = update_model(model, zeros, LearnConfig(theta_prox=5.0), model)
     assert np.allclose(new.dictionary, model.dictionary, atol=1e-12)
 
 
 def test_update_model_step_decreases_reconstruction_error():
     rng = np.random.default_rng(35)
-    model, y, x, _, u, pooled, hp = random_learn_instance(rng, with_temporal=False)
-    grads = grad_model(y, x, None, u, pooled, model, hp)
-    cfg = LearnConfig(lr_c=1e-4, theta_prox=0.0)
-    new = update_model(model, grads, cfg, model)
+    model, y, x, _, u, _, hp = random_learn_instance(rng, with_temporal=False)
+    grads = grad_model(y, x, None, u, model, hp)
+    new = update_model(model, grads, LearnConfig(lr=1e-4), model)
     before = 0.5 * np.sum((y - x @ model.dictionary.T) ** 2)
     after = 0.5 * np.sum((y - x @ new.dictionary.T) ** 2)
     assert after < before
@@ -168,15 +172,19 @@ def test_update_model_step_decreases_reconstruction_error():
 
 def test_update_model_proximity_pulls_toward_previous():
     rng = np.random.default_rng(36)
-    model, y, x, x_prev, u, pooled, hp = random_learn_instance(rng)
+    # The pulled step ends closer to the previous model than the plain
+    # gradient step theta - lr*grad, which _THETA_PROX = 0 would take.
+    assert _THETA_PROX > 0
+    model, y, x, x_prev, u, _, hp = random_learn_instance(rng)
     prev = LayerModel(model.dims,
                       model.transition + rng.standard_normal(model.transition.shape),
                       column_normalize(rng.standard_normal(model.coupling.shape)),
                       column_normalize(rng.standard_normal(model.dictionary.shape)))
-    grads = grad_model(y, x, x_prev, u, pooled, model, hp)
-    free = update_model(model, grads, LearnConfig(theta_prox=0.0), prev)
-    pulled = update_model(model, grads, LearnConfig(theta_prox=10.0), prev)
-    d_free = np.linalg.norm(free.transition - prev.transition)
+    grads = grad_model(y, x, x_prev, u, model, hp)
+    cfg = LearnConfig(lr=0.1)
+    pulled = update_model(model, grads, cfg, prev)
+    free = model.transition - cfg.lr * grads[0]
+    d_free = np.linalg.norm(free - prev.transition)
     d_pulled = np.linalg.norm(pulled.transition - prev.transition)
     assert d_pulled < d_free
 
@@ -184,9 +192,9 @@ def test_update_model_proximity_pulls_toward_previous():
 def test_fit_layer_zero_frame_keeps_model():
     dims = LayerDims(3, 5, 2, 2)
     hp = HyperParams(temporal_sparsity=0.0)
-    cfg = LearnConfig(max_outer_iter=5, seed=7)
+    cfg = LearnConfig(max_outer_iter=5)
     frames = [np.zeros((2, 3))]
-    model, causes, report = fit_layer(frames, dims, hp, cfg)
+    model, causes, report = fit_layer(frames, dims, hp, cfg, seed=7)
     reference = init_model(dims, np.random.default_rng(7))
     assert np.allclose(model.transition, reference.transition, atol=1e-12)
     assert np.allclose(model.coupling, reference.coupling, atol=1e-12)
@@ -213,8 +221,8 @@ def test_fit_layer_energy_trace_nonincreasing():
         x = rng.standard_normal((2, 8)) * (rng.random((2, 8)) < 0.3)
         frames.append(x @ truth.T + 0.01 * rng.standard_normal((2, 4)))
     hp = HyperParams(temporal_sparsity=0.05, state_sparsity=0.2)
-    cfg = LearnConfig(lr_a=1e-2, lr_b=1e-2, lr_c=1e-2, max_outer_iter=30, seed=1)
-    _, _, report = fit_layer(frames, dims, hp, cfg)
+    cfg = LearnConfig(lr=1e-2, max_outer_iter=30)
+    _, _, report = fit_layer(frames, dims, hp, cfg, seed=1)
     energies = np.asarray(report.energy_per_outer)
     assert energies.size >= 2
     assert np.all(np.diff(energies) <= 1e-6 * np.maximum(1.0, np.abs(energies[:-1])))
@@ -234,9 +242,8 @@ def test_fit_layer_recovers_generative_dictionary():
         frames.append(x @ truth.T + noise * rng.standard_normal((4, p)))
     hp = HyperParams(state_sparsity=0.05, temporal_sparsity=0.0,
                      inner_tol=1e-6)
-    cfg = LearnConfig(lr_a=1e-2, lr_b=1e-2, lr_c=1e-2,
-                      max_outer_iter=40, outer_tol=1e-5, seed=2)
-    model, _, _ = fit_layer(frames, dims, hp, cfg)
+    cfg = LearnConfig(lr=1e-2, max_outer_iter=40, outer_tol=1e-5)
+    model, _, _ = fit_layer(frames, dims, hp, cfg, seed=2)
 
     solve_hp = HyperParams(state_sparsity=0.05, temporal_sparsity=0.0,
                            inner_tol=1e-8, max_inner_iter=300)
@@ -257,8 +264,7 @@ def test_interleaving_settles():
     model = init_model(dims, rng)
     hp = HyperParams(temporal_sparsity=0.0, inner_tol=1e-6)
     batch = 0.5 * rng.standard_normal((2, 4))
-    states, cause, pooled, energy, _ = infer_frame_variables(batch, None,
-                                                             model, hp)
+    states, cause, energy, _ = infer_frame_variables(batch, None, model, hp)
 
     from dataclasses import replace
     from mmdpcn.causes import infer_cause
@@ -270,9 +276,9 @@ def test_interleaving_settles():
             1.0 + np.exp(-(model.coupling @ cause.values)))
         states, _ = infer_states_batch(batch, None, model, hp_states,
                                        np.tile(mu, (2, 1)), inits=states)
-        pooled = pool_states(states, hp.pool_gain)
-        cause, _ = infer_cause(pooled, model, hp_causes, u_init=cause)
-    settled = total_energy(batch, states, None, cause, pooled, model, hp)
+        cause, _ = infer_cause(pool_states(states, hp.pool_gain), model,
+                               hp_causes, u_init=cause)
+    settled = total_energy(batch, states, None, cause, model, hp)
     assert abs(settled - energy) < 10 * hp.inner_tol
 
 
@@ -342,7 +348,7 @@ def fit_with_starts(monkeypatch, frames, dims, hp, cfg):
         first.append(True)
         out = infer_frame_variables(*args)
         passes[-1]["states"].append(out[0])
-        passes[-1]["energy"] += out[3]
+        passes[-1]["energy"] += out[2]
         return out
 
     monkeypatch.setattr("mmdpcn.learning.infer_states_batch", spy_solve)
@@ -386,7 +392,7 @@ def test_a_rejected_pass_is_never_a_start(monkeypatch):
     dims = LayerDims(64, 72, 16, 4)
     passes, report = fit_with_starts(
         monkeypatch, frames, dims, SHIPPED_L1,
-        LearnConfig(lr_c=50.0, max_outer_iter=6))
+        LearnConfig(lr=50.0, max_outer_iter=6))
     assert report.rejected_steps >= 1
     assert passes[0]["accepted"]
     last = passes[0]
@@ -407,8 +413,8 @@ def test_a_rejected_pass_is_never_a_start(monkeypatch):
 def test_first_accepted_energy_is_that_of_a_cold_sweep():
     frames = shapes_patches(seed=2)
     dims = LayerDims(64, 72, 16, 4)
-    cfg = LearnConfig(max_outer_iter=2, seed=3)
-    _, _, report = fit_layer(frames, dims, SHIPPED_L1, cfg)
-    model = init_model(dims, np.random.default_rng(cfg.seed))
+    _, _, report = fit_layer(frames, dims, SHIPPED_L1,
+                             LearnConfig(max_outer_iter=2), seed=3)
+    model = init_model(dims, np.random.default_rng(3))
     cold = _sweep(frames, [None] * len(frames), model, SHIPPED_L1)[0]
     assert report.energy_per_outer[0] == cold

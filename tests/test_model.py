@@ -81,10 +81,10 @@ def test_total_energy_hand_value():
     model = scalar_model()
     hp = scalar_hp()
     batch = np.array([[1.0]])
-    pooled = np.array([1.0, 0.0])
+    # state_energy's 0.255, plus the pooled 0.1 * 0.7 times 1 + exp(0).
     e = total_energy(batch, [np.array([0.7, 0.0])], None,
-                     np.array([0.0]), pooled, model, hp)
-    assert abs(e - 2.255) < 1e-12
+                     np.array([0.0]), model, hp)
+    assert abs(e - 0.395) < 1e-12
 
 
 def test_cause_energy_convex_in_cause():

@@ -6,7 +6,7 @@ import pytest
 
 from mmdpcn.causes import top_down_prediction
 from mmdpcn.errors import (ConfigError, DimensionMismatch, FormatError,
-                           GridMismatch)
+                           GridMismatch, IoError)
 from mmdpcn.cli import _bench_model
 from mmdpcn.config import BenchSettings, parse_network_config
 from mmdpcn.learning import LearnConfig, fit_layer, init_model, update_model
@@ -22,13 +22,13 @@ SHAPES_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                              "shapes2.ini")
 
 
-def tiny_config(max_outer_iter=4, seed=0):
+def tiny_config(max_outer_iter=4):
     hp = HyperParams(state_passes=2, cause_passes=2, max_inner_iter=40)
     return NetworkConfig(layers=(
         LayerSpec(dims=LayerDims(4, 6, 2, 4), hp=hp,
-                  learn=LearnConfig(max_outer_iter=max_outer_iter, seed=seed)),
+                  learn=LearnConfig(max_outer_iter=max_outer_iter)),
         LayerSpec(dims=LayerDims(2, 4, 1, 1), hp=hp,
-                  learn=LearnConfig(max_outer_iter=max_outer_iter, seed=seed)),
+                  learn=LearnConfig(max_outer_iter=max_outer_iter)),
     ), grid=(2, 2), channels=1)
 
 
@@ -273,6 +273,22 @@ def test_load_rejects_corrupt_files(tmp_path):
     bad.write_bytes(blob + b"\x00")
     with pytest.raises(FormatError):
         load_network(bad)
+    # Well-formed layers that do not chain: layer 2's input is not layer
+    # 1's cause, or an upper layer takes more than one patch.
+    rng = np.random.default_rng(31)
+    for upper in (LayerDims(10, 20, 5, 1), LayerDims(16, 20, 5, 2)):
+        save_network([Layer(init_model(LayerDims(64, 72, 16, 4), rng),
+                            HyperParams()),
+                      Layer(init_model(upper, rng), HyperParams())], bad)
+        with pytest.raises(FormatError, match="input dim|single patch"):
+            load_network(bad)
+
+
+def test_model_file_io_errors_are_io_errors(tmp_path):
+    with pytest.raises(IoError):
+        load_network(tmp_path / "missing.dpcn")
+    with pytest.raises(IoError):
+        save_network(random_stack(), tmp_path / "no-dir" / "net.dpcn")
 
 
 def test_load_rejects_non_finite_hyperparameters(tmp_path):
@@ -506,12 +522,11 @@ def test_reconstruction_error_shrinks_with_training():
     frames = np.clip(rng.random((4, 4, 4)), 0.0, 1.0)
     cfg = tiny_config(max_outer_iter=8)
     layers, _ = train_network(frames, cfg)
-    # Each fit starts from init_model with a fresh generator per layer, so
-    # this stack is exactly the fit's starting point.
+    # Each fit starts from init_model with a fresh generator of the run's
+    # seed, 0 here, so this stack is exactly the fit's starting point.
     hp = cfg.layers[0].hp
-    untrained = [
-        Layer(init_model(spec.dims, np.random.default_rng(spec.learn.seed)),
-              hp) for spec in cfg.layers]
+    untrained = [Layer(init_model(spec.dims, np.random.default_rng(0)), hp)
+                 for spec in cfg.layers]
     got = reconstruct_frames(
         (4, 4), layers, infer_variables(frames, layers, (2, 2), sweeps=2),
         (2, 2))

@@ -120,5 +120,7 @@ def test_generate_validation():
         generate_shapes(size=15)
     with pytest.raises(ValueError):
         generate_shapes(frames_per_shape=0)
-    with pytest.raises(ValueError):
-        generate_shapes(noise_level=-0.1)
+    # NaN passes a lower bound and would write noise-free frames.
+    for noise in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_level"):
+            generate_shapes(noise_level=noise)

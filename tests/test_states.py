@@ -9,8 +9,7 @@ from mmdpcn.config import BenchSettings
 from mmdpcn.errors import DimensionMismatch
 from mmdpcn.linalg import column_normalize
 from mmdpcn.model import (CauseVector, HyperParams, LayerDims, LayerModel,
-                          pool_states, state_energy, state_weights,
-                          total_energy)
+                          state_energy, state_weights, total_energy)
 from mmdpcn.states import _objectives, _times_rows, infer_state, infer_states_batch
 
 
@@ -351,9 +350,7 @@ def test_weighted_rows_sum_to_total_energy():
         states, traces = infer_states_batch(patches, prev, model, frame_hp,
                                             weights)
         assert np.count_nonzero(states) > 0
-        pooled = pool_states(states, hp.pool_gain)
-        total = total_energy(patches, states, prev, cause, pooled, model,
-                             frame_hp)
+        total = total_energy(patches, states, prev, cause, model, frame_hp)
         rows = sum(tr.objective_per_iter[-1] for tr in traces)
         rows += hp.cause_sparsity * np.abs(cause.values).sum()
         assert abs(rows - total) <= 1e-12 * abs(total)

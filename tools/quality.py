@@ -53,8 +53,8 @@ def cold_pass(inputs, model, hp):
 
     energy, causes, prev_states = 0.0, [], None
     for patches in inputs:
-        prev_states, cause, _, frame_energy = infer_frame_variables(
-            patches, prev_states, model, hp)[:4]
+        prev_states, cause, frame_energy, _ = infer_frame_variables(
+            patches, prev_states, model, hp)
         energy += frame_energy
         causes.append(cause)
     return energy, causes
