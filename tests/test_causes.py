@@ -6,6 +6,7 @@ import pytest
 from mmdpcn.causes import (infer_cause, infer_cause_topdown,
                            top_down_prediction)
 from mmdpcn.errors import DimensionMismatch, NonFinite
+from mmdpcn.learning import grad_model
 from mmdpcn.linalg import column_normalize
 from mmdpcn.model import (CAUSE_INIT, CauseVector, HyperParams, LayerDims,
                           LayerModel, cause_energy)
@@ -273,12 +274,15 @@ def test_dimension_errors():
         top_down_prediction(model, np.ones(2), np.ones(2), hp)
 
 
-# Every entry that reads pooled magnitudes and a cause, with the cause as
-# cause_energy's argument or the solvers' u_init.  grad_model and
-# total_energy pool the states they are given, and
-# test_grad_model_rejects_the_shapes_state_energy_rejects checks their
-# cause.
+# Every entry that reads a frame's magnitudes and a cause, with the cause
+# as cause_energy's and grad_model's argument or the solvers' u_init.
+# grad_model pools the states it is given, so it reads the row as a
+# one-patch frame of states; states are signed, so it accepts a negative
+# component that the entries reading pooled magnitudes reject.
+STATE_ENTRIES = {"grad_model"}
 CAUSE_ENTRIES = {
+    "grad_model": lambda row, u, pref, model, hp: grad_model(
+        np.ones((1, 1)), row[None, :], None, u, model, hp),
     "cause_energy": lambda pooled, u, pref, model, hp: cause_energy(
         u, pooled, model, hp, preference=pref),
     "infer_cause": lambda pooled, u, pref, model, hp: infer_cause(
@@ -294,8 +298,11 @@ def test_every_cause_entry_checks_its_inputs(entry):
     model, hp = scalar_model(), HyperParams()
     u = np.array([0.5])
     call(scalar_pooled(1.0), u, None, model, hp)
-    with pytest.raises(ValueError, match="nonnegative"):
+    if entry in STATE_ENTRIES:
         call(np.array([1.0, -1e-3]), u, None, model, hp)
+    else:
+        with pytest.raises(ValueError, match="nonnegative"):
+            call(np.array([1.0, -1e-3]), u, None, model, hp)
     with pytest.raises(DimensionMismatch):
         call(np.ones(3), u, None, model, hp)
     with pytest.raises(DimensionMismatch):
