@@ -46,7 +46,7 @@ class RunManifest:
 
     command: str
     config_path: str
-    seed: int
+    seed: int | None  # None for reconstruct, which makes no random choice
     input_paths: list
     output_dir: str
     version: str
@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser("reconstruct", help="render layer-1 reconstructions")
-    common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--model", required=True)
     p.add_argument("--frames", required=True)
     p.add_argument("--grid", default="2x2", help=_GRID_HELP)
@@ -447,7 +447,8 @@ def main(argv=None) -> int:
         inputs = args.fn(args)
         RunManifest(command=args.command,
                     config_path=getattr(args, "config", None) or "",
-                    seed=args.seed, input_paths=[p for p in inputs if p],
+                    seed=getattr(args, "seed", None),
+                    input_paths=[p for p in inputs if p],
                     output_dir=args.out, version=f"v{__version__}",
                     started_at=started_at, finished_at=_now()).write()
     except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:

@@ -17,16 +17,17 @@ layer, numbered consecutively from 1:
     state_dim = 48
     cause_dim = 12
 
-The dataclasses are the schema.  A layer section takes the fields of
-LayerDims (but patch_count), HyperParams and LearnConfig (lr, outer_tol,
-max_outer_iter; the run's seed is a command option), and [bench] those of
-BenchSettings; _read_section parses each key to its type, and an absent
-key keeps the default.  The parser only routes keys, requires layer1's
-input_dim (patch pixels times channels) and derives patch_count (the
-grid's for layer1, 1 above) and an unstated upper input_dim (the cause
-dimension below); the dataclasses check the rest, the chain too.  An
-unknown key, a value that does not parse and a value the dataclass
-refuses, NaN and infinities included, all raise ConfigError.
+The dataclasses are the schema.  A layer section takes 14 keys, the
+fields of LayerDims but patch_count (3), HyperParams (8) and LearnConfig
+(3: lr, outer_tol, max_outer_iter; the run's seed is a command option),
+and [bench] the 8 of BenchSettings; _read_section parses each key to its
+type, and an absent key keeps the default.  The parser only routes keys,
+requires layer1's input_dim (patch pixels times channels) and derives
+patch_count (the grid's for layer1, 1 above) and an unstated upper
+input_dim (the cause dimension below); the dataclasses check the rest,
+the chain too.  An unknown key, a value that does not parse and a value
+the dataclass refuses, NaN and infinities included, all raise
+ConfigError.
 """
 
 import configparser
@@ -66,6 +67,9 @@ class BenchSettings:
         _require_finite(self, ConfigError)
         if self.patch_dim < 1 or self.state_dim < 1:
             raise ConfigError("bench dimensions must be positive")
+        if self.patch_dim >= self.state_dim:
+            raise ConfigError(f"bench state_dim ({self.state_dim}) must "
+                              f"exceed patch_dim ({self.patch_dim})")
         if self.adam_step <= 0 or self.max_iter < 1 or self.patch_count < 1:
             raise ConfigError(
                 "bench adam_step/max_iter/patch_count must be positive")

@@ -1,13 +1,13 @@
 """Dictionary learning for one layer.
 
 Each outer pass infers every frame's variables (states, causes) for the
-current matrices in short state and cause blocks (hp.state_passes and
-hp.cause_passes iterations, 2 each in configs/shapes2.ini) until the frame
-energy settles, not to convergence.  Then the matrices take exactly one
-(sub)gradient step of the energy total_energy reports; the pass energy
-decides whether it is kept.  Rejected steps halve the learning rate and
-retry from the last accepted model, so the recorded energy trace is
-nonincreasing by construction.
+current matrices in short state and cause blocks of _BLOCK_ITERS
+iterations each, a constant, until the frame energy settles, not to
+convergence.  Then the matrices take exactly one (sub)gradient step of
+the energy total_energy reports; the pass energy decides whether it is
+kept.  Rejected steps halve the learning rate and retry from the last
+accepted model, so the recorded energy trace is nonincreasing by
+construction.
 
 The two steps alternate as block-coordinate descent, so each block starts
 where it last was: from pass 2 on, a frame's states start from its states
@@ -34,6 +34,9 @@ from .states import infer_states_batch
 
 # Cap on state/cause alternation blocks within one frame.
 _MAX_BLOCKS = 50
+
+# Iterations of each state block and of each cause block.
+_BLOCK_ITERS = 2
 
 # Where a state component that was exactly zero in the last accepted pass
 # restarts, in units of hp.clamp_state.
@@ -147,8 +150,7 @@ def infer_frame_variables(patches: np.ndarray, prev_states, model: LayerModel,
     being the number of state/cause blocks run.  prev_states is None on
     the first frame, dropping the temporal term.
     """
-    hp_states = replace(hp, max_inner_iter=hp.state_passes)
-    hp_causes = replace(hp, max_inner_iter=hp.cause_passes)
+    hp_block = replace(hp, max_inner_iter=_BLOCK_ITERS)
 
     states = None if start is None else \
         np.where(start == 0.0, _RESTART * hp.clamp_state, start)
@@ -156,10 +158,10 @@ def infer_frame_variables(patches: np.ndarray, prev_states, model: LayerModel,
     energy_prev = None
     for blocks in range(1, _MAX_BLOCKS + 1):
         weights = state_weights(model, [cause], patches.shape[0], hp)
-        states, _ = infer_states_batch(patches, prev_states, model, hp_states,
+        states, _ = infer_states_batch(patches, prev_states, model, hp_block,
                                        weights, inits=states)
         cause, _ = infer_cause(pool_states(states, hp.pool_gain), model,
-                               hp_causes, u_init=cause)
+                               hp_block, u_init=cause)
         energy = total_energy(patches, states, prev_states, cause, model, hp)
         if energy_prev is not None and \
                 abs(energy - energy_prev) <= hp.inner_tol * max(1.0, abs(energy_prev)):

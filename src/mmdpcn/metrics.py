@@ -14,6 +14,9 @@ from .errors import DegenerateData, DimensionMismatch, EmptyVector, \
     InvalidK, LengthMismatch
 from .linalg import as_float_array
 
+# Cap on Lloyd iterations per k-means run.
+_KMEANS_ITERS = 100
+
 
 def sparsity(v, threshold: float) -> float:
     """Percentage of components with magnitude at or below threshold."""
@@ -195,13 +198,13 @@ def _plus_plus_init(pts, k, rng):
     return centers
 
 
-def _lloyd(pts, k, seed, max_iter):
+def _lloyd(pts, k, seed):
     """k-means++ seeded Lloyd iterations; returns labels and inertia trace."""
     rng = np.random.default_rng(seed)
     centers = _plus_plus_init(pts, k, rng)
     labels = np.full(pts.shape[0], -1)
     inertia = []
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_ITERS):
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
         inertia.append(float(d2[np.arange(pts.shape[0]), new_labels].sum()))
@@ -220,16 +223,14 @@ def _lloyd(pts, k, seed, max_iter):
     return labels, inertia
 
 
-def kmeans(points, k: int, seed: int = 0, max_iter: int = 100) -> np.ndarray:
+def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
     """Seeded k-means++ and Lloyd's algorithm; deterministic per seed."""
     pts = as_float_array(points, "points")
     if pts.ndim != 2:
         raise DimensionMismatch("points must be a 2-D array (n, dim)")
     if not (1 <= k <= pts.shape[0]):
         raise InvalidK(f"k must lie in [1, {pts.shape[0]}], got {k}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    labels, _ = _lloyd(pts, k, seed, max_iter)
+    labels, _ = _lloyd(pts, k, seed)
     return labels
 
 

@@ -42,7 +42,7 @@ def _require_finite(settings, error=ValueError):
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Weights, thresholds, and schedule counts for one layer.
+    """Weights, thresholds and the inner solves' stop rule for one layer.
 
     state_sparsity and cause_sparsity weight the l1 penalties on states
     and causes.  temporal_sparsity weights the l1 penalty on the state
@@ -60,8 +60,6 @@ class HyperParams:
     cause_sparsity: float = 0.3
     clamp_state: float = 1e-4
     clamp_cause: float = 1e-4
-    state_passes: int = 5
-    cause_passes: int = 5
     inner_tol: float = 1e-6
     max_inner_iter: int = 200
 
@@ -75,8 +73,6 @@ class HyperParams:
             raise ValueError("temporal_sparsity must be nonnegative")
         if self.clamp_state < 0 or self.clamp_cause < 0:
             raise ValueError("clamp thresholds must be nonnegative")
-        if self.state_passes < 1 or self.cause_passes < 1:
-            raise ValueError("pass counts must be at least 1")
         if self.inner_tol <= 0 or self.max_inner_iter < 1:
             raise ValueError("inner_tol must be positive, max_inner_iter >= 1")
 

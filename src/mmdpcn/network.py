@@ -23,15 +23,23 @@ from .learning import LearnConfig, fit_layer
 from .states import infer_states_batch
 
 _MAGIC = b"DPCN"
-_VERSION = 2
+_VERSION = 3
 
-# Order in which hyperparameters are serialized, one f64 each.  Version 1
-# files hold one more slot, a smoothing margin that nothing reads now,
-# after cause_sparsity; load_network drops it.
+# The hyperparameters a model file stores, one f64 each, in file order.
+# Version 2 files also hold the state and cause block pass counts after
+# clamp_cause, and version 1 files a smoothing margin after cause_sparsity
+# as well; only training read them.  None marks such a slot in a version's
+# table, and load_network skips it.
 _HP_FIELDS = ("state_sparsity", "temporal_sparsity", "pool_gain",
-              "cause_sparsity", "clamp_state", "clamp_cause",
-              "state_passes", "cause_passes", "inner_tol", "max_inner_iter")
+              "cause_sparsity", "clamp_state", "clamp_cause", "inner_tol",
+              "max_inner_iter")
+_V2_SLOTS = _HP_FIELDS[:6] + (None, None) + _HP_FIELDS[6:]
+_HP_SLOTS = {1: _V2_SLOTS[:4] + (None,) + _V2_SLOTS[4:], 2: _V2_SLOTS,
+             3: _HP_FIELDS}
 _INT_HP = {f.name for f in fields(HyperParams) if f.type is int}
+
+# Cap on the bottom-up sweeps per frame of infer_variables.
+_SWEEPS = 10
 
 
 @dataclass(frozen=True)
@@ -177,15 +185,15 @@ class InferenceResult:
     per_frame_seconds: list = field(default_factory=list)
 
 
-def infer_variables(frames, layers, grid: tuple, sweeps: int = 10,
+def infer_variables(frames, layers, grid: tuple,
                     segment_starts=()) -> InferenceResult:
     """Infer states and causes for every frame with top-down refinement.
 
-    Per frame: repeated bottom-up sweeps.  Within a sweep each layer infers
-    its states (warm-started, temporal term against the previous frame) and
-    then its cause, pulled toward the prediction rendered by the layer
-    above; the top layer is pulled toward its own previous-frame cause.
-    The states pay the weights total_energy charges them under the
+    Per frame: up to _SWEEPS bottom-up sweeps.  Within a sweep each layer
+    infers its states (warm-started, temporal term against the previous
+    frame) and then its cause, pulled toward the prediction rendered by
+    the layer above; the top layer is pulled toward its own previous-frame
+    cause.  The states pay the weights total_energy charges them under the
     frame's cause from the last sweep, in the first sweep the previous
     frame's (model.state_weights).  The first frame has no temporal
     context, so it gets one plain bottom-up pass without preferences, its
@@ -205,16 +213,14 @@ def infer_variables(frames, layers, grid: tuple, sweeps: int = 10,
     segmented sequence is bit-identical to inferring each segment
     separately.
 
-    Raises before any solve: ConfigError when there is no layer, sweeps is
-    not an integer of at least 1 or a segment start is not an integer
-    frame index, and the errors of the frame check train_network makes
-    (_fit_frames) when layer 1 cannot take the frames.
+    Raises before any solve: ConfigError when there is no layer or a
+    segment start is not an integer frame index, and the errors of the
+    frame check train_network makes (_fit_frames) when layer 1 cannot take
+    the frames.
     """
     n_layers = len(layers)
     if n_layers == 0:
         raise ConfigError("at least one layer is required")
-    if not isinstance(sweeps, numbers.Integral) or sweeps < 1:
-        raise ConfigError(f"sweeps must be an integer of at least 1, got {sweeps!r}")
     frames = _fit_frames(frames, layers[0].model.dims, grid)
     t_count = frames.shape[0]
     for s in segment_starts:
@@ -237,7 +243,7 @@ def infer_variables(frames, layers, grid: tuple, sweeps: int = 10,
             result.causes[t] = [None] * n_layers
 
         sweeping = step
-        for sweep in range(1 if fresh else sweeps):
+        for sweep in range(1 if fresh else _SWEEPS):
             previous = {t: list(result.causes[t]) for t in sweeping}
             batch = np.vstack([patches[t] for t in sweeping])
             for l, layer in enumerate(layers):
@@ -341,15 +347,17 @@ def _take(buf: memoryview, offset: int, count: int) -> tuple[memoryview, int]:
 
 
 def load_network(path) -> list:
-    """Read a layer stack written by save_network, or a version 1 file."""
+    """Read a stack of one or more layers in any version of _HP_SLOTS."""
     buf = memoryview(_read_file(path))
     head, off = _take(buf, 0, 8)
     if bytes(head[:4]) != _MAGIC:
         raise FormatError("bad magic; not a model file")
     version, count = struct.unpack("<HH", head[4:])
-    if version not in (1, _VERSION):
+    if version not in _HP_SLOTS:
         raise FormatError(f"unsupported model file version {version}")
-    slots = len(_HP_FIELDS) + (version == 1)
+    if count == 0:
+        raise FormatError("model file holds no layers")
+    slots = _HP_SLOTS[version]
 
     layers = []
     for _ in range(count):
@@ -359,14 +367,12 @@ def load_network(path) -> list:
             dims = LayerDims(p, k, d, n)
         except ValueError as exc:
             raise ShapeError(str(exc)) from None
-        raw, off = _take(buf, off, slots * 8)
-        values = list(struct.unpack(f"<{slots}d", raw))
-        if version == 1:
-            del values[4]
+        raw, off = _take(buf, off, len(slots) * 8)
+        values = struct.unpack(f"<{len(slots)}d", raw)
         try:
             hp = HyperParams(**{
                 name: int(round(value)) if name in _INT_HP else value
-                for name, value in zip(_HP_FIELDS, values)})
+                for name, value in zip(slots, values) if name is not None})
         except (ValueError, OverflowError) as exc:
             raise FormatError(f"invalid hyperparameters in model file: {exc}") from None
 

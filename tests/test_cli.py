@@ -249,8 +249,6 @@ grid = 2x2
 input_dim = 64
 state_dim = 72
 cause_dim = 8
-state_passes = 2
-cause_passes = 2
 max_inner_iter = 30
 max_outer_iter = 2
 """
@@ -307,8 +305,6 @@ cause_dim = 16
 state_sparsity = 0.25
 pool_gain = 0.03
 cause_sparsity = 0.0008
-state_passes = 2
-cause_passes = 2
 inner_tol = 1e-3
 max_inner_iter = 30
 max_outer_iter = 2
@@ -319,8 +315,6 @@ cause_dim = 12
 state_sparsity = 0.25
 pool_gain = 0.03
 cause_sparsity = 0.002
-state_passes = 2
-cause_passes = 2
 inner_tol = 1e-3
 max_inner_iter = 30
 max_outer_iter = 2
@@ -432,12 +426,16 @@ def test_each_command_writes_its_manifest(tmp_path, command):
     }[command]
     # train's --out may name the model file; the manifest goes beside it.
     leaf = "model.dpcn" if command == "train" else ""
+    # reconstruct makes no random choice, so it takes no --seed and its
+    # manifest records none.
+    seeded = command != "reconstruct"
 
     out = tmp_path / "out"
-    assert run(command, *argv, "--seed", 7, "--out", out / leaf) == 0
+    seed = ["--seed", 7] if seeded else []
+    assert run(command, *argv, *seed, "--out", out / leaf) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == command
-    assert manifest["seed"] == 7
+    assert manifest["seed"] == (7 if seeded else None)
     assert manifest["config_path"] == str(config)
     assert manifest["input_paths"] == [str(p) for p in inputs]
     assert manifest["output_dir"] == str(out)

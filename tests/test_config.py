@@ -140,7 +140,7 @@ def test_non_finite_values_rejected(tmp_path):
     # NaN fails every range comparison, so each check must refuse it
     # itself; an infinity would pass a lower bound.
     for line in ("state_sparsity = inf", "pool_gain = nan", "lr = inf",
-                 "inner_tol = nan", "state_passes = inf"):
+                 "inner_tol = nan", "max_inner_iter = inf"):
         with pytest.raises(ConfigError):
             parse_network_config(write(tmp_path, TWO_LAYER + line + "\n"))
     path = tmp_path / "bench.ini"
@@ -154,19 +154,19 @@ def test_non_finite_values_rejected(tmp_path):
 
 
 def test_keys_parse_to_their_field_types(tmp_path):
-    counts = ("state_passes = 3\ncause_passes = 4\nmax_inner_iter = 7\n"
-              "max_outer_iter = 9\n")
+    counts = "input_dim = 24\nmax_inner_iter = 7\nmax_outer_iter = 9\n"
     cfg = parse_network_config(write(tmp_path, TWO_LAYER + counts))
     top = cfg.layers[1]
-    for value in (top.hp.state_passes, top.hp.cause_passes,
-                  top.hp.max_inner_iter, top.learn.max_outer_iter,
-                  cfg.layers[0].learn.max_outer_iter, top.dims.state_dim):
+    for value in (top.hp.max_inner_iter, top.learn.max_outer_iter,
+                  cfg.layers[0].learn.max_outer_iter, top.dims.input_dim,
+                  top.dims.state_dim, top.dims.cause_dim):
         assert type(value) is int
-    assert (top.hp.state_passes, top.hp.max_inner_iter) == (3, 7)
+    assert (top.hp.max_inner_iter, top.learn.max_outer_iter) == (7, 9)
     assert type(top.hp.state_sparsity) is float
     assert type(top.learn.lr) is float
     with pytest.raises(ConfigError):
-        parse_network_config(write(tmp_path, TWO_LAYER + "state_passes = 2.5\n"))
+        parse_network_config(write(tmp_path,
+                                   TWO_LAYER + "max_inner_iter = 2.5\n"))
 
 
 def test_network_channels_must_parse(tmp_path):
@@ -222,12 +222,13 @@ def test_bench_smooth_margin_is_not_a_key(tmp_path):
     # Adam smooths |x| with a fixed margin, and every other l1 is exact, so
     # neither the bench nor a layer has a smoothing-margin key.  A layer
     # has one learning rate (lr), a fixed proximal weight and no seed of
-    # its own either: train's --seed seeds every layer.
+    # its own either: train's --seed seeds every layer.  Its training
+    # blocks run a fixed number of iterations, so it has no pass counts.
     path = tmp_path / "settings.ini"
     cases = [("bench", parse_bench_config, "smooth_margin")] + [
         ("layer1", parse_network_config, key)
         for key in ("smooth_margin", "lr_a", "lr_b", "lr_c", "theta_prox",
-                    "seed")]
+                    "seed", "state_passes", "cause_passes")]
     for section, parse, key in cases:
         path.write_text(f"[{section}]\n{key} = 0.1\n")
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
@@ -250,6 +251,11 @@ def test_default_section_keys_are_refused(tmp_path, network):
 def test_bench_validation():
     with pytest.raises(ConfigError):
         BenchSettings(patch_dim=0)
+    # An overcomplete code needs more states than patch pixels.
+    for patch_dim in (16, 17):
+        with pytest.raises(ConfigError, match="state_dim .16. must exceed "
+                                              "patch_dim"):
+            BenchSettings(patch_dim=patch_dim, state_dim=16)
     with pytest.raises(ConfigError):
         BenchSettings(adam_step=0.0)
     with pytest.raises(ConfigError):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mmdpcn.errors import DimensionMismatch, NonFinite
-from mmdpcn.learning import (_RESTART, _THETA_PROX, FitReport, LearnConfig,
-                             _sweep, fit_layer, grad_model,
+from mmdpcn.learning import (_BLOCK_ITERS, _RESTART, _THETA_PROX, FitReport,
+                             LearnConfig, _sweep, fit_layer, grad_model,
                              infer_frame_variables, init_model, update_model)
 from mmdpcn.linalg import column_normalize
 from mmdpcn.model import (CauseVector, HyperParams, LayerDims, LayerModel,
@@ -268,16 +268,15 @@ def test_interleaving_settles():
 
     from dataclasses import replace
     from mmdpcn.causes import infer_cause
-    hp_states = replace(hp, max_inner_iter=hp.state_passes)
-    hp_causes = replace(hp, max_inner_iter=hp.cause_passes)
+    hp_block = replace(hp, max_inner_iter=_BLOCK_ITERS)
     for _ in range(2):
         # The weight total_energy charges the states under the last cause.
         mu = hp.state_sparsity + hp.pool_gain * (
             1.0 + np.exp(-(model.coupling @ cause.values)))
-        states, _ = infer_states_batch(batch, None, model, hp_states,
+        states, _ = infer_states_batch(batch, None, model, hp_block,
                                        np.tile(mu, (2, 1)), inits=states)
         cause, _ = infer_cause(pool_states(states, hp.pool_gain), model,
-                               hp_causes, u_init=cause)
+                               hp_block, u_init=cause)
     settled = total_energy(batch, states, None, cause, model, hp)
     assert abs(settled - energy) < 10 * hp.inner_tol
 
@@ -292,11 +291,11 @@ def test_state_and_cause_blocks_never_raise_the_frame_energy(monkeypatch):
     # runs under layer 1's shipped settings as well, where they live on.
     frames = generate_shapes(frames_per_shape=1, seed=4).frames[:2]
     model = init_model(LayerDims(64, 72, 16, 4), np.random.default_rng(0))
-    old = HyperParams(pool_gain=3.0, cause_sparsity=0.08, state_passes=2,
-                      cause_passes=2, inner_tol=1e-3, max_inner_iter=30)
+    old = HyperParams(pool_gain=3.0, cause_sparsity=0.08, inner_tol=1e-3,
+                      max_inner_iter=30)
     shipped = HyperParams(state_sparsity=0.25, pool_gain=0.03,
-                          cause_sparsity=0.0008, state_passes=2,
-                          cause_passes=2, inner_tol=1e-3, max_inner_iter=30)
+                          cause_sparsity=0.0008, inner_tol=1e-3,
+                          max_inner_iter=30)
     energies = []
 
     def spy(*args):
@@ -319,8 +318,7 @@ def test_state_and_cause_blocks_never_raise_the_frame_energy(monkeypatch):
 
 SHIPPED_L1 = HyperParams(state_sparsity=0.25, temporal_sparsity=0.1,
                          pool_gain=0.03, cause_sparsity=0.0008,
-                         state_passes=2, cause_passes=2, inner_tol=1e-3,
-                         max_inner_iter=30)
+                         inner_tol=1e-3, max_inner_iter=30)
 
 
 def shapes_patches(seed=1):

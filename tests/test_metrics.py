@@ -187,7 +187,7 @@ def test_kmeans_inertia_nonincreasing():
     rng = np.random.default_rng(58)
     for seed in range(5):
         pts = rng.standard_normal((40, 3))
-        _, inertia = _lloyd(pts, 4, seed, 100)
+        _, inertia = _lloyd(pts, 4, seed)
         assert np.all(np.diff(inertia) <= 1e-9)
 
 

@@ -166,8 +166,6 @@ def test_hyperparams_validation():
     with pytest.raises(ValueError):
         HyperParams(clamp_state=-1e-4)
     with pytest.raises(ValueError):
-        HyperParams(state_passes=0)
-    with pytest.raises(ValueError):
         HyperParams(inner_tol=0.0)
     with pytest.raises(ValueError):
         HyperParams(max_inner_iter=0)

@@ -23,7 +23,7 @@ SHAPES_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
 
 
 def tiny_config(max_outer_iter=4):
-    hp = HyperParams(state_passes=2, cause_passes=2, max_inner_iter=40)
+    hp = HyperParams(max_inner_iter=40)
     return NetworkConfig(layers=(
         LayerSpec(dims=LayerDims(4, 6, 2, 4), hp=hp,
                   learn=LearnConfig(max_outer_iter=max_outer_iter)),
@@ -198,12 +198,12 @@ def test_every_model_carries_its_gram_matrix_and_files_omit_it(tmp_path):
     save_network(layers, path)
     for layer in load_network(path):
         check(layer.model)
-    # Version 2 layout: header, then per layer dims, 10 hyperparameters and
+    # Version 3 layout: header, then per layer dims, 8 hyperparameters and
     # the transition, coupling and dictionary only.
     size = 8
     for layer in layers:
         p, k, d = layer.model.dictionary.shape + (layer.model.dims.cause_dim,)
-        size += 16 + 10 * 8 + 8 * (k * k + k * d + p * k)
+        size += 16 + 8 * 8 + 8 * (k * k + k * d + p * k)
     assert path.stat().st_size == size
 
 
@@ -273,6 +273,11 @@ def test_load_rejects_corrupt_files(tmp_path):
     bad.write_bytes(blob + b"\x00")
     with pytest.raises(FormatError):
         load_network(bad)
+    # A file of no layers would load as an empty stack that no command
+    # can run.
+    save_network([], bad)
+    with pytest.raises(FormatError, match="no layers"):
+        load_network(bad)
     # Well-formed layers that do not chain: layer 2's input is not layer
     # 1's cause, or an upper layer takes more than one patch.
     rng = np.random.default_rng(31)
@@ -295,47 +300,65 @@ def test_load_rejects_non_finite_hyperparameters(tmp_path):
     path = tmp_path / "net.dpcn"
     save_network(random_stack(seed=32), path)
     blob = path.read_bytes()
-    # Layer 1's hyperparameters follow the 8-byte header and its 4 dims.
+    # Layer 1's 8 hyperparameters follow the 8-byte header and its 4 dims.
     start = 8 + 16
     bad = tmp_path / "bad.dpcn"
-    for values in ([float("nan")] + [0.5] * 9, [float("nan")] * 10,
-                   [0.3, float("inf")] + [0.5] * 8):
-        bad.write_bytes(blob[:start] + struct.pack("<10d", *values)
-                        + blob[start + 80:])
+    for values in ([float("nan")] + [0.5] * 7, [float("nan")] * 8,
+                   [0.3, float("inf")] + [0.5] * 6):
+        bad.write_bytes(blob[:start] + struct.pack("<8d", *values)
+                        + blob[start + 64:])
         with pytest.raises(FormatError, match="hyperparameters"):
             load_network(bad)
 
 
-def test_load_reads_version_1_files(tmp_path):
-    # A version 1 file holds an 11th hyperparameter, a smoothing margin,
-    # after cause_sparsity; loading drops it and nothing else changes.
+# The hyperparameter slots of the older writers, in file order.  Version 2
+# stored the two block pass counts, which only training read; version 1
+# also a smoothing margin after cause_sparsity.  Loading drops those slots.
+_V2_SLOTS = ("state_sparsity", "temporal_sparsity", "pool_gain",
+             "cause_sparsity", "clamp_state", "clamp_cause", "state_passes",
+             "cause_passes", "inner_tol", "max_inner_iter")
+_OLD_LAYOUTS = {2: _V2_SLOTS,
+                1: _V2_SLOTS[:4] + ("smooth_margin",) + _V2_SLOTS[4:]}
+_TRAINING_ONLY = {"smooth_margin": 0.1, "state_passes": 2.0,
+                  "cause_passes": 5.0}
+
+
+@pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+def test_load_reads_older_versions(tmp_path, version):
     layers = random_stack(seed=33, hp=HyperParams(
         state_sparsity=0.05, pool_gain=0.03, cause_sparsity=0.001,
         max_inner_iter=40))
     path = tmp_path / "net.dpcn"
     save_network(layers, path)
     blob = path.read_bytes()
-    old = bytearray(blob[:4] + struct.pack("<HH", 1, len(layers)))
+    assert struct.unpack("<H", blob[4:6]) == (3,)
+    slots = _OLD_LAYOUTS[version]
+    old = bytearray(blob[:4] + struct.pack("<HH", version, len(layers)))
     off = 8
     for layer in layers:
         p, k, d = layer.model.dictionary.shape + (layer.model.dims.cause_dim,)
-        old += blob[off:off + 16 + 4 * 8] + struct.pack("<d", 0.1)
-        end = off + 16 + 10 * 8 + 8 * (k * k + k * d + p * k)
-        old += blob[off + 16 + 4 * 8:end]
+        old += blob[off:off + 16] + struct.pack(
+            f"<{len(slots)}d", *(_TRAINING_ONLY[f] if f in _TRAINING_ONLY
+                                 else float(getattr(layer.hp, f))
+                                 for f in slots))
+        end = off + 16 + 8 * 8 + 8 * (k * k + k * d + p * k)
+        old += blob[off + 16 + 8 * 8:end]
         off = end
     assert off == len(blob)
-    v1 = tmp_path / "v1.dpcn"
-    v1.write_bytes(bytes(old))
-    back = load_network(v1)
-    for orig, got in zip(layers, back):
+    older = tmp_path / f"v{version}.dpcn"
+    older.write_bytes(bytes(old))
+    # The older file is 8 bytes longer per dropped slot and layer.
+    assert len(old) - len(blob) == 8 * (len(slots) - 8) * len(layers)
+    back, v3 = load_network(older), load_network(path)
+    for orig, got in zip(v3, back):
         assert got.model.dims == orig.model.dims
         assert got.hp == orig.hp
         assert np.array_equal(got.model.transition, orig.model.transition)
         assert np.array_equal(got.model.coupling, orig.model.coupling)
         assert np.array_equal(got.model.dictionary, orig.model.dictionary)
     frames = np.random.default_rng(33).random((3, 4, 4))
-    want = infer_variables(frames, layers, (2, 2), sweeps=2).causes
-    got = infer_variables(frames, back, (2, 2), sweeps=2).causes
+    want = infer_variables(frames, v3, (2, 2)).causes
+    got = infer_variables(frames, back, (2, 2)).causes
     assert np.count_nonzero(want[-1][-1].values) > 0
     for cw, cg in zip(want, got):
         for a, b in zip(cw, cg):
@@ -345,7 +368,7 @@ def test_load_reads_version_1_files(tmp_path):
 def test_infer_variables_shapes_and_zero_frames():
     layers = random_stack(seed=32)
     frames = np.zeros((3, 4, 4))
-    result = infer_variables(frames, layers, (2, 2), sweeps=2)
+    result = infer_variables(frames, layers, (2, 2))
     assert isinstance(result, InferenceResult)
     assert len(result.states) == len(result.causes) == 3
     assert len(result.per_frame_seconds) == 3
@@ -365,7 +388,7 @@ def test_infer_variables_shapes_and_zero_frames():
     # On frames that are not blank, every reconstructed patch is the
     # dictionary times that patch's state, bit for bit.
     frames = np.random.default_rng(32).random((2, 4, 4))
-    result = infer_variables(frames, layers, (2, 2), sweeps=2)
+    result = infer_variables(frames, layers, (2, 2))
     recon = reconstruct_frames((4, 4), layers, result, (2, 2))
     c = layers[0].model.dictionary
     for t in range(2):
@@ -418,10 +441,10 @@ def test_segment_reset_matches_separate_inference():
     rng = np.random.default_rng(36)
     layers = random_stack(seed=36)
     frames = rng.random((5, 4, 4))
-    stitched = infer_variables(frames, layers, (2, 2), sweeps=3,
+    stitched = infer_variables(frames, layers, (2, 2),
                                segment_starts=[3])
-    first = infer_variables(frames[:3], layers, (2, 2), sweeps=3)
-    second = infer_variables(frames[3:], layers, (2, 2), sweeps=3)
+    first = infer_variables(frames[:3], layers, (2, 2))
+    second = infer_variables(frames[3:], layers, (2, 2))
     for t in range(5):
         part = first if t < 3 else second
         s = t if t < 3 else t - 3
@@ -450,7 +473,7 @@ def test_uneven_segments_match_separate_inference(monkeypatch):
                                   inits=inits)
 
     monkeypatch.setattr("mmdpcn.network.infer_states_batch", spy)
-    stitched = infer_variables(frames, layers, (2, 2), sweeps=4,
+    stitched = infer_variables(frames, layers, (2, 2),
                                segment_starts=starts)
     monkeypatch.undo()
     # Some frame left the stack while another at its step swept on.
@@ -460,26 +483,13 @@ def test_uneven_segments_match_separate_inference(monkeypatch):
     assert len(stitched.per_frame_seconds) == 8
     assert all(s > 0 for s in stitched.per_frame_seconds)
     for first, end in zip([0] + starts, starts + [8]):
-        part = infer_variables(frames[first:end], layers, (2, 2), sweeps=4)
+        part = infer_variables(frames[first:end], layers, (2, 2))
         for s in range(end - first):
             for l in range(2):
                 assert stitched.causes[first + s][l].values.tobytes() == \
                     part.causes[s][l].values.tobytes()
                 assert stitched.states[first + s][l].tobytes() == \
                     part.states[s][l].tobytes()
-
-
-def test_infer_variables_rejects_bad_sweeps(monkeypatch):
-    layers = random_stack(seed=42)
-    frames = np.random.default_rng(42).random((3, 4, 4))
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a solve ran before sweeps was checked")
-
-    monkeypatch.setattr("mmdpcn.network.infer_states_batch", no_solve)
-    for sweeps in (0, -3, 1.5):
-        with pytest.raises(ConfigError, match="sweeps"):
-            infer_variables(frames, layers, (2, 2), sweeps=sweeps)
 
 
 def test_infer_variables_rejects_bad_segment_starts(monkeypatch):
@@ -498,9 +508,9 @@ def test_infer_variables_rejects_bad_segment_starts(monkeypatch):
                         segment_starts=[0])
     monkeypatch.undo()
     # Start 0 and repeated starts are allowed and change nothing.
-    plain = infer_variables(frames, layers, (2, 2), sweeps=2,
+    plain = infer_variables(frames, layers, (2, 2),
                             segment_starts=[2])
-    repeated = infer_variables(frames, layers, (2, 2), sweeps=2,
+    repeated = infer_variables(frames, layers, (2, 2),
                                segment_starts=[0, 2, 2, np.int64(2)])
     for t in range(4):
         for l in range(2):
@@ -511,7 +521,7 @@ def test_infer_variables_rejects_bad_segment_starts(monkeypatch):
 def test_reconstruct_frames_shapes_and_zero_case():
     layers = random_stack(seed=34)
     frames = np.zeros((2, 4, 4))
-    result = infer_variables(frames, layers, (2, 2), sweeps=1)
+    result = infer_variables(frames, layers, (2, 2))
     recon = reconstruct_frames((4, 4), layers, result, (2, 2))
     assert recon.shape == (2, 4, 4)
     assert np.array_equal(recon, np.zeros((2, 4, 4)))
@@ -528,11 +538,11 @@ def test_reconstruction_error_shrinks_with_training():
     untrained = [Layer(init_model(spec.dims, np.random.default_rng(0)), hp)
                  for spec in cfg.layers]
     got = reconstruct_frames(
-        (4, 4), layers, infer_variables(frames, layers, (2, 2), sweeps=2),
+        (4, 4), layers, infer_variables(frames, layers, (2, 2)),
         (2, 2))
     ref = reconstruct_frames(
         (4, 4), untrained,
-        infer_variables(frames, untrained, (2, 2), sweeps=2), (2, 2))
+        infer_variables(frames, untrained, (2, 2)), (2, 2))
     assert np.mean((got - frames) ** 2) <= np.mean((ref - frames) ** 2) + 1e-12
 
 
