@@ -252,22 +252,19 @@ def cmd_bench(args) -> list:
 # train
 
 
-def _resolve_model_out(out: str):
-    """--out may be a directory or a path ending in .dpcn."""
-    if out.endswith(".dpcn"):
-        return os.path.dirname(out) or ".", out
-    return out, os.path.join(out, "model.dpcn")
-
-
 def cmd_train(args) -> list:
     if not args.config:
         raise ConfigError("train requires --config")
     cfg = parse_network_config(args.config)
     if args.grayscale and cfg.channels != 1:
         raise ConfigError("--grayscale requires channels = 1 in the config")
-    # The manifest's output_dir is the fit directory, not the .dpcn path.
-    out_dir, model_path = _resolve_model_out(args.out)
-    args.out = out_dir
+    # --out names the model file; the traces, metrics and manifest go in
+    # its directory, which is the manifest's output_dir.
+    model_path = args.out
+    if os.path.isdir(model_path):
+        raise ConfigError(f"--out {model_path} is a directory; it names the "
+                          "model file to write, such as fit/model.dpcn")
+    out_dir = args.out = os.path.dirname(model_path) or "."
 
     frames = read_frames_dir(args.frames, grayscale=args.grayscale)
     layers, reports = train_network(frames, cfg, args.seed)
@@ -392,13 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config=False):
         p.add_argument("--seed", type=int, default=0,
                        help="seed for every random choice in this command")
-        p.add_argument("--out", required=True, help="output directory")
         if config:
             p.add_argument("--config", default=None,
                            help="configuration file (key=value sections)")
 
     p = sub.add_parser("gen-shapes", help="write a synthetic shape video")
     common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--frames-per-shape", type=int, default=100)
     p.add_argument("--size", type=int, default=16,
                    help="frame height and width in pixels (min 16)")
@@ -408,12 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="compare state solvers on one problem")
     common(p, config=True)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--methods", default="mm,ista,fista,adam",
                    help="comma-separated subset of mm,ista,fista,adam")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("train", help="fit a layer stack on a frame directory")
     common(p, config=True)
+    p.add_argument("--out", required=True,
+                   help="model file to write; the traces, metrics and "
+                        "manifest go in its directory")
     p.add_argument("--frames", required=True, help="directory of .pgm/.ppm frames")
     p.add_argument("--grayscale", action="store_true",
                    help="collapse color frames at ingestion")
@@ -421,6 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster top-layer causes and score them")
     common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--model", required=True, help="trained model file")
     p.add_argument("--frames", required=True)
     p.add_argument("--labels", required=True, help="frame_index,label CSV")

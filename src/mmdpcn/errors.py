@@ -21,10 +21,6 @@ class FormatError(ValueError):
     """A file does not match its expected binary/text layout."""
 
 
-class ShapeError(ValueError):
-    """Stored array shapes are inconsistent with their declared dimensions."""
-
-
 class LengthMismatch(ValueError):
     """Paired sequences differ in length."""
 

@@ -2,6 +2,8 @@
 
 Everything here is readable without third-party image libraries.  Pixels
 live in [0, 1] as float64 in memory; files store the quantized bytes.
+write_image picks P5 (graymap) or P6 (pixmap) from the frame's shape, and
+read_image picks the parse from the file's magic.
 CSV numbers are written with 17 significant digits so a parsed value
 round-trips bit-exactly.
 """
@@ -48,9 +50,7 @@ def _read_pnm_tokens(data: bytes, count: int, start: int):
     return tokens, i + 1  # single whitespace byte ends the header
 
 
-def _parse_pnm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
-    if data[:2] != magic:
-        raise FormatError(f"expected {magic.decode()} file")
+def _parse_pnm(data: bytes, channels: int) -> np.ndarray:
     tokens, offset = _read_pnm_tokens(data, 3, 2)
     try:
         width, height, maxval = (int(t) for t in tokens)
@@ -90,20 +90,17 @@ def _quantize(frame: np.ndarray) -> np.ndarray:
     return np.rint(np.clip(frame, 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
-def write_pgm(path, frame):
+def write_image(path, frame):
+    """Write a (h, w) frame as P5 or an (h, w, 3) frame as P6."""
     arr = as_float_array(frame, "frame")
-    if arr.ndim != 2:
-        raise FormatError(f"graymap frames must be 2-D, got shape {arr.shape}")
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode()
-    _write_file(path, header + _quantize(arr).tobytes())
-
-
-def write_ppm(path, frame):
-    arr = as_float_array(frame, "frame")
-    if arr.ndim != 3 or arr.shape[2] != 3:
+    if arr.ndim == 2:
+        magic = "P5"
+    elif arr.ndim == 3 and arr.shape[2] == 3:
+        magic = "P6"
+    else:
         raise FormatError(
-            f"pixmap frames must have shape (h, w, 3), got {arr.shape}")
-    header = f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode()
+            f"frames must have shape (h, w) or (h, w, 3), got {arr.shape}")
+    header = f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode()
     _write_file(path, header + _quantize(arr).tobytes())
 
 
@@ -111,9 +108,9 @@ def read_image(path) -> np.ndarray:
     """Read either netpbm flavor, dispatching on the magic bytes."""
     data = _read_file(path)
     if data[:2] == b"P5":
-        return _parse_pnm(data, b"P5", 1)
+        return _parse_pnm(data, 1)
     if data[:2] == b"P6":
-        return _parse_pnm(data, b"P6", 3)
+        return _parse_pnm(data, 3)
     raise FormatError(f"{path}: not a binary PGM/PPM file")
 
 
@@ -174,7 +171,7 @@ def write_frames(out_dir, frames):
     paths = []
     for t in range(arr.shape[0]):
         path = os.path.join(out_dir, frame_name(t, color))
-        (write_ppm if color else write_pgm)(path, arr[t])
+        write_image(path, arr[t])
         paths.append(path)
     return paths
 
@@ -217,6 +214,13 @@ def write_csv(path, header, rows):
 
 
 def write_labels_csv(path, labels):
+    """Refuse, before writing, a label that read_labels_csv cannot read back."""
+    labels = list(labels)
+    for label in map(str, labels):
+        # read_labels_csv splits rows with str.splitlines and cells at ",".
+        if "," in label or "".join(label.splitlines()) != label:
+            raise FormatError(
+                f"{path}: label {label!r} holds a comma or a line break")
     write_csv(path, ("frame_index", "label"), enumerate(labels))
 
 

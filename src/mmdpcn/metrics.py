@@ -150,11 +150,10 @@ def matching_accuracy(labels_true, labels_pred) -> float:
 def pca_project(points, dims_out: int):
     """Center and project onto the top principal directions.
 
-    Returns (projected, rank_deficient).  When the centered data has fewer
-    nonzero singular values than dims_out the missing coordinates are
-    zero-padded and the flag is set.  The sign of each direction is fixed
-    by making its largest-magnitude loading positive, so the output does
-    not depend on SVD sign ambiguity.
+    When the centered data has fewer nonzero singular values than dims_out
+    the missing coordinates are zero-padded.  The sign of each direction
+    is fixed by making its largest-magnitude loading positive, so the
+    output does not depend on SVD sign ambiguity.
     """
     pts = as_float_array(points, "points")
     if pts.ndim != 2:
@@ -172,14 +171,13 @@ def pca_project(points, dims_out: int):
     rank = int(np.count_nonzero(svals > tol))
 
     out = np.zeros((n, dims_out))
-    usable = min(rank, dims_out)
-    for i in range(usable):
+    for i in range(min(rank, dims_out)):
         direction = vt[i]
         pivot = int(np.argmax(np.abs(direction)))
         if direction[pivot] < 0:
             direction = -direction
         out[:, i] = centered @ direction
-    return out, rank < dims_out
+    return out
 
 
 def _plus_plus_init(pts, k, rng):
@@ -277,7 +275,7 @@ def evaluate_clustering(causes, labels_true, k: int, seed: int = 0,
     pts = as_float_array(causes, "causes")
     if pts.ndim != 2:
         raise DimensionMismatch("causes must be a 2-D array (frames, dim)")
-    projected, _ = pca_project(pts, min(3, pts.shape[1]))
+    projected = pca_project(pts, min(3, pts.shape[1]))
     assignments = kmeans(projected, k, seed=seed)
     return ClusterReport(
         acc=completeness(labels_true, assignments),

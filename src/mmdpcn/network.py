@@ -13,8 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionMismatch, FormatError, GridMismatch,
-                     ShapeError)
+from .errors import ConfigError, DimensionMismatch, FormatError, GridMismatch
 from .frames import _read_file, _write_file
 from .linalg import _times_rows, as_float_array
 from .model import HyperParams, LayerDims, LayerModel, pool_states, state_weights
@@ -52,9 +51,11 @@ class LayerSpec:
 
 
 def _check_chain(dims, error):
-    """Raise error unless a stack of LayerDims chains: layer l+1's
-    input_dim equals layer l's cause_dim, and only layer 1 sees more than
-    one patch per frame."""
+    """Raise error unless a stack of LayerDims is not empty and chains:
+    layer l+1's input_dim equals layer l's cause_dim, and only layer 1
+    sees more than one patch per frame."""
+    if not dims:
+        raise error("at least one layer is required")
     for i, (lower, upper) in enumerate(zip(dims, dims[1:]), start=1):
         if upper.input_dim != lower.cause_dim:
             raise error(f"layer {i + 1} input dim {upper.input_dim} must "
@@ -67,7 +68,7 @@ def _check_chain(dims, error):
 class NetworkConfig:
     """Layer stack plus the frame patching scheme.
 
-    Adjacent layers must chain (_check_chain).
+    There must be a layer, and adjacent layers must chain (_check_chain).
     """
 
     layers: tuple
@@ -75,8 +76,7 @@ class NetworkConfig:
     channels: int = 1
 
     def __post_init__(self):
-        if not self.layers:
-            raise ConfigError("at least one layer is required")
+        _check_chain([spec.dims for spec in self.layers], ConfigError)
         rows, cols = self.grid
         if rows < 1 or cols < 1:
             raise ConfigError("grid must be positive in both directions")
@@ -87,7 +87,6 @@ class NetworkConfig:
             raise ConfigError(
                 f"layer 1 must have {rows * cols} patches for a {rows}x{cols} grid, "
                 f"got {first.patch_count}")
-        _check_chain([spec.dims for spec in self.layers], ConfigError)
 
 
 @dataclass
@@ -325,7 +324,10 @@ def save_network(layers, path):
     Layout: magic, version (u16), layer count (u16); per layer the four
     dims (u32), the hyperparameters (_HP_FIELDS, f64), then the transition,
     coupling, and dictionary matrices row-major as little-endian f64.
+    Raises ConfigError, before writing, on a stack that load_network would
+    refuse: no layers, or layers that do not chain (_check_chain).
     """
+    _check_chain([layer.model.dims for layer in layers], ConfigError)
     blob = bytearray()
     blob += _MAGIC
     blob += struct.pack("<HH", _VERSION, len(layers))
@@ -347,7 +349,13 @@ def _take(buf: memoryview, offset: int, count: int) -> tuple[memoryview, int]:
 
 
 def load_network(path) -> list:
-    """Read a stack of one or more layers in any version of _HP_SLOTS."""
+    """Read a stack of one or more layers in any version of _HP_SLOTS.
+
+    Raises FormatError on every malformed file: a bad magic or version,
+    truncation or trailing bytes, invalid dims or hyperparameters, no
+    layers, or layers that do not chain (_check_chain).  IoError when the
+    file cannot be read.
+    """
     buf = memoryview(_read_file(path))
     head, off = _take(buf, 0, 8)
     if bytes(head[:4]) != _MAGIC:
@@ -355,8 +363,6 @@ def load_network(path) -> list:
     version, count = struct.unpack("<HH", head[4:])
     if version not in _HP_SLOTS:
         raise FormatError(f"unsupported model file version {version}")
-    if count == 0:
-        raise FormatError("model file holds no layers")
     slots = _HP_SLOTS[version]
 
     layers = []
@@ -366,7 +372,7 @@ def load_network(path) -> list:
         try:
             dims = LayerDims(p, k, d, n)
         except ValueError as exc:
-            raise ShapeError(str(exc)) from None
+            raise FormatError(f"invalid dims in model file: {exc}") from None
         raw, off = _take(buf, off, len(slots) * 8)
         values = struct.unpack(f"<{len(slots)}d", raw)
         try:

@@ -88,6 +88,12 @@ def test_domain_errors_exit_2(tmp_path, capsys):
                "--labels", labels_path, "--out", tmp_path / "z",
                "--grid", "2by2") == 2
     assert "error:" in capsys.readouterr().err
+    # train with --out naming a directory, not the model file.
+    ini = tmp_path / "net.ini"
+    ini.write_text(TINY_INI)
+    assert run("train", "--config", ini, "--frames", frames_dir,
+               "--out", tmp_path) == 2
+    assert "is a directory" in capsys.readouterr().err
 
 
 def test_train_rejects_non_finite_settings_before_solving(tmp_path, capsys,
@@ -101,7 +107,7 @@ def test_train_rejects_non_finite_settings_before_solving(tmp_path, capsys,
     ini.write_text("[layer1]\ninput_dim = 4\nstate_dim = 6\ncause_dim = 2\n"
                    "state_sparsity = inf\n")
     assert run("train", "--config", ini, "--frames", frames_dir,
-               "--out", tmp_path / "m") == 2
+               "--out", tmp_path / "m" / "model.dpcn") == 2
     assert "state_sparsity must be finite" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
 
@@ -424,7 +430,7 @@ def test_each_command_writes_its_manifest(tmp_path, command):
         "reconstruct": (["--model", model, "--frames", frames], "",
                         [model, frames], ["--grid", "0x0"]),
     }[command]
-    # train's --out may name the model file; the manifest goes beside it.
+    # train's --out names the model file; the manifest goes beside it.
     leaf = "model.dpcn" if command == "train" else ""
     # reconstruct makes no random choice, so it takes no --seed and its
     # manifest records none.

@@ -8,8 +8,7 @@ from mmdpcn.errors import FormatError, IoError, LengthMismatch
 from mmdpcn.frames import (format_float, frame_name, read_frames_dir,
                            read_image, read_labels_csv, read_rten,
                            to_grayscale, write_csv, write_frames,
-                           write_labels_csv, write_metrics_csv, write_pgm,
-                           write_ppm)
+                           write_image, write_labels_csv, write_metrics_csv)
 
 from io_helpers import read_metrics_csv, write_rten
 
@@ -23,7 +22,7 @@ def test_pgm_roundtrip_quantized(tmp_path):
     rng = np.random.default_rng(60)
     frame = rng.random((5, 7))
     path = tmp_path / "a.pgm"
-    write_pgm(path, frame)
+    write_image(path, frame)
     back = read_image(path)
     assert back.shape == (5, 7)
     assert np.max(np.abs(back - frame)) <= 0.5 / 255 + 1e-12
@@ -31,7 +30,7 @@ def test_pgm_roundtrip_quantized(tmp_path):
 
 def test_pgm_clips_out_of_range(tmp_path):
     path = tmp_path / "clip.pgm"
-    write_pgm(path, np.array([[-0.5, 0.5], [1.5, 1.0]]))
+    write_image(path, np.array([[-0.5, 0.5], [1.5, 1.0]]))
     back = read_image(path)
     assert back[0, 0] == 0.0
     assert back[1, 0] == 1.0
@@ -41,7 +40,7 @@ def test_ppm_roundtrip_and_grayscale(tmp_path):
     rng = np.random.default_rng(61)
     frame = rng.random((4, 6, 3))
     path = tmp_path / "a.ppm"
-    write_ppm(path, frame)
+    write_image(path, frame)
     back = read_image(path)
     assert back.shape == (4, 6, 3)
     assert np.max(np.abs(back - frame)) <= 0.5 / 255 + 1e-12
@@ -75,10 +74,11 @@ def test_pnm_error_cases(tmp_path):
         read_image(truncated)
     with pytest.raises(IoError):
         read_image(tmp_path / "missing.pgm")
-    with pytest.raises(FormatError):
-        write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 3)))
-    with pytest.raises(FormatError):
-        write_ppm(tmp_path / "x.ppm", np.zeros((2, 2)))
+    # Neither a graymap (h, w) nor a pixmap (h, w, 3): nothing is written.
+    for shape in ((2, 2, 4), (2, 2, 1), (4,), (1, 2, 2, 3)):
+        with pytest.raises(FormatError):
+            write_image(tmp_path / "x.pnm", np.zeros(shape))
+    assert not (tmp_path / "x.pnm").exists()
 
 
 def test_rten_roundtrip_exact_f32(tmp_path):
@@ -143,7 +143,7 @@ def test_read_frames_dir_errors(tmp_path):
         read_frames_dir(tmp_path / "definitely_missing")
     mixed = tmp_path / "mixed"
     write_frames(mixed, np.zeros((1, 4, 4)))
-    write_pgm(mixed / "frame_00001.pgm", np.zeros((5, 5)))
+    write_image(mixed / "frame_00001.pgm", np.zeros((5, 5)))
     with pytest.raises(FormatError):
         read_frames_dir(mixed)
 
@@ -158,6 +158,13 @@ def test_labels_csv_roundtrip_and_validation(tmp_path):
     path.write_text("frame_index,label\n1,a\n")
     with pytest.raises(LengthMismatch):
         read_labels_csv(path)
+    # Labels that would not read back are refused before a byte is written.
+    for bad in ("a,b", "a\nb", "a\rb", "a\r\n", "a\u2028b"):
+        with pytest.raises(FormatError, match="comma or a line break"):
+            write_labels_csv(tmp_path / "bad.csv", ["square", bad])
+    assert not (tmp_path / "bad.csv").exists()
+    write_labels_csv(path, ["", " a b "])
+    assert read_labels_csv(path) == ["", " a b "]
 
 
 def test_labels_csv_non_integer_index_names_file_and_row(tmp_path):

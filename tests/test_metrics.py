@@ -100,8 +100,7 @@ def test_pca_preserves_distances_in_exact_subspace():
     basis = np.linalg.qr(rng.standard_normal((8, 3)))[0]
     coords = rng.standard_normal((20, 3)) * np.array([3.0, 2.0, 1.0])
     points = coords @ basis.T
-    projected, deficient = pca_project(points, 3)
-    assert not deficient
+    projected = pca_project(points, 3)
     d_in = np.linalg.norm(points[:, None] - points[None, :], axis=2)
     d_out = np.linalg.norm(projected[:, None] - projected[None, :], axis=2)
     assert np.allclose(d_in, d_out, atol=1e-8)
@@ -110,9 +109,10 @@ def test_pca_preserves_distances_in_exact_subspace():
 def test_pca_output_centered_and_contractive():
     rng = np.random.default_rng(52)
     points = rng.standard_normal((15, 6))
-    projected, deficient = pca_project(points, 3)
-    assert not deficient
+    projected = pca_project(points, 3)
     assert np.all(np.abs(projected.mean(axis=0)) < 1e-10)
+    # Full rank, so no coordinate is zero padding.
+    assert np.all(np.any(projected != 0.0, axis=0))
     d_in = np.linalg.norm(points[:, None] - points[None, :], axis=2)
     d_out = np.linalg.norm(projected[:, None] - projected[None, :], axis=2)
     assert np.all(d_out <= d_in + 1e-10)
@@ -124,7 +124,7 @@ def test_pca_first_component_separates_two_clusters():
     right = rng.standard_normal((10, 4)) * 0.05
     left[:, 2] -= 5.0
     right[:, 2] += 5.0
-    projected, _ = pca_project(np.vstack([left, right]), 1)
+    projected = pca_project(np.vstack([left, right]), 1)
     side = projected[:, 0] > 0
     # One cluster strictly on each side of zero.
     assert len(set(side[:10])) == 1
@@ -134,16 +134,17 @@ def test_pca_first_component_separates_two_clusters():
 
 def test_pca_rank_deficiency_flagged_and_padded():
     points = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-    projected, deficient = pca_project(points, 2)
-    assert deficient
-    assert np.allclose(projected[:, 1], 0.0)
+    # Rank 1: the second coordinate is zero padding.
+    projected = pca_project(points, 2)
+    assert not np.allclose(projected[:, 0], 0.0)
+    assert np.array_equal(projected[:, 1], np.zeros(3))
 
 
 def test_pca_determinism_and_errors():
     rng = np.random.default_rng(54)
     points = rng.standard_normal((10, 5))
-    a, _ = pca_project(points, 3)
-    b, _ = pca_project(points, 3)
+    a = pca_project(points, 3)
+    b = pca_project(points, 3)
     assert np.array_equal(a, b)
     with pytest.raises(DegenerateData):
         pca_project(points[:1], 1)

@@ -273,20 +273,38 @@ def test_load_rejects_corrupt_files(tmp_path):
     bad.write_bytes(blob + b"\x00")
     with pytest.raises(FormatError):
         load_network(bad)
+    # Invalid dims: layer 1's input_dim is not below its state_dim.
+    bad.write_bytes(blob[:8] + struct.pack("<IIII", 6, 6, 2, 4) + blob[24:])
+    with pytest.raises(FormatError, match="invalid dims"):
+        load_network(bad)
     # A file of no layers would load as an empty stack that no command
     # can run.
-    save_network([], bad)
-    with pytest.raises(FormatError, match="no layers"):
+    bad.write_bytes(b"DPCN" + struct.pack("<HH", 3, 0))
+    with pytest.raises(FormatError, match="at least one layer"):
         load_network(bad)
     # Well-formed layers that do not chain: layer 2's input is not layer
-    # 1's cause, or an upper layer takes more than one patch.
+    # 1's cause, or an upper layer takes more than one patch.  Each layer's
+    # bytes are those of a one-layer file after its 8-byte header, and
+    # save_network refuses the stack itself before writing a byte.
     rng = np.random.default_rng(31)
-    for upper in (LayerDims(10, 20, 5, 1), LayerDims(16, 20, 5, 2)):
-        save_network([Layer(init_model(LayerDims(64, 72, 16, 4), rng),
-                            HyperParams()),
-                      Layer(init_model(upper, rng), HyperParams())], bad)
+
+    def layer_bytes(layer):
+        save_network([layer], path)
+        return path.read_bytes()[8:]
+
+    lower = Layer(init_model(LayerDims(64, 72, 16, 4), rng), HyperParams())
+    for dims in (LayerDims(10, 20, 5, 1), LayerDims(16, 20, 5, 2)):
+        upper = Layer(init_model(dims, rng), HyperParams())
+        bad.write_bytes(b"DPCN" + struct.pack("<HH", 3, 2) + layer_bytes(lower)
+                        + layer_bytes(upper))
         with pytest.raises(FormatError, match="input dim|single patch"):
             load_network(bad)
+        with pytest.raises(ConfigError, match="input dim|single patch"):
+            save_network([lower, upper], tmp_path / "unchained.dpcn")
+    with pytest.raises(ConfigError, match="at least one layer"):
+        save_network([], tmp_path / "empty.dpcn")
+    assert not (tmp_path / "unchained.dpcn").exists()
+    assert not (tmp_path / "empty.dpcn").exists()
 
 
 def test_model_file_io_errors_are_io_errors(tmp_path):
