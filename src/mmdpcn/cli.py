@@ -91,6 +91,8 @@ def cmd_gen_shapes(args) -> list:
 # within the iteration budget.
 _BENCH_CURVATURE = 5.0
 _BENCH_SIGNAL = 150.0
+# Adam adapts its per-component rates, so it takes a scale, not 1/L.
+_BENCH_ADAM_STEP = 5.0
 
 
 def _bench_model(settings: BenchSettings, rng) -> LayerModel:
@@ -173,7 +175,7 @@ def run_benchmark(settings: BenchSettings, methods, seed: int):
     # solver up in this module when it runs.
     fixed = BaselineConfig(step=1.0 / _BENCH_CURVATURE,
                            max_iter=settings.max_iter)
-    adaptive = BaselineConfig(step=settings.adam_step,
+    adaptive = BaselineConfig(step=_BENCH_ADAM_STEP,
                               max_iter=settings.max_iter)
     weights = np.full((patches.shape[0], settings.state_dim),
                       hp.state_sparsity)
@@ -256,8 +258,6 @@ def cmd_train(args) -> list:
     if not args.config:
         raise ConfigError("train requires --config")
     cfg = parse_network_config(args.config)
-    if args.grayscale and cfg.channels != 1:
-        raise ConfigError("--grayscale requires channels = 1 in the config")
     # --out names the model file; the traces, metrics and manifest go in
     # its directory, which is the manifest's output_dir.
     model_path = args.out

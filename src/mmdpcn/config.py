@@ -5,7 +5,6 @@ layer, numbered consecutively from 1:
 
     [network]
     grid = 2x2
-    channels = 1
 
     [layer1]
     input_dim = 64
@@ -17,16 +16,17 @@ layer, numbered consecutively from 1:
     state_dim = 48
     cause_dim = 12
 
-The dataclasses are the schema.  A layer section takes 14 keys, the
-fields of LayerDims but patch_count (3), HyperParams (8) and LearnConfig
-(3: lr, outer_tol, max_outer_iter; the run's seed is a command option),
-and [bench] the 8 of BenchSettings; _read_section parses each key to its
-type, and an absent key keeps the default.  The parser only routes keys,
-requires layer1's input_dim (patch pixels times channels) and derives
-patch_count (the grid's for layer1, 1 above) and an unstated upper
-input_dim (the cause dimension below); the dataclasses check the rest,
-the chain too.  An unknown key, a value that does not parse and a value
-the dataclass refuses, NaN and infinities included, all raise
+The dataclasses are the schema.  [network] takes the one key grid, a
+layer section 14 keys, the fields of LayerDims but patch_count (3),
+HyperParams (8) and LearnConfig (3: lr, outer_tol, max_outer_iter; the
+run's seed is a command option), and [bench] the 7 of BenchSettings;
+_read_section parses each key to its type, and an absent key keeps the
+default.  The parser only routes keys, requires layer1's input_dim
+(patch pixels times channels, which fixes the frames' channel count) and
+derives patch_count (the grid's for layer1, 1 above) and an unstated
+upper input_dim (the cause dimension below); the dataclasses check the
+rest, the chain too.  An unknown key, a value that does not parse and a
+value the dataclass refuses, NaN and infinities included, all raise
 ConfigError.
 """
 
@@ -50,14 +50,13 @@ class BenchSettings:
     otherwise it names a raw tensor file with one patch per row.
     The fixed-step solvers (ista/fista) take no step setting: the bench
     dictionary is scaled to a known curvature L = ||C||^2, and they run at
-    the textbook step 1/L.  adam_step is the adaptive solver's scale;
-    Adam's smoothing margin is the constant baselines._ADAM_MARGIN.
+    the textbook step 1/L.  Adam's scale and smoothing margin are the
+    constants cli._BENCH_ADAM_STEP and baselines._ADAM_MARGIN.
     """
 
     patch_dim: int = 256
     state_dim: int = 300
     state_sparsity: float = 0.3
-    adam_step: float = 5.0
     max_iter: int = 200
     patch_count: int = 20
     generator_sparsity: float = 0.05
@@ -70,9 +69,8 @@ class BenchSettings:
         if self.patch_dim >= self.state_dim:
             raise ConfigError(f"bench state_dim ({self.state_dim}) must "
                               f"exceed patch_dim ({self.patch_dim})")
-        if self.adam_step <= 0 or self.max_iter < 1 or self.patch_count < 1:
-            raise ConfigError(
-                "bench adam_step/max_iter/patch_count must be positive")
+        if self.max_iter < 1 or self.patch_count < 1:
+            raise ConfigError("bench max_iter/patch_count must be positive")
         if not (0 < self.generator_sparsity <= 1):
             raise ConfigError("generator_sparsity must lie in (0, 1]")
 
@@ -140,8 +138,7 @@ def _read_section(parser, section: str, *schemas) -> tuple:
 
 def parse_network_config(path) -> NetworkConfig:
     parser = _read_ini(path)
-    network_kw, = _read_section(parser, "network",
-                                {"grid": _parse_grid, "channels": int})
+    network_kw, = _read_section(parser, "network", {"grid": _parse_grid})
     grid = network_kw.get("grid", NetworkConfig.grid)
 
     # Shorter names first, so that layer10 follows layer9; a name that is

@@ -156,21 +156,26 @@ def read_rten(path) -> np.ndarray:
 # Frame directories
 
 
-def frame_name(index: int, color: bool = False) -> str:
-    return f"frame_{index:05d}.{'ppm' if color else 'pgm'}"
+def frame_name(index: int, color: bool = False, digits: int = 5) -> str:
+    return f"frame_{index:0{digits}d}.{'ppm' if color else 'pgm'}"
 
 
 def write_frames(out_dir, frames):
-    """Write a frame stack as numbered netpbm files; returns the paths."""
+    """Write a frame stack as numbered netpbm files; returns the paths.
+
+    Every index in one stack is padded to the same width, at least 5
+    digits, so the names sort in frame order (read_frames_dir).
+    """
     arr = as_float_array(frames, "frames")
     color = arr.ndim == 4
     if arr.ndim not in (3, 4):
         raise FormatError(
             f"frame stack must be (t,h,w) or (t,h,w,3), got {arr.shape}")
     os.makedirs(out_dir, exist_ok=True)
+    digits = max(5, len(str(arr.shape[0] - 1)))
     paths = []
     for t in range(arr.shape[0]):
-        path = os.path.join(out_dir, frame_name(t, color))
+        path = os.path.join(out_dir, frame_name(t, color, digits))
         write_image(path, arr[t])
         paths.append(path)
     return paths

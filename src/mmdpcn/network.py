@@ -69,24 +69,15 @@ class NetworkConfig:
     """Layer stack plus the frame patching scheme.
 
     There must be a layer, and adjacent layers must chain (_check_chain).
+    Whether the grid cuts frames into layer 1's patches is checked
+    against the frames themselves (_fit_frames).
     """
 
     layers: tuple
     grid: tuple = (2, 2)
-    channels: int = 1
 
     def __post_init__(self):
         _check_chain([spec.dims for spec in self.layers], ConfigError)
-        rows, cols = self.grid
-        if rows < 1 or cols < 1:
-            raise ConfigError("grid must be positive in both directions")
-        if self.channels not in (1, 3):
-            raise ConfigError("channels must be 1 or 3")
-        first = self.layers[0].dims
-        if first.patch_count != rows * cols:
-            raise ConfigError(
-                f"layer 1 must have {rows * cols} patches for a {rows}x{cols} grid, "
-                f"got {first.patch_count}")
 
 
 @dataclass
@@ -129,8 +120,9 @@ def _fit_frames(frames, dims: LayerDims, grid: tuple) -> np.ndarray:
 
     Cutting a blank frame of their shape raises what decompose_frame
     raises; a cut into other than dims.patch_count patches of
-    dims.input_dim values raises ConfigError.  A sequence of no frames
-    fits when its frame shape does.
+    dims.input_dim values raises ConfigError.  A patch holds its pixels
+    times the frame's channels, so this also fixes the channel count.  A
+    sequence of no frames fits when its frame shape does.
     """
     frames = np.asarray(frames, dtype=np.float64)
     count, length = decompose_frame(np.zeros(frames.shape[1:]), grid).shape
@@ -148,15 +140,10 @@ def train_network(frames, cfg: NetworkConfig, seed: int = 0):
     Layer 1 is fit on the patch decomposition; each further layer is fit on
     the per-frame causes of the layer below, treated as single-patch frames.
     seed seeds every layer's starting matrices (fit_layer).
-    Returns (layers, fit reports).  Frames that layer 1 cannot take raise
-    as in _fit_frames; a channel count other than cfg.channels raises
-    ConfigError.
+    Returns (layers, fit reports).  Frames that layer 1 cannot take raise,
+    before any solve, as in _fit_frames and as infer_variables does.
     """
     frames = _fit_frames(frames, cfg.layers[0].dims, cfg.grid)
-    channels = frames.shape[3] if frames.ndim == 4 else 1
-    if channels != cfg.channels:
-        raise ConfigError(f"config expects {cfg.channels} channels, got {channels}")
-
     inputs = [decompose_frame(f, cfg.grid) for f in frames]
     layers, reports = [], []
     for spec in cfg.layers:
@@ -212,14 +199,13 @@ def infer_variables(frames, layers, grid: tuple,
     segmented sequence is bit-identical to inferring each segment
     separately.
 
-    Raises before any solve: ConfigError when there is no layer or a
-    segment start is not an integer frame index, and the errors of the
-    frame check train_network makes (_fit_frames) when layer 1 cannot take
-    the frames.
+    Raises before any solve: ConfigError when the layers do not make a
+    stack NetworkConfig accepts (_check_chain) or a segment start is not an
+    integer frame index, and the errors of the frame check train_network
+    makes (_fit_frames) when layer 1 cannot take the frames.
     """
+    _check_chain([layer.model.dims for layer in layers], ConfigError)
     n_layers = len(layers)
-    if n_layers == 0:
-        raise ConfigError("at least one layer is required")
     frames = _fit_frames(frames, layers[0].model.dims, grid)
     t_count = frames.shape[0]
     for s in segment_starts:

@@ -6,8 +6,8 @@ import pytest
 
 from mmdpcn.baselines import (BaselineConfig, adam_solve, fista_solve,
                               ista_solve, state_objective)
-from mmdpcn.cli import _BENCH_CURVATURE, _bench_hp, _bench_model, \
-    _bench_patches, main, run_benchmark
+from mmdpcn.cli import _BENCH_ADAM_STEP, _BENCH_CURVATURE, _bench_hp, \
+    _bench_model, _bench_patches, main, run_benchmark
 from mmdpcn.config import BenchSettings
 from mmdpcn.errors import ConfigError
 from mmdpcn.frames import (read_frames_dir, read_labels_csv, write_frames,
@@ -215,7 +215,7 @@ def test_run_benchmark_matches_per_patch_solves():
     hp = _bench_hp(settings)
     fixed = BaselineConfig(step=1.0 / _BENCH_CURVATURE,
                            max_iter=settings.max_iter)
-    adaptive = BaselineConfig(step=settings.adam_step,
+    adaptive = BaselineConfig(step=_BENCH_ADAM_STEP,
                               max_iter=settings.max_iter)
 
     def alone(solve, cfg):

@@ -14,7 +14,6 @@ def write(tmp_path, text):
 TWO_LAYER = """
 [network]
 grid = 2x2
-channels = 1
 
 [layer1]
 input_dim = 64
@@ -34,7 +33,6 @@ lr = 0.002
 def test_two_layer_config(tmp_path):
     cfg = parse_network_config(write(tmp_path, TWO_LAYER))
     assert cfg.grid == (2, 2)
-    assert cfg.channels == 1
     assert len(cfg.layers) == 2
     bottom, top = cfg.layers
 
@@ -119,6 +117,12 @@ def test_unknown_keys_rejected(tmp_path):
         parse_network_config(write(
             tmp_path, "[network]\ncolour = blue\n[layer1]\n"
             "input_dim=4\nstate_dim=8\ncause_dim=2\n"))
+    # Layer 1's input_dim fixes the frames' channel count (patch pixels
+    # times channels), so there is no channels key.
+    with pytest.raises(ConfigError, match="unknown key 'channels'"):
+        parse_network_config(write(
+            tmp_path, "[network]\nchannels = 1\n[layer1]\n"
+            "input_dim=4\nstate_dim=8\ncause_dim=2\n"))
 
 
 def test_bad_values_rejected(tmp_path):
@@ -144,13 +148,10 @@ def test_non_finite_values_rejected(tmp_path):
         with pytest.raises(ConfigError):
             parse_network_config(write(tmp_path, TWO_LAYER + line + "\n"))
     path = tmp_path / "bench.ini"
-    for line in ("state_sparsity = nan", "adam_step = inf",
-                 "generator_sparsity = -inf"):
+    for line in ("state_sparsity = nan", "generator_sparsity = -inf"):
         path.write_text(f"[bench]\n{line}\n")
         with pytest.raises(ConfigError):
             parse_bench_config(path)
-    with pytest.raises(ConfigError):
-        BenchSettings(adam_step=float("nan"))
 
 
 def test_keys_parse_to_their_field_types(tmp_path):
@@ -167,12 +168,6 @@ def test_keys_parse_to_their_field_types(tmp_path):
     with pytest.raises(ConfigError):
         parse_network_config(write(tmp_path,
                                    TWO_LAYER + "max_inner_iter = 2.5\n"))
-
-
-def test_network_channels_must_parse(tmp_path):
-    bad = TWO_LAYER.replace("channels = 1", "channels = abc")
-    with pytest.raises(ConfigError, match="channels"):
-        parse_network_config(write(tmp_path, bad))
 
 
 def test_missing_file_is_io_error(tmp_path):
@@ -220,12 +215,14 @@ def test_bench_defaults():
 
 def test_bench_smooth_margin_is_not_a_key(tmp_path):
     # Adam smooths |x| with a fixed margin, and every other l1 is exact, so
-    # neither the bench nor a layer has a smoothing-margin key.  A layer
+    # neither the bench nor a layer has a smoothing-margin key.  Adam's
+    # step scale is a constant too (cli._BENCH_ADAM_STEP).  A layer
     # has one learning rate (lr), a fixed proximal weight and no seed of
     # its own either: train's --seed seeds every layer.  Its training
     # blocks run a fixed number of iterations, so it has no pass counts.
     path = tmp_path / "settings.ini"
-    cases = [("bench", parse_bench_config, "smooth_margin")] + [
+    cases = [("bench", parse_bench_config, key)
+             for key in ("smooth_margin", "adam_step")] + [
         ("layer1", parse_network_config, key)
         for key in ("smooth_margin", "lr_a", "lr_b", "lr_c", "theta_prox",
                     "seed", "state_passes", "cause_passes")]
@@ -257,8 +254,6 @@ def test_bench_validation():
                                               "patch_dim"):
             BenchSettings(patch_dim=patch_dim, state_dim=16)
     with pytest.raises(ConfigError):
-        BenchSettings(adam_step=0.0)
-    with pytest.raises(ConfigError):
         BenchSettings(max_iter=0)
     with pytest.raises(ConfigError):
         BenchSettings(patch_count=0)
@@ -271,13 +266,12 @@ def test_bench_validation():
 def test_bench_section_parsing(tmp_path):
     path = tmp_path / "bench.ini"
     path.write_text("[bench]\npatch_dim = 16\nstate_dim = 24\n"
-                    "max_iter = 50\nadam_step = 0.02\npatches_path = pp.rten\n")
+                    "max_iter = 50\npatches_path = pp.rten\n")
     s = parse_bench_config(path)
     # Integer fields must come back as ints; sizes feed RNG shape tuples.
     assert s.patch_dim == 16 and isinstance(s.patch_dim, int)
     assert s.state_dim == 24 and isinstance(s.state_dim, int)
     assert s.max_iter == 50 and isinstance(s.max_iter, int)
-    assert s.adam_step == 0.02
     assert s.patches_path == "pp.rten"
     # Unstated keys keep defaults.
     assert s.patch_count == 20

@@ -109,7 +109,7 @@ def test_frame_names():
     assert frame_name(12, color=True) == "frame_00012.ppm"
 
 
-def test_write_and_read_frames_dir(tmp_path):
+def test_write_and_read_frames_dir(tmp_path, monkeypatch):
     rng = np.random.default_rng(63)
     frames = rng.random((4, 6, 6))
     out = tmp_path / "stack"
@@ -121,6 +121,16 @@ def test_write_and_read_frames_dir(tmp_path):
     # Sorted ingestion: frame order follows the zero-padded names.
     assert sorted(os.path.basename(p) for p in paths) == \
         [os.path.basename(p) for p in paths]
+    assert os.path.basename(paths[-1]) == "frame_00003.pgm"
+
+    # Past 100,000 frames every name of the stack takes 6 digits, so the
+    # names still sort in frame order.  No file is written.
+    monkeypatch.setattr("mmdpcn.frames.write_image", lambda path, frame: None)
+    names = [os.path.basename(p)
+             for p in write_frames(tmp_path / "long", np.zeros((100_002, 1, 1)))]
+    assert names[0] == "frame_000000.pgm"
+    assert names[-1] == "frame_100001.pgm"
+    assert sorted(names) == names
 
 
 def test_read_frames_dir_color_and_grayscale_flag(tmp_path):

@@ -29,7 +29,7 @@ def tiny_config(max_outer_iter=4):
                   learn=LearnConfig(max_outer_iter=max_outer_iter)),
         LayerSpec(dims=LayerDims(2, 4, 1, 1), hp=hp,
                   learn=LearnConfig(max_outer_iter=max_outer_iter)),
-    ), grid=(2, 2), channels=1)
+    ), grid=(2, 2))
 
 
 def random_stack(seed=0, hp=HyperParams()):
@@ -101,16 +101,12 @@ def test_network_config_validation():
     good = LayerSpec(dims=LayerDims(4, 6, 2, 4), hp=hp, learn=learn)
     with pytest.raises(ConfigError):
         NetworkConfig(layers=())
-    with pytest.raises(ConfigError):  # patch count vs grid
-        NetworkConfig(layers=(good,), grid=(1, 2))
     with pytest.raises(ConfigError):  # chain: upper input != lower cause
         NetworkConfig(layers=(
             good, LayerSpec(dims=LayerDims(3, 5, 1, 1), hp=hp, learn=learn)))
     with pytest.raises(ConfigError):  # upper layers take a single patch
         NetworkConfig(layers=(
             good, LayerSpec(dims=LayerDims(2, 4, 1, 2), hp=hp, learn=learn)))
-    with pytest.raises(ConfigError):
-        NetworkConfig(layers=(good,), grid=(2, 2), channels=2)
 
     cfg = NetworkConfig(layers=(good,), grid=(2, 2))
     with pytest.raises(GridMismatch):
@@ -119,11 +115,20 @@ def test_network_config_validation():
         train_network(np.zeros((2, 4, 4, 3)), cfg)
     with pytest.raises(ConfigError):
         train_network(np.zeros((2, 8, 8)), cfg)  # patch pixels != input dim
-    # Patches of the right length from frames of the wrong channel count.
-    color = LayerSpec(dims=LayerDims(12, 16, 2, 4), hp=hp, learn=learn)
-    with pytest.raises(ConfigError, match="channels"):
-        train_network(np.zeros((2, 4, 4, 3)),
-                      NetworkConfig(layers=(color,), grid=(2, 2)))
+    with pytest.raises(ConfigError):  # 2 patches; layer 1 takes 4
+        train_network(np.zeros((2, 4, 4)),
+                      NetworkConfig(layers=(good,), grid=(1, 2)))
+    # input_dim is patch pixels times channels, so 2x2 patches of colour
+    # frames take input_dim 12: such a stack trains and infers on them.
+    color = LayerSpec(dims=LayerDims(12, 16, 2, 4),
+                      hp=HyperParams(max_inner_iter=10),
+                      learn=LearnConfig(max_outer_iter=2))
+    frames = np.random.default_rng(21).random((2, 4, 4, 3))
+    layers, _ = train_network(frames,
+                              NetworkConfig(layers=(color,), grid=(2, 2)))
+    result = infer_variables(frames, layers, (2, 2))
+    assert result.states[1][0].shape == (4, 16)
+    assert result.causes[1][0].values.shape == (2,)
 
 
 def test_train_network_bottom_layer_matches_fit_layer():
@@ -451,6 +456,13 @@ def test_train_and_infer_reject_misfit_frames_alike(monkeypatch):
             train_network(np.zeros(shape), cfg)
         with pytest.raises(error):
             infer_variables(np.zeros(shape), layers, cfg.grid)
+    # A stack that does not chain (layer 2 takes 3 values, layer 1 gives 2)
+    # is refused as NetworkConfig refuses it for training.
+    unchained = [layers[0], Layer(init_model(LayerDims(3, 4, 1, 1),
+                                             np.random.default_rng(39)),
+                                  HyperParams())]
+    with pytest.raises(ConfigError, match="layer 2 input dim 3"):
+        infer_variables(np.zeros((2, 4, 4)), unchained, cfg.grid)
 
 
 def test_segment_reset_matches_separate_inference():

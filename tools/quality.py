@@ -21,6 +21,9 @@ layer 1 on the clip, layer 2 on those cold layer-1 causes.
 two source trees with the same --models and --seed give a paired table.
 Standard output has one JSON line per model, then each figure's median
 [quartiles] and mean over the models.
+
+The state solves' bits depend on the BLAS thread count, so the script runs
+at 1 thread, as perfbench does, unless the environment sets a count.
 """
 
 import argparse
@@ -29,6 +32,12 @@ import os
 import statistics
 import sys
 import tempfile
+
+# Before numpy loads: the thread variables perfbench/run.py caps.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG = os.path.join(ROOT, "configs", "shapes2.ini")
