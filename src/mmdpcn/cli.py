@@ -25,7 +25,7 @@ from .baselines import BaselineConfig, adam_solve, fista_solve, ista_solve, \
 from .config import BenchSettings, _parse_grid, parse_bench_config, \
     parse_network_config
 from .errors import ConfigError, LengthMismatch
-from .frames import (read_frames_dir, read_labels_csv, read_rten, write_csv,
+from .frames import (read_frames_dir, read_labels_csv, write_csv,
                      write_frames, write_labels_csv, write_metrics_csv)
 from .linalg import aligned_zeros
 from .metrics import evaluate_clustering, matching_accuracy, per_frame_mse, \
@@ -125,15 +125,7 @@ def _bench_model(settings: BenchSettings, rng) -> LayerModel:
 
 
 def _bench_patches(settings: BenchSettings, model: LayerModel, rng) -> np.ndarray:
-    """Sparse-generative patches: y = C x_true + small noise."""
-    if settings.patches_path:
-        patches = read_rten(settings.patches_path)
-        if patches.ndim != 2 or patches.shape[0] < 1 \
-                or patches.shape[1] != settings.patch_dim:
-            raise ConfigError(
-                f"patches file must be (n, {settings.patch_dim}) with n >= 1, "
-                f"got {patches.shape}")
-        return patches
+    """The bench's one problem source: sparse y = C x_true + small noise."""
     n, k = settings.patch_count, settings.state_dim
     support = rng.random((n, k)) < settings.generator_sparsity
     x_true = _BENCH_SIGNAL * support * rng.standard_normal((n, k))
@@ -247,7 +239,7 @@ def cmd_bench(args) -> list:
     write_metrics_csv(os.path.join(args.out, "timings.csv"), timing_rows)
     for name, value, stddev in metric_rows:
         print(f"{name}: {value:.6g} +- {stddev:.3g}")
-    return [settings.patches_path]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +442,7 @@ def main(argv=None) -> int:
         RunManifest(command=args.command,
                     config_path=getattr(args, "config", None) or "",
                     seed=getattr(args, "seed", None),
-                    input_paths=[p for p in inputs if p],
+                    input_paths=inputs,
                     output_dir=args.out, version=f"v{__version__}",
                     started_at=started_at, finished_at=_now()).write()
     except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:

@@ -19,15 +19,16 @@ layer, numbered consecutively from 1:
 The dataclasses are the schema.  [network] takes the one key grid, a
 layer section 14 keys, the fields of LayerDims but patch_count (3),
 HyperParams (8) and LearnConfig (3: lr, outer_tol, max_outer_iter; the
-run's seed is a command option), and [bench] the 7 of BenchSettings;
+run's seed is a command option), and [bench] the 6 of BenchSettings;
 _read_section parses each key to its type, and an absent key keeps the
-default.  The parser only routes keys, requires layer1's input_dim
-(patch pixels times channels, which fixes the frames' channel count) and
-derives patch_count (the grid's for layer1, 1 above) and an unstated
-upper input_dim (the cause dimension below); the dataclasses check the
-rest, the chain too.  An unknown key, a value that does not parse and a
-value the dataclass refuses, NaN and infinities included, all raise
-ConfigError.
+default.  Section names take any case; a bench file holds only [bench].
+The parser only routes keys, requires layer1's input_dim (patch pixels
+times channels, which fixes the frames' channel count) and derives
+patch_count (the grid's for layer1, 1 above) and an unstated upper
+input_dim (the cause dimension below); the dataclasses check the rest,
+the chain too.  An unknown section or key, a value that does not parse
+and a value the dataclass refuses, NaN and infinities included, all
+raise ConfigError.
 """
 
 import configparser
@@ -46,8 +47,7 @@ class BenchSettings:
 
     Every patch is an independent problem with no previous state, so the
     benchmark objective has no temporal term and no setting for one.
-    patches_path empty means synthetic sparse-generative patches;
-    otherwise it names a raw tensor file with one patch per row.
+    The patches are synthetic (cli._bench_patches).
     The fixed-step solvers (ista/fista) take no step setting: the bench
     dictionary is scaled to a known curvature L = ||C||^2, and they run at
     the textbook step 1/L.  Adam's scale and smoothing margin are the
@@ -60,7 +60,6 @@ class BenchSettings:
     max_iter: int = 200
     patch_count: int = 20
     generator_sparsity: float = 0.05
-    patches_path: str = ""
 
     def __post_init__(self):
         _require_finite(self, ConfigError)
@@ -75,7 +74,10 @@ class BenchSettings:
             raise ConfigError("generator_sparsity must lie in (0, 1]")
 
 
-def _read_ini(path) -> configparser.ConfigParser:
+def _read_ini(path, known: str):
+    """The parsed file and each section's lower-cased name mapped to its
+    name as written; a name that the regex known does not match, or one
+    written twice in different cases, raises ConfigError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)
     try:
@@ -88,7 +90,14 @@ def _read_ini(path) -> configparser.ConfigParser:
     # configparser would merge [DEFAULT] keys into every section.
     if parser.defaults():
         raise ConfigError(f"{path}: [DEFAULT] keys are not supported")
-    return parser
+    sections = {}
+    for section in parser.sections():
+        name = section.lower()
+        if not re.fullmatch(known, name) or name in sections:
+            raise ConfigError(f"{path}: unknown or repeated section "
+                              f"[{section}]")
+        sections[name] = section
+    return parser, sections
 
 
 def _field_types(cls, skip=()) -> dict:
@@ -113,12 +122,12 @@ def _parse_grid(raw: str):
     return rows, cols
 
 
-def _read_section(parser, section: str, *schemas) -> tuple:
+def _read_section(parser, section: str | None, *schemas) -> tuple:
     """The one settings-section reader: one kwargs dict per schema, each
     key parsed by the first schema that names it (an absent section gives
     empty dicts); an unknown key or a value that does not parse raises."""
     kwargs = tuple({} for _ in schemas)
-    if not parser.has_section(section):
+    if section is None:
         return kwargs
     for key, raw in parser.items(section):
         for kw, types in zip(kwargs, schemas):
@@ -137,15 +146,14 @@ def _read_section(parser, section: str, *schemas) -> tuple:
 
 
 def parse_network_config(path) -> NetworkConfig:
-    parser = _read_ini(path)
-    network_kw, = _read_section(parser, "network", {"grid": _parse_grid})
+    parser, sections = _read_ini(path, r"network|layer.*")
+    network_kw, = _read_section(parser, sections.pop("network", None),
+                                {"grid": _parse_grid})
     grid = network_kw.get("grid", NetworkConfig.grid)
 
     # Shorter names first, so that layer10 follows layer9; a name that is
     # not layerN then fails the check below.
-    layer_names = sorted((s for s in parser.sections()
-                          if s.lower().startswith("layer")),
-                         key=lambda s: (len(s), s.lower()))
+    layer_names = sorted(sections.values(), key=lambda s: (len(s), s.lower()))
     if not layer_names:
         raise ConfigError(f"{path}: no [layerN] sections found")
     expected = [f"layer{i}" for i in range(1, len(layer_names) + 1)]
@@ -183,5 +191,6 @@ def parse_bench_config(path) -> BenchSettings:
     """Read the optional [bench] section; absent keys keep their defaults."""
     if path is None:
         return BenchSettings()
-    kwargs, = _read_section(_read_ini(path), "bench", _BENCH_KEYS)
+    parser, sections = _read_ini(path, "bench")
+    kwargs, = _read_section(parser, sections.get("bench"), _BENCH_KEYS)
     return BenchSettings(**kwargs)

@@ -1,4 +1,4 @@
-"""File formats: portable graymap/pixmap frames, raw tensors, CSV tables.
+"""File formats: portable graymap/pixmap frames and CSV tables.
 
 Everything here is readable without third-party image libraries.  Pixels
 live in [0, 1] as float64 in memory; files store the quantized bytes.
@@ -9,14 +9,11 @@ round-trips bit-exactly.
 """
 
 import os
-import struct
 
 import numpy as np
 
 from .errors import FormatError, IoError, LengthMismatch
 from .linalg import as_float_array
-
-_RTEN_MAGIC = b"RTEN"
 
 
 def format_float(x: float) -> str:
@@ -122,34 +119,6 @@ def to_grayscale(frame: np.ndarray) -> np.ndarray:
     if arr.ndim == 3 and arr.shape[2] == 3:
         return arr @ np.array([0.299, 0.587, 0.114])
     raise FormatError(f"cannot grayscale a frame of shape {arr.shape}")
-
-
-# ---------------------------------------------------------------------------
-# Raw tensor container: magic, u32 rank, u32 per-axis sizes, f32 payload.
-# All integers and floats little-endian; payload in row-major order.
-
-
-def read_rten(path) -> np.ndarray:
-    data = _read_file(path)
-    if data[:4] != _RTEN_MAGIC:
-        raise FormatError(f"{path}: bad raw-tensor magic")
-    if len(data) < 8:
-        raise FormatError(f"{path}: truncated raw-tensor header")
-    rank = struct.unpack("<I", data[4:8])[0]
-    if rank == 0 or rank > 8:
-        raise FormatError(f"{path}: implausible tensor rank {rank}")
-    end = 8 + 4 * rank
-    if len(data) < end:
-        raise FormatError(f"{path}: truncated raw-tensor shape")
-    shape = struct.unpack(f"<{rank}I", data[8:end])
-    count = int(np.prod(shape))
-    need = end + 4 * count
-    if len(data) != need:
-        raise FormatError(
-            f"{path}: payload size mismatch ({len(data) - end} bytes for "
-            f"{count} values)")
-    vals = np.frombuffer(data[end:], dtype="<f4").astype(np.float64)
-    return vals.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

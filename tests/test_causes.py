@@ -11,13 +11,7 @@ from mmdpcn.linalg import column_normalize
 from mmdpcn.model import (CAUSE_INIT, CauseVector, HyperParams, LayerDims,
                           LayerModel, cause_energy)
 
-
-def scalar_model():
-    dims = LayerDims(1, 2, 1, 1)
-    return LayerModel(dims,
-                      transition=np.eye(2),
-                      coupling=np.array([[1.0], [0.0]]),
-                      dictionary=np.array([[1.0, 0.0]]))
+from helpers import scalar_model
 
 
 def scalar_pooled(value):

@@ -9,7 +9,6 @@ from mmdpcn.baselines import (BaselineConfig, adam_solve, fista_solve,
 from mmdpcn.cli import _BENCH_ADAM_STEP, _BENCH_CURVATURE, _bench_hp, \
     _bench_model, _bench_patches, main, run_benchmark
 from mmdpcn.config import BenchSettings
-from mmdpcn.errors import ConfigError
 from mmdpcn.frames import (read_frames_dir, read_labels_csv, write_frames,
                            write_labels_csv)
 from mmdpcn.learning import _MAX_BLOCKS, init_model
@@ -18,7 +17,7 @@ from mmdpcn.model import HyperParams, LayerDims
 from mmdpcn.network import Layer, save_network
 from mmdpcn.states import infer_state
 
-from io_helpers import read_metrics_csv, write_rten
+from helpers import read_metrics_csv
 
 
 def run(*argv) -> int:
@@ -156,50 +155,19 @@ def test_bench_metrics_are_bitwise_reproducible(tmp_path):
 
 
 def test_bench_rejects_unknown_method(tmp_path, capsys):
-    assert run("bench", "--out", tmp_path / "x", "--methods", "mm,magic",
-               "--config", "") == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_bench_rejects_repeated_method(tmp_path, capsys):
-    assert run("bench", "--out", tmp_path / "x", "--methods", "mm,ista,mm",
-               "--config", "") == 2
-    assert "error:" in capsys.readouterr().err
+    # The default settings: the methods are checked before any solve, so
+    # a list that names a method the bench lacks, or none, fails at once.
+    for methods, message in (("mm,magic", "unknown method 'magic'"),
+                             (",", "must name at least one method")):
+        assert run("bench", "--out", tmp_path / "x", "--methods", methods) == 2
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
-def test_run_benchmark_rejects_wrong_width_patches_file(tmp_path):
-    path = tmp_path / "patches.rten"
-    write_rten(path, np.zeros((2, 5)))
-    settings = BenchSettings(patch_dim=4, state_dim=6, max_iter=10,
-                             patches_path=str(path))
-    with pytest.raises(ConfigError, match="patches file"):
-        run_benchmark(settings, ["mm"], seed=0)
-
-
-def test_run_benchmark_rejects_patches_file_without_rows(tmp_path):
-    path = tmp_path / "patches.rten"
-    write_rten(path, np.zeros((0, 4)))
-    settings = BenchSettings(patch_dim=4, state_dim=6, max_iter=10,
-                             patches_path=str(path))
-    with pytest.raises(ConfigError, match="patches file"):
-        run_benchmark(settings, ["mm"], seed=0)
-
-
-def test_run_benchmark_on_zero_patches(tmp_path):
-    path = tmp_path / "patches.rten"
-    write_rten(path, np.zeros((2, 4)))
-    settings = BenchSettings(patch_dim=4, state_dim=6, max_iter=10,
-                             patches_path=str(path))
-    results = run_benchmark(settings, ["mm", "ista"], seed=0)
-    assert results["mm"]["final_energy"].shape == (2,)
-    for method in ("mm", "ista"):
-        assert np.all(results[method]["final_energy"] == 0.0)
-        assert np.all(results[method]["sparsity"] == 100.0)
-    # ISTA starts at zero, already optimal; the reweighted solver starts at
-    # its 0.1 baseline (zeros are absorbing) and collapses in one update.
-    assert np.all(results["ista"]["iters_to_1pct"] == 0.0)
-    assert np.all(results["mm"]["iters_to_1pct"] == 1.0)
+def test_bench_rejects_repeated_method(tmp_path, capsys):
+    assert run("bench", "--out", tmp_path / "x", "--methods", "mm,ista,mm") == 2
+    assert "named more than once" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_run_benchmark_matches_per_patch_solves():

@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from mmdpcn.config import (BenchSettings, parse_bench_config,
@@ -51,6 +53,10 @@ def test_two_layer_config(tmp_path):
     assert top.dims.patch_count == 1
     assert top.hp.state_sparsity == 0.2
     assert top.learn.lr == 0.002
+
+    # Section names take any case, as layer names always did.
+    text = TWO_LAYER.replace("[network]\ngrid = 2x2", "[Network]\ngrid = 1x4")
+    assert parse_network_config(write(tmp_path, text)).grid == (1, 4)
 
 
 def test_upper_layer_input_dim_must_agree(tmp_path):
@@ -123,6 +129,13 @@ def test_unknown_keys_rejected(tmp_path):
         parse_network_config(write(
             tmp_path, "[network]\nchannels = 1\n[layer1]\n"
             "input_dim=4\nstate_dim=8\ncause_dim=2\n"))
+    # A misspelt section is refused, not skipped with its keys, and so is
+    # a section given twice in different cases.
+    layer1 = "[layer1]\ninput_dim=4\nstate_dim=8\ncause_dim=2\n"
+    for extra, message in (("[netwrok]\ngrid = 1x4\n", "section .netwrok."),
+                           ("[Layer1]\nstate_dim=8\n", "section .Layer1.")):
+        with pytest.raises(ConfigError, match=message):
+            parse_network_config(write(tmp_path, layer1 + extra))
 
 
 def test_bad_values_rejected(tmp_path):
@@ -209,20 +222,23 @@ def test_bench_defaults():
     assert s.max_iter == 200
     assert s.patch_count == 20
     assert s.generator_sparsity == 0.05
-    assert s.patches_path == ""
     assert parse_bench_config(None) == s
+    # The shipped bench config restates the defaults.
+    shipped = pathlib.Path(__file__).parent.parent / "configs" / "bench.ini"
+    assert parse_bench_config(shipped) == s
 
 
 def test_bench_smooth_margin_is_not_a_key(tmp_path):
     # Adam smooths |x| with a fixed margin, and every other l1 is exact, so
     # neither the bench nor a layer has a smoothing-margin key.  Adam's
-    # step scale is a constant too (cli._BENCH_ADAM_STEP).  A layer
-    # has one learning rate (lr), a fixed proximal weight and no seed of
-    # its own either: train's --seed seeds every layer.  Its training
+    # step scale is a constant too (cli._BENCH_ADAM_STEP), and the bench's
+    # patches always come from its generator, so no key names a file.  A
+    # layer has one learning rate (lr), a fixed proximal weight and no seed
+    # of its own either: train's --seed seeds every layer.  Its training
     # blocks run a fixed number of iterations, so it has no pass counts.
     path = tmp_path / "settings.ini"
     cases = [("bench", parse_bench_config, key)
-             for key in ("smooth_margin", "adam_step")] + [
+             for key in ("smooth_margin", "adam_step", "patches_path")] + [
         ("layer1", parse_network_config, key)
         for key in ("smooth_margin", "lr_a", "lr_b", "lr_c", "theta_prox",
                     "seed", "state_passes", "cause_passes")]
@@ -266,13 +282,12 @@ def test_bench_validation():
 def test_bench_section_parsing(tmp_path):
     path = tmp_path / "bench.ini"
     path.write_text("[bench]\npatch_dim = 16\nstate_dim = 24\n"
-                    "max_iter = 50\npatches_path = pp.rten\n")
+                    "max_iter = 50\n")
     s = parse_bench_config(path)
     # Integer fields must come back as ints; sizes feed RNG shape tuples.
     assert s.patch_dim == 16 and isinstance(s.patch_dim, int)
     assert s.state_dim == 24 and isinstance(s.state_dim, int)
     assert s.max_iter == 50 and isinstance(s.max_iter, int)
-    assert s.patches_path == "pp.rten"
     # Unstated keys keep defaults.
     assert s.patch_count == 20
 
@@ -292,6 +307,13 @@ def test_bench_section_parsing(tmp_path):
     with pytest.raises(ConfigError, match="unknown key 'step'"):
         parse_bench_config(path)
 
-    # A config without a [bench] section falls back to defaults entirely.
-    path.write_text("[other]\nx = 1\n")
+    # [bench] takes any case; a config without it falls back to defaults
+    # entirely, but a section of another name, a misspelt one too, raises.
+    path.write_text("[Bench]\nmax_iter = 50\n")
+    assert parse_bench_config(path) == BenchSettings(max_iter=50)
+    path.write_text("")
     assert parse_bench_config(path) == BenchSettings()
+    for section in ("other", "bnech"):
+        path.write_text(f"[{section}]\nmax_iter = 50\n")
+        with pytest.raises(ConfigError, match=f"section .{section}."):
+            parse_bench_config(path)

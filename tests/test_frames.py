@@ -6,11 +6,11 @@ import pytest
 
 from mmdpcn.errors import FormatError, IoError, LengthMismatch
 from mmdpcn.frames import (format_float, frame_name, read_frames_dir,
-                           read_image, read_labels_csv, read_rten,
-                           to_grayscale, write_csv, write_frames,
-                           write_image, write_labels_csv, write_metrics_csv)
+                           read_image, read_labels_csv, to_grayscale,
+                           write_csv, write_frames, write_image,
+                           write_labels_csv, write_metrics_csv)
 
-from io_helpers import read_metrics_csv, write_rten
+from helpers import read_metrics_csv
 
 
 def test_format_float_round_trips():
@@ -79,29 +79,6 @@ def test_pnm_error_cases(tmp_path):
         with pytest.raises(FormatError):
             write_image(tmp_path / "x.pnm", np.zeros(shape))
     assert not (tmp_path / "x.pnm").exists()
-
-
-def test_rten_roundtrip_exact_f32(tmp_path):
-    rng = np.random.default_rng(62)
-    arr = rng.standard_normal((3, 4, 5)).astype(np.float32).astype(np.float64)
-    path = tmp_path / "t.rten"
-    write_rten(path, arr)
-    back = read_rten(path)
-    assert back.shape == (3, 4, 5)
-    assert np.array_equal(back, arr)
-
-
-def test_rten_error_cases(tmp_path):
-    path = tmp_path / "bad.rten"
-    path.write_bytes(b"NOPE" + struct.pack("<I", 1))
-    with pytest.raises(FormatError):
-        read_rten(path)
-    path.write_bytes(b"RTEN" + struct.pack("<I", 9))
-    with pytest.raises(FormatError):
-        read_rten(path)
-    path.write_bytes(b"RTEN" + struct.pack("<II", 1, 4) + b"\x00" * 8)
-    with pytest.raises(FormatError):
-        read_rten(path)
 
 
 def test_frame_names():

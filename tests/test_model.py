@@ -8,16 +8,7 @@ from mmdpcn.model import (CAUSE_INIT, HyperParams, LayerDims, LayerModel,
                           cause_energy, pool_states, state_energy,
                           state_weights, total_energy)
 
-
-def scalar_model():
-    # One-pixel patches with an effective scalar code: the second state
-    # component has a zero dictionary column contribution and stays unused,
-    # satisfying the overcompleteness requirement input_dim < state_dim.
-    dims = LayerDims(input_dim=1, state_dim=2, cause_dim=1, patch_count=1)
-    return LayerModel(dims,
-                      transition=np.eye(2),
-                      coupling=np.array([[1.0], [0.0]]),
-                      dictionary=np.array([[1.0, 0.0]]))
+from helpers import scalar_model
 
 
 def scalar_hp(**kw):

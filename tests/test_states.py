@@ -12,13 +12,7 @@ from mmdpcn.model import (CauseVector, HyperParams, LayerDims, LayerModel,
                           state_energy, state_weights, total_energy)
 from mmdpcn.states import _objectives, _times_rows, infer_state, infer_states_batch
 
-
-def scalar_model():
-    dims = LayerDims(input_dim=1, state_dim=2, cause_dim=1, patch_count=1)
-    return LayerModel(dims,
-                      transition=np.eye(2),
-                      coupling=np.array([[1.0], [0.0]]),
-                      dictionary=np.array([[1.0, 0.0]]))
+from helpers import scalar_model
 
 
 def random_instance(rng, p_max=16, k_max=32):
