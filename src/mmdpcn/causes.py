@@ -16,7 +16,7 @@ checked once at entry.
 
 A cause is one vector, not a batch of rows, so it keeps this loop rather
 than states._run_rows, the state and reference solvers' row loop; routed
-through that loop each cause solve ran 9-38% slower (ROADMAP.md, Settled).
+through that loop each cause solve ran 4-28% slower (ROADMAP.md, Settled).
 """
 
 import time

@@ -31,8 +31,8 @@ from .linalg import aligned_zeros
 from .metrics import evaluate_clustering, matching_accuracy, per_frame_mse, \
     sparsity
 from .model import HyperParams, LayerDims, LayerModel
-from .network import infer_variables, load_network, reconstruct_frames, \
-    save_network, train_network
+from .network import _fit_frames, infer_variables, load_network, \
+    reconstruct_frames, save_network, train_network
 from .shapes import generate_shapes
 # perfbench/layers.py wraps infer_state and the three *_solve names here.
 from .states import infer_state, infer_states_batch
@@ -247,8 +247,6 @@ def cmd_bench(args) -> list:
 
 
 def cmd_train(args) -> list:
-    if not args.config:
-        raise ConfigError("train requires --config")
     cfg = parse_network_config(args.config)
     # --out names the model file; the traces, metrics and manifest go in
     # its directory, which is the manifest's output_dir.
@@ -258,7 +256,7 @@ def cmd_train(args) -> list:
                           "model file to write, such as fit/model.dpcn")
     out_dir = args.out = os.path.dirname(model_path) or "."
 
-    frames = read_frames_dir(args.frames, grayscale=args.grayscale)
+    frames = read_frames_dir(args.frames)
     layers, reports = train_network(frames, cfg, args.seed)
     os.makedirs(out_dir, exist_ok=True)
     save_network(layers, model_path)
@@ -291,7 +289,7 @@ def cmd_train(args) -> list:
 
 def cmd_cluster(args) -> list:
     layers = load_network(args.model)
-    frames = read_frames_dir(args.frames, grayscale=args.grayscale)
+    frames = read_frames_dir(args.frames)
     labels = read_labels_csv(args.labels)
     if len(labels) != frames.shape[0]:
         raise LengthMismatch(
@@ -305,7 +303,7 @@ def cmd_cluster(args) -> list:
     top = np.vstack([result.causes[t][-1].values
                      for t in range(frames.shape[0])])
     report = evaluate_clustering(
-        top, labels, k=args.k, seed=args.seed,
+        top, labels, k=len(set(labels)), seed=args.seed,
         threshold=layers[-1].hp.clamp_cause,
         lct_seconds=float(np.mean(result.per_frame_seconds)))
     match_acc = matching_accuracy(labels, report.assignments)
@@ -337,8 +335,10 @@ def cmd_cluster(args) -> list:
 
 def cmd_reconstruct(args) -> list:
     layers = load_network(args.model)
-    frames = read_frames_dir(args.frames, grayscale=args.grayscale)
+    frames = read_frames_dir(args.frames)
     grid = _parse_grid(args.grid)
+    # As layer 1 takes them (_fit_frames), so the MSE compares what it saw.
+    frames = _fit_frames(frames, layers[0].model.dims, grid)
 
     result = infer_variables(frames, layers, grid)
     recon = reconstruct_frames(frames.shape[1:], layers, result, grid)
@@ -378,11 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "benchmark solvers, train, cluster, reconstruct.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=False):
+    def common(p, config=None):
         p.add_argument("--seed", type=int, default=0,
                        help="seed for every random choice in this command")
         if config:
-            p.add_argument("--config", default=None,
+            p.add_argument("--config", required=config == "required",
                            help="configuration file (key=value sections)")
 
     p = sub.add_parser("gen-shapes", help="write a synthetic shape video")
@@ -396,20 +396,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_shapes)
 
     p = sub.add_parser("bench", help="compare state solvers on one problem")
-    common(p, config=True)
+    common(p, config="optional")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--methods", default="mm,ista,fista,adam",
                    help="comma-separated subset of mm,ista,fista,adam")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("train", help="fit a layer stack on a frame directory")
-    common(p, config=True)
+    common(p, config="required")
     p.add_argument("--out", required=True,
                    help="model file to write; the traces, metrics and "
                         "manifest go in its directory")
     p.add_argument("--frames", required=True, help="directory of .pgm/.ppm frames")
-    p.add_argument("--grayscale", action="store_true",
-                   help="collapse color frames at ingestion")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("cluster", help="cluster top-layer causes and score them")
@@ -418,9 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="trained model file")
     p.add_argument("--frames", required=True)
     p.add_argument("--labels", required=True, help="frame_index,label CSV")
-    p.add_argument("--k", type=int, default=3, help="number of clusters")
     p.add_argument("--grid", default="2x2", help=_GRID_HELP)
-    p.add_argument("--grayscale", action="store_true")
     p.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser("reconstruct", help="render layer-1 reconstructions")
@@ -428,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--frames", required=True)
     p.add_argument("--grid", default="2x2", help=_GRID_HELP)
-    p.add_argument("--grayscale", action="store_true")
     p.set_defaults(fn=cmd_reconstruct)
 
     return parser

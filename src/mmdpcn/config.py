@@ -23,12 +23,12 @@ run's seed is a command option), and [bench] the 6 of BenchSettings;
 _read_section parses each key to its type, and an absent key keeps the
 default.  Section names take any case; a bench file holds only [bench].
 The parser only routes keys, requires layer1's input_dim (patch pixels
-times channels, which fixes the frames' channel count) and derives
+times channels; one channel collapses colour frames to gray) and derives
 patch_count (the grid's for layer1, 1 above) and an unstated upper
 input_dim (the cause dimension below); the dataclasses check the rest,
-the chain too.  An unknown section or key, a value that does not parse
-and a value the dataclass refuses, NaN and infinities included, all
-raise ConfigError.
+the chain too.  Text that is not UTF-8, an unknown section or key, a
+value that does not parse and a value the dataclass refuses, NaN and
+infinities included, all raise ConfigError.
 """
 
 import configparser
@@ -85,7 +85,7 @@ def _read_ini(path, known: str):
             parser.read_file(fh)
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     # configparser would merge [DEFAULT] keys into every section.
     if parser.defaults():

@@ -112,11 +112,12 @@ def read_image(path) -> np.ndarray:
 
 
 def to_grayscale(frame: np.ndarray) -> np.ndarray:
-    """Rec. 601 luma; grayscale frames pass through unchanged."""
+    """Rec. 601 luma of an (h, w, 3) frame or a (t, h, w, 3) stack; (h, w)
+    frames pass through unchanged."""
     arr = as_float_array(frame, "frame")
     if arr.ndim == 2:
         return arr
-    if arr.ndim == 3 and arr.shape[2] == 3:
+    if arr.ndim in (3, 4) and arr.shape[-1] == 3:
         return arr @ np.array([0.299, 0.587, 0.114])
     raise FormatError(f"cannot grayscale a frame of shape {arr.shape}")
 
@@ -150,11 +151,11 @@ def write_frames(out_dir, frames):
     return paths
 
 
-def read_frames_dir(frames_dir, grayscale: bool = False) -> np.ndarray:
+def read_frames_dir(frames_dir) -> np.ndarray:
     """Read every netpbm file in a directory, sorted by filename.
 
-    All frames must agree in shape; with grayscale=True color frames are
-    collapsed at ingestion.
+    All frames must agree in shape, so a mix of .pgm and .ppm raises
+    FormatError; layer 1 decides whether colour collapses (_fit_frames).
     """
     try:
         names = sorted(n for n in os.listdir(frames_dir)
@@ -163,12 +164,7 @@ def read_frames_dir(frames_dir, grayscale: bool = False) -> np.ndarray:
         raise IoError(f"cannot list {frames_dir}: {exc}") from exc
     if not names:
         raise IoError(f"no .pgm/.ppm frames found in {frames_dir}")
-    frames = []
-    for name in names:
-        img = read_image(os.path.join(frames_dir, name))
-        if grayscale:
-            img = to_grayscale(img)
-        frames.append(img)
+    frames = [read_image(os.path.join(frames_dir, name)) for name in names]
     shapes = {f.shape for f in frames}
     if len(shapes) > 1:
         raise FormatError(f"frames disagree in shape: {sorted(shapes)}")
@@ -199,7 +195,10 @@ def write_labels_csv(path, labels):
 
 
 def read_labels_csv(path):
-    text = _read_file(path).decode()
+    try:
+        text = _read_file(path).decode()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "frame_index,label":
         raise FormatError(f"{path}: expected 'frame_index,label' header")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, FormatError, GridMismatch
-from .frames import _read_file, _write_file
+from .frames import _read_file, _write_file, to_grayscale
 from .linalg import _times_rows, as_float_array
 from .model import HyperParams, LayerDims, LayerModel, pool_states, state_weights
 from .causes import infer_cause, infer_cause_topdown, top_down_prediction
@@ -121,11 +121,15 @@ def _fit_frames(frames, dims: LayerDims, grid: tuple) -> np.ndarray:
     Cutting a blank frame of their shape raises what decompose_frame
     raises; a cut into other than dims.patch_count patches of
     dims.input_dim values raises ConfigError.  A patch holds its pixels
-    times the frame's channels, so this also fixes the channel count.  A
+    times the frame's channels, so colour frames whose patches are
+    3 * input_dim long are collapsed to luma (frames.to_grayscale).  A
     sequence of no frames fits when its frame shape does.
     """
     frames = np.asarray(frames, dtype=np.float64)
     count, length = decompose_frame(np.zeros(frames.shape[1:]), grid).shape
+    if frames.shape[3:] == (3,) and \
+            (count, length) == (dims.patch_count, 3 * dims.input_dim):
+        frames, length = to_grayscale(frames), dims.input_dim
     if (count, length) != (dims.patch_count, dims.input_dim):
         raise ConfigError(
             f"grid {grid[0]}x{grid[1]} cuts frames into {count} patches of "
@@ -140,8 +144,8 @@ def train_network(frames, cfg: NetworkConfig, seed: int = 0):
     Layer 1 is fit on the patch decomposition; each further layer is fit on
     the per-frame causes of the layer below, treated as single-patch frames.
     seed seeds every layer's starting matrices (fit_layer).
-    Returns (layers, fit reports).  Frames that layer 1 cannot take raise,
-    before any solve, as in _fit_frames and as infer_variables does.
+    Returns (layers, fit reports).  Before any solve the frames go through
+    _fit_frames, as in infer_variables, which collapses or refuses them.
     """
     frames = _fit_frames(frames, cfg.layers[0].dims, cfg.grid)
     inputs = [decompose_frame(f, cfg.grid) for f in frames]

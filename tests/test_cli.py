@@ -70,6 +70,9 @@ def test_argparse_rejects_unknown_usage(tmp_path):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         run()  # a subcommand is required
+    with pytest.raises(SystemExit) as exc:  # train requires --config
+        run("train", "--frames", tmp_path, "--out", tmp_path / "y")
+    assert exc.value.code == 2
 
 
 def test_domain_errors_exit_2(tmp_path, capsys):
@@ -78,9 +81,6 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert run("gen-shapes", "--out", tmp_path / "x", "--noise", "nan") == 2
     assert "noise_level" in capsys.readouterr().err
-    # train without --config.
-    assert run("train", "--frames", tmp_path, "--out", tmp_path / "y") == 2
-    assert "error:" in capsys.readouterr().err
     # cluster with a malformed --grid.
     frames_dir, labels_path, model_path = zero_frame_setup(tmp_path)
     assert run("cluster", "--model", model_path, "--frames", frames_dir,
@@ -248,7 +248,7 @@ def test_train_cluster_reconstruct_pipeline(tmp_path):
     cl = tmp_path / "cl"
     assert run("cluster", "--model", model_path, "--frames", data / "frames",
                "--labels", data / "labels.csv", "--out", cl,
-               "--k", 3, "--grid", "2x2", "--seed", 0) == 0
+               "--grid", "2x2", "--seed", 0) == 0
     metrics = read_metrics_csv(cl / "metrics.csv")
     for key in ("completeness_acc", "adjusted_rand_index",
                 "cause_sparsity_pct", "matching_accuracy"):
@@ -329,23 +329,37 @@ def test_cluster_outputs_are_bitwise_reproducible(tmp_path):
     for name in ("c1", "c2"):
         assert run("cluster", "--model", model_path, "--frames",
                    data / "frames", "--labels", data / "labels.csv",
-                   "--out", tmp_path / name, "--k", 3, "--seed", 1) == 0
+                   "--out", tmp_path / name, "--seed", 1) == 0
     for fname in ("metrics.csv", "assignments.csv"):
         assert (tmp_path / "c1" / fname).read_bytes() == \
             (tmp_path / "c2" / fname).read_bytes()
     metrics = read_metrics_csv(tmp_path / "c1" / "metrics.csv")
     assert metrics["cause_sparsity_pct"][0] < 100.0
 
+    # cluster makes one cluster per label class: with the triangles
+    # labelled as diamonds there are two classes, so at most two ids
+    # (three with k = 3 on these causes).
+    labels = read_labels_csv(data / "labels.csv")
+    two = tmp_path / "two.csv"
+    write_labels_csv(two, ["diamond" if label == "triangle" else label
+                           for label in labels])
+    assert run("cluster", "--model", model_path, "--frames", data / "frames",
+               "--labels", two, "--out", tmp_path / "c3", "--seed", 1) == 0
+    rows = (tmp_path / "c3" / "assignments.csv").read_text().splitlines()
+    assert len({row.split(",")[1] for row in rows[1:]}) <= 2
+
 
 def test_cluster_single_cluster_on_blank_frames(tmp_path, capsys):
     frames_dir, labels_path, model_path = zero_frame_setup(tmp_path)
     out = tmp_path / "cl"
     assert run("cluster", "--model", model_path, "--frames", frames_dir,
-               "--labels", labels_path, "--out", out, "--k", 1,
-               "--grid", "2x2") == 0
+               "--labels", labels_path, "--out", out, "--grid", "2x2") == 0
+    # Three label classes make k = 3, but blank frames give all-zero
+    # causes, which fall in one cluster: completeness is then
+    # definition-forced to 1 and the adjusted Rand index is 0.
+    assignments = (out / "assignments.csv").read_text().splitlines()
+    assert assignments[1:] == ["0,0", "1,0", "2,0"]
     metrics = read_metrics_csv(out / "metrics.csv")
-    # One cluster: completeness is definition-forced to 1, the adjusted
-    # Rand index is 0, blank frames give all-zero causes.
     assert metrics["completeness_acc"][0] == 1.0
     assert metrics["adjusted_rand_index"][0] == 0.0
     assert metrics["cause_sparsity_pct"][0] == 100.0
@@ -354,13 +368,18 @@ def test_cluster_single_cluster_on_blank_frames(tmp_path, capsys):
 
 
 def test_reconstruct_blank_frames_zero_mse(tmp_path):
+    # Colour frames for the one-channel model are collapsed to gray before
+    # the model renders them, so both write gray frames.
     frames_dir, _, model_path = zero_frame_setup(tmp_path)
-    out = tmp_path / "rec"
-    assert run("reconstruct", "--model", model_path, "--frames", frames_dir,
-               "--out", out, "--grid", "2x2") == 0
-    metrics = read_metrics_csv(out / "metrics.csv")
-    assert metrics["reconstruction_mse"] == (0.0, 0.0)
-    assert read_frames_dir(out / "frames").shape == (3, 4, 4)
+    colour_dir = tmp_path / "colour"
+    write_frames(colour_dir, np.zeros((3, 4, 4, 3)))
+    for frames in (frames_dir, colour_dir):
+        out = tmp_path / "rec" / frames.name
+        assert run("reconstruct", "--model", model_path, "--frames", frames,
+                   "--out", out, "--grid", "2x2") == 0
+        metrics = read_metrics_csv(out / "metrics.csv")
+        assert metrics["reconstruction_mse"] == (0.0, 0.0)
+        assert read_frames_dir(out / "frames").shape == (3, 4, 4)
 
 
 TINY_INI = """
@@ -392,8 +411,8 @@ def test_each_command_writes_its_manifest(tmp_path, command):
                   ["--methods", "magic"]),
         "train": (["--config", net_cfg, "--frames", frames], net_cfg, [frames],
                   ["--config", tmp_path / "missing.ini"]),
-        "cluster": (["--model", model, "--frames", frames, "--labels", labels,
-                     "--k", 1], "", [model, frames, labels],
+        "cluster": (["--model", model, "--frames", frames, "--labels", labels],
+                    "", [model, frames, labels],
                     ["--labels", short_labels]),
         "reconstruct": (["--model", model, "--frames", frames], "",
                         [model, frames], ["--grid", "0x0"]),

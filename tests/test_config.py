@@ -151,6 +151,12 @@ def test_bad_values_rejected(tmp_path):
     with pytest.raises(ConfigError):
         parse_network_config(write(
             tmp_path, "[layer1]\ninput_dim=8\nstate_dim=4\ncause_dim=2\n"))
+    # Text that is not UTF-8, even in a comment, names the file.
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"# caf\xff\n[layer1]\ninput_dim=4\nstate_dim=8\n"
+                     b"cause_dim=2\n")
+    with pytest.raises(ConfigError, match="latin1.ini"):
+        parse_network_config(path)
 
 
 def test_non_finite_values_rejected(tmp_path):

@@ -110,15 +110,18 @@ def test_write_and_read_frames_dir(tmp_path, monkeypatch):
     assert sorted(names) == names
 
 
-def test_read_frames_dir_color_and_grayscale_flag(tmp_path):
+def test_read_frames_dir_keeps_color(tmp_path):
+    # Colour frames stay colour; layer 1 decides whether they collapse.
     rng = np.random.default_rng(64)
     frames = rng.random((2, 4, 4, 3))
     out = tmp_path / "color"
     write_frames(out, frames)
     color = read_frames_dir(out)
     assert color.shape == (2, 4, 4, 3)
-    gray = read_frames_dir(out, grayscale=True)
-    assert gray.shape == (2, 4, 4)
+    # A graymap among pixmaps of the same size disagrees in shape.
+    write_image(out / "frame_00002.pgm", np.zeros((4, 4)))
+    with pytest.raises(FormatError, match="disagree in shape"):
+        read_frames_dir(out)
 
 
 def test_read_frames_dir_errors(tmp_path):
@@ -144,6 +147,10 @@ def test_labels_csv_roundtrip_and_validation(tmp_path):
         read_labels_csv(path)
     path.write_text("frame_index,label\n1,a\n")
     with pytest.raises(LengthMismatch):
+        read_labels_csv(path)
+    # A label that is not UTF-8 text names the file.
+    path.write_bytes(b"frame_index,label\n0,\xff\xfe\n")
+    with pytest.raises(FormatError, match="labels.csv"):
         read_labels_csv(path)
     # Labels that would not read back are refused before a byte is written.
     for bad in ("a,b", "a\nb", "a\rb", "a\r\n", "a\u2028b"):

@@ -7,6 +7,7 @@ import pytest
 from mmdpcn.causes import top_down_prediction
 from mmdpcn.errors import (ConfigError, DimensionMismatch, FormatError,
                            GridMismatch, IoError)
+from mmdpcn.frames import to_grayscale
 from mmdpcn.cli import _bench_model
 from mmdpcn.config import BenchSettings, parse_network_config
 from mmdpcn.learning import LearnConfig, fit_layer, init_model, update_model
@@ -111,8 +112,8 @@ def test_network_config_validation():
     cfg = NetworkConfig(layers=(good,), grid=(2, 2))
     with pytest.raises(GridMismatch):
         train_network(np.zeros((2, 5, 4)), cfg)
-    with pytest.raises(ConfigError):
-        train_network(np.zeros((2, 4, 4, 3)), cfg)
+    with pytest.raises(ConfigError):  # 16 pixels gray, 48 colour; not 4
+        train_network(np.zeros((2, 8, 8, 3)), cfg)
     with pytest.raises(ConfigError):
         train_network(np.zeros((2, 8, 8)), cfg)  # patch pixels != input dim
     with pytest.raises(ConfigError):  # 2 patches; layer 1 takes 4
@@ -129,6 +130,43 @@ def test_network_config_validation():
     result = infer_variables(frames, layers, (2, 2))
     assert result.states[1][0].shape == (4, 16)
     assert result.causes[1][0].values.shape == (2,)
+    # Gray frames cannot fill a colour layer's patches.
+    with pytest.raises(ConfigError):
+        train_network(frames[..., 0],
+                      NetworkConfig(layers=(color,), grid=(2, 2)))
+    with pytest.raises(ConfigError):
+        infer_variables(frames[..., 0], layers, (2, 2))
+
+
+@pytest.mark.parametrize("size, grid", [(4, (2, 2)), (16, (8, 8))],
+                         ids=["4x4x3", "16x16x3"])
+def test_colour_frames_for_a_gray_model_run_as_their_luma(size, grid):
+    # Layer 1 takes one-channel 2x2 patches, so a colour stack collapses
+    # to Rec. 601 luma, with the bits of collapsing each frame on its own.
+    hp, learn = HyperParams(max_inner_iter=20), LearnConfig(max_outer_iter=2)
+    cfg = NetworkConfig(layers=(
+        LayerSpec(dims=LayerDims(4, 6, 2, grid[0] * grid[1]), hp=hp,
+                  learn=learn),
+        LayerSpec(dims=LayerDims(2, 4, 1, 1), hp=hp, learn=learn),
+    ), grid=grid)
+    colour = np.random.default_rng(40).random((3, size, size, 3))
+    gray = np.stack([to_grayscale(f) for f in colour])
+    (layers, reports), (gray_layers, gray_reports) = (
+        train_network(f, cfg, seed=3) for f in (colour, gray))
+    for layer, gray_layer, report, gray_report in zip(
+            layers, gray_layers, reports, gray_reports):
+        for name in ("transition", "coupling", "dictionary"):
+            assert np.array_equal(getattr(layer.model, name),
+                                  getattr(gray_layer.model, name))
+        assert report.energy_per_outer == gray_report.energy_per_outer
+    result, gray_result = (infer_variables(f, layers, grid)
+                           for f in (colour, gray))
+    for t in range(3):
+        for l in range(2):
+            assert np.array_equal(result.states[t][l],
+                                  gray_result.states[t][l])
+            assert np.array_equal(result.causes[t][l].values,
+                                  gray_result.causes[t][l].values)
 
 
 def test_train_network_bottom_layer_matches_fit_layer():
@@ -451,7 +489,7 @@ def test_train_and_infer_reject_misfit_frames_alike(monkeypatch):
                          ((2, 4, 4, 3, 1), DimensionMismatch),
                          ((2, 5, 4), GridMismatch),
                          ((2, 8, 8), ConfigError),
-                         ((2, 4, 4, 3), ConfigError)):
+                         ((2, 8, 8, 3), ConfigError)):
         with pytest.raises(error):
             train_network(np.zeros(shape), cfg)
         with pytest.raises(error):
