@@ -22,8 +22,7 @@ import numpy as np
 from . import __version__
 from .baselines import BaselineConfig, adam_solve, fista_solve, ista_solve, \
     state_objective
-from .config import BenchSettings, _parse_grid, parse_bench_config, \
-    parse_network_config
+from .config import BenchSettings, parse_bench_config, parse_network_config
 from .errors import ConfigError, LengthMismatch
 from .frames import (read_frames_dir, read_labels_csv, write_csv,
                      write_frames, write_labels_csv, write_metrics_csv)
@@ -120,7 +119,7 @@ def _bench_model(settings: BenchSettings, rng) -> LayerModel:
     dictionary *= np.sqrt(_BENCH_CURVATURE / top)
     transition = aligned_zeros((k, k))
     np.fill_diagonal(transition, 1.0)
-    dims = LayerDims(p, k, 1, 1)
+    dims = LayerDims(p, k, 1)
     return LayerModel(dims, transition, np.ones((k, 1)), dictionary)
 
 
@@ -294,12 +293,12 @@ def cmd_cluster(args) -> list:
     if len(labels) != frames.shape[0]:
         raise LengthMismatch(
             f"{len(labels)} labels for {frames.shape[0]} frames")
-    grid = _parse_grid(args.grid)
 
     # A label change marks a scene cut: consecutive frames from different
     # clips share no temporal structure, so the recurrence is reset there.
     cuts = [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]]
-    result = infer_variables(frames, layers, grid, segment_starts=cuts)
+    result = infer_variables(frames, layers, layers[0].model.dims.grid,
+                             segment_starts=cuts)
     top = np.vstack([result.causes[t][-1].values
                      for t in range(frames.shape[0])])
     report = evaluate_clustering(
@@ -336,7 +335,7 @@ def cmd_cluster(args) -> list:
 def cmd_reconstruct(args) -> list:
     layers = load_network(args.model)
     frames = read_frames_dir(args.frames)
-    grid = _parse_grid(args.grid)
+    grid = layers[0].model.dims.grid
     # As layer 1 takes them (_fit_frames), so the MSE compares what it saw.
     frames = _fit_frames(frames, layers[0].model.dims, grid)
 
@@ -363,12 +362,6 @@ def cmd_reconstruct(args) -> list:
 
 # ---------------------------------------------------------------------------
 # argument wiring
-
-
-_GRID_HELP = ("patch grid, rows x cols: the training config's grid.  The "
-              "model file does not record it (ROADMAP.md item 5), so a grid "
-              "with the same patch count and length, such as 1x4 or 4x1 for "
-              "2x2, runs without error and gives other results")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,14 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="trained model file")
     p.add_argument("--frames", required=True)
     p.add_argument("--labels", required=True, help="frame_index,label CSV")
-    p.add_argument("--grid", default="2x2", help=_GRID_HELP)
     p.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser("reconstruct", help="render layer-1 reconstructions")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--model", required=True)
     p.add_argument("--frames", required=True)
-    p.add_argument("--grid", default="2x2", help=_GRID_HELP)
     p.set_defaults(fn=cmd_reconstruct)
 
     return parser

@@ -17,15 +17,15 @@ layer, numbered consecutively from 1:
     cause_dim = 12
 
 The dataclasses are the schema.  [network] takes the one key grid, a
-layer section 14 keys, the fields of LayerDims but patch_count (3),
+layer section 14 keys, the fields of LayerDims but grid (3),
 HyperParams (8) and LearnConfig (3: lr, outer_tol, max_outer_iter; the
 run's seed is a command option), and [bench] the 6 of BenchSettings;
 _read_section parses each key to its type, and an absent key keeps the
 default.  Section names take any case; a bench file holds only [bench].
 The parser only routes keys, requires layer1's input_dim (patch pixels
-times channels; one channel collapses colour frames to gray) and derives
-patch_count (the grid's for layer1, 1 above) and an unstated upper
-input_dim (the cause dimension below); the dataclasses check the rest,
+times channels; one channel collapses colour frames to gray), gives
+layer1 the [network] grid (2x2 when unstated) and an unstated upper
+input_dim the cause dimension below; the dataclasses check the rest,
 the chain too.  Text that is not UTF-8, an unknown section or key, a
 value that does not parse and a value the dataclass refuses, NaN and
 infinities included, all raise ConfigError.
@@ -106,12 +106,6 @@ def _field_types(cls, skip=()) -> dict:
             if f.name not in skip}
 
 
-# Settings a [layerN] section may give; patch_count comes from the grid.
-_LAYER_KEYS = (_field_types(LayerDims, skip={"patch_count"}),
-               _field_types(HyperParams), _field_types(LearnConfig))
-_BENCH_KEYS = _field_types(BenchSettings)
-
-
 def _parse_grid(raw: str):
     m = re.fullmatch(r"\s*(\d+)\s*[xX]\s*(\d+)\s*", raw)
     if not m:
@@ -120,6 +114,13 @@ def _parse_grid(raw: str):
     if rows < 1 or cols < 1:
         raise ConfigError("grid dimensions must be positive")
     return rows, cols
+
+
+# The keys of each section type; layer1's grid comes from [network].
+_LAYER_KEYS = (_field_types(LayerDims, skip={"grid"}),
+               _field_types(HyperParams), _field_types(LearnConfig))
+_BENCH_KEYS = _field_types(BenchSettings)
+_NETWORK_KEYS = {"grid": _parse_grid}
 
 
 def _read_section(parser, section: str | None, *schemas) -> tuple:
@@ -148,8 +149,7 @@ def _read_section(parser, section: str | None, *schemas) -> tuple:
 def parse_network_config(path) -> NetworkConfig:
     parser, sections = _read_ini(path, r"network|layer.*")
     network_kw, = _read_section(parser, sections.pop("network", None),
-                                {"grid": _parse_grid})
-    grid = network_kw.get("grid", NetworkConfig.grid)
+                                _NETWORK_KEYS)
 
     # Shorter names first, so that layer10 follows layer9; a name that is
     # not layerN then fails the check below.
@@ -171,20 +171,19 @@ def parse_network_config(path) -> NetworkConfig:
             if "input_dim" not in dims_kw:
                 raise ConfigError("[layer1] must state input_dim "
                                   "(patch pixels times channels)")
-            patch_count = grid[0] * grid[1]
+            dims_kw["grid"] = network_kw.get("grid", (2, 2))
         else:
             dims_kw.setdefault("input_dim", specs[-1].dims.cause_dim)
-            patch_count = 1
 
         try:
-            dims = LayerDims(patch_count=patch_count, **dims_kw)
+            dims = LayerDims(**dims_kw)
             hp = HyperParams(**hp_kw)
             learn = LearnConfig(**learn_kw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"[{section}]: {exc}") from exc
         specs.append(LayerSpec(dims=dims, hp=hp, learn=learn))
 
-    return NetworkConfig(layers=tuple(specs), **network_kw)
+    return NetworkConfig(layers=tuple(specs))
 
 
 def parse_bench_config(path) -> BenchSettings:

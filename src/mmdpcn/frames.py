@@ -134,7 +134,9 @@ def write_frames(out_dir, frames):
     """Write a frame stack as numbered netpbm files; returns the paths.
 
     Every index in one stack is padded to the same width, at least 5
-    digits, so the names sort in frame order (read_frames_dir).
+    digits, so the names sort in frame order (read_frames_dir).  A .pgm
+    or .ppm file in out_dir that the stack would not overwrite raises
+    IoError before any write, as read_frames_dir would read it too.
     """
     arr = as_float_array(frames, "frames")
     color = arr.ndim == 4
@@ -143,11 +145,15 @@ def write_frames(out_dir, frames):
             f"frame stack must be (t,h,w) or (t,h,w,3), got {arr.shape}")
     os.makedirs(out_dir, exist_ok=True)
     digits = max(5, len(str(arr.shape[0] - 1)))
-    paths = []
-    for t in range(arr.shape[0]):
-        path = os.path.join(out_dir, frame_name(t, color, digits))
-        write_image(path, arr[t])
-        paths.append(path)
+    names = [frame_name(t, color, digits) for t in range(arr.shape[0])]
+    stale = sorted(n for n in set(os.listdir(out_dir)).difference(names)
+                   if n.endswith((".pgm", ".ppm")))
+    if stale:
+        raise IoError(f"{out_dir} already holds {stale[0]}, which these "
+                      f"{len(names)} frames would not overwrite")
+    paths = [os.path.join(out_dir, name) for name in names]
+    for path, frame in zip(paths, arr):
+        write_image(path, frame)
     return paths
 
 

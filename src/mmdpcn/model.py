@@ -79,21 +79,29 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class LayerDims:
-    """Sizes for one layer: input_dim < state_dim (overcomplete code)."""
+    """Sizes for one layer: input_dim < state_dim (overcomplete code), and
+    the (rows, cols) grid of its patch_count patches, (1, 1) above layer 1."""
 
     input_dim: int
     state_dim: int
     cause_dim: int
-    patch_count: int
+    grid: tuple = (1, 1)
 
     def __post_init__(self):
-        if min(self.input_dim, self.state_dim, self.cause_dim, self.patch_count) <= 0:
+        if not (isinstance(self.grid, tuple) and len(self.grid) == 2
+                and all(isinstance(n, int) for n in self.grid)):
+            raise ValueError(f"grid must be a pair of ints, got {self.grid!r}")
+        if min(self.input_dim, self.state_dim, self.cause_dim, *self.grid) <= 0:
             raise ValueError("all dimensions must be positive")
         if self.input_dim >= self.state_dim:
             raise ValueError(
                 f"state_dim ({self.state_dim}) must exceed input_dim "
                 f"({self.input_dim}) for an overcomplete code"
             )
+
+    @property
+    def patch_count(self) -> int:
+        return self.grid[0] * self.grid[1]
 
 
 @dataclass

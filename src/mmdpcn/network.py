@@ -22,19 +22,12 @@ from .learning import LearnConfig, fit_layer
 from .states import infer_states_batch
 
 _MAGIC = b"DPCN"
-_VERSION = 3
+_VERSION = 4
 
 # The hyperparameters a model file stores, one f64 each, in file order.
-# Version 2 files also hold the state and cause block pass counts after
-# clamp_cause, and version 1 files a smoothing margin after cause_sparsity
-# as well; only training read them.  None marks such a slot in a version's
-# table, and load_network skips it.
 _HP_FIELDS = ("state_sparsity", "temporal_sparsity", "pool_gain",
               "cause_sparsity", "clamp_state", "clamp_cause", "inner_tol",
               "max_inner_iter")
-_V2_SLOTS = _HP_FIELDS[:6] + (None, None) + _HP_FIELDS[6:]
-_HP_SLOTS = {1: _V2_SLOTS[:4] + (None,) + _V2_SLOTS[4:], 2: _V2_SLOTS,
-             3: _HP_FIELDS}
 _INT_HP = {f.name for f in fields(HyperParams) if f.type is int}
 
 # Cap on the bottom-up sweeps per frame of infer_variables.
@@ -52,32 +45,32 @@ class LayerSpec:
 
 def _check_chain(dims, error):
     """Raise error unless a stack of LayerDims is not empty and chains:
-    layer l+1's input_dim equals layer l's cause_dim, and only layer 1
-    sees more than one patch per frame."""
+    layer l+1's input_dim equals layer l's cause_dim, and every layer
+    above the first has grid (1, 1), one patch per frame."""
     if not dims:
         raise error("at least one layer is required")
     for i, (lower, upper) in enumerate(zip(dims, dims[1:]), start=1):
         if upper.input_dim != lower.cause_dim:
             raise error(f"layer {i + 1} input dim {upper.input_dim} must "
                         f"equal layer {i} cause dim {lower.cause_dim}")
-        if upper.patch_count != 1:
+        if upper.grid != (1, 1):
             raise error("layers above the first take a single patch")
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Layer stack plus the frame patching scheme.
-
-    There must be a layer, and adjacent layers must chain (_check_chain).
-    Whether the grid cuts frames into layer 1's patches is checked
-    against the frames themselves (_fit_frames).
-    """
+    """A layer stack to train: there must be a layer, and adjacent layers
+    must chain (_check_chain).  Layer 1's dims hold the patch grid, which
+    _fit_frames checks against the frames themselves."""
 
     layers: tuple
-    grid: tuple = (2, 2)
 
     def __post_init__(self):
         _check_chain([spec.dims for spec in self.layers], ConfigError)
+
+    @property
+    def grid(self) -> tuple:
+        return self.layers[0].dims.grid  # layer 1's, as perfbench reads it
 
 
 @dataclass
@@ -118,23 +111,25 @@ def recompose_frame(patches: np.ndarray, grid: tuple, frame_shape: tuple) -> np.
 def _fit_frames(frames, dims: LayerDims, grid: tuple) -> np.ndarray:
     """frames as one float array, checked to cut into layer 1's patches.
 
+    A grid other than the layer's own (dims.grid) raises ConfigError.
     Cutting a blank frame of their shape raises what decompose_frame
-    raises; a cut into other than dims.patch_count patches of
-    dims.input_dim values raises ConfigError.  A patch holds its pixels
-    times the frame's channels, so colour frames whose patches are
-    3 * input_dim long are collapsed to luma (frames.to_grayscale).  A
-    sequence of no frames fits when its frame shape does.
+    raises; patches of other than dims.input_dim values raise ConfigError.
+    A patch holds its pixels times the frame's channels, so colour frames
+    whose patches are 3 * input_dim long are collapsed to luma
+    (frames.to_grayscale).  A sequence of no frames fits when its frame
+    shape does.
     """
+    if tuple(grid) != dims.grid:
+        raise ConfigError(f"grid {grid[0]}x{grid[1]} is not the model's "
+                          f"{dims.grid[0]}x{dims.grid[1]}")
     frames = np.asarray(frames, dtype=np.float64)
-    count, length = decompose_frame(np.zeros(frames.shape[1:]), grid).shape
-    if frames.shape[3:] == (3,) and \
-            (count, length) == (dims.patch_count, 3 * dims.input_dim):
+    length = decompose_frame(np.zeros(frames.shape[1:]), grid).shape[1]
+    if frames.shape[3:] == (3,) and length == 3 * dims.input_dim:
         frames, length = to_grayscale(frames), dims.input_dim
-    if (count, length) != (dims.patch_count, dims.input_dim):
+    if length != dims.input_dim:
         raise ConfigError(
-            f"grid {grid[0]}x{grid[1]} cuts frames into {count} patches of "
-            f"length {length}; layer 1 expects {dims.patch_count} of "
-            f"length {dims.input_dim}")
+            f"grid {grid[0]}x{grid[1]} cuts frames into patches of length "
+            f"{length}; layer 1 expects length {dims.input_dim}")
     return frames
 
 
@@ -206,7 +201,8 @@ def infer_variables(frames, layers, grid: tuple,
     Raises before any solve: ConfigError when the layers do not make a
     stack NetworkConfig accepts (_check_chain) or a segment start is not an
     integer frame index, and the errors of the frame check train_network
-    makes (_fit_frames) when layer 1 cannot take the frames.
+    makes (_fit_frames) when grid is not layer 1's own (perfbench still
+    passes it; ROADMAP.md item 7) or layer 1 cannot take the frames.
     """
     _check_chain([layer.model.dims for layer in layers], ConfigError)
     n_layers = len(layers)
@@ -298,7 +294,9 @@ def reconstruct_frames(frames_shape: tuple, layers, result: InferenceResult,
 
     Each patch is the dictionary times that patch's state, one product per
     patch, so it rounds exactly as the state solve's own reconstruction.
+    _fit_frames refuses a grid or frame shape that is not layer 1's.
     """
+    _fit_frames(np.zeros((0, *frames_shape)), layers[0].model.dims, grid)
     t_count = len(result.states)
     out = np.zeros((t_count,) + tuple(frames_shape))
     c = layers[0].model.dictionary
@@ -311,20 +309,19 @@ def reconstruct_frames(frames_shape: tuple, layers, result: InferenceResult,
 def save_network(layers, path):
     """Write the layer stack to a self-describing binary file.
 
-    Layout: magic, version (u16), layer count (u16); per layer the four
-    dims (u32), the hyperparameters (_HP_FIELDS, f64), then the transition,
-    coupling, and dictionary matrices row-major as little-endian f64.
+    Layout: magic, version (u16), layer count (u16); per layer 3 dims and
+    the grid's rows and cols (u32), the hyperparameters (_HP_FIELDS, f64),
+    then the transition, coupling, and dictionary matrices row-major as
+    little-endian f64.
     Raises ConfigError, before writing, on a stack that load_network would
     refuse: no layers, or layers that do not chain (_check_chain).
     """
     _check_chain([layer.model.dims for layer in layers], ConfigError)
-    blob = bytearray()
-    blob += _MAGIC
-    blob += struct.pack("<HH", _VERSION, len(layers))
+    blob = bytearray(_MAGIC + struct.pack("<HH", _VERSION, len(layers)))
     for layer in layers:
         d = layer.model.dims
-        blob += struct.pack("<IIII", d.input_dim, d.state_dim, d.cause_dim,
-                            d.patch_count)
+        blob += struct.pack("<5I", d.input_dim, d.state_dim, d.cause_dim,
+                            *d.grid)
         blob += struct.pack(f"<{len(_HP_FIELDS)}d",
                             *(float(getattr(layer.hp, f)) for f in _HP_FIELDS))
         for m in (layer.model.transition, layer.model.coupling, layer.model.dictionary):
@@ -339,43 +336,42 @@ def _take(buf: memoryview, offset: int, count: int) -> tuple[memoryview, int]:
 
 
 def load_network(path) -> list:
-    """Read a stack of one or more layers in any version of _HP_SLOTS.
+    """Read a stack of one or more layers from a version-4 file.
 
-    Raises FormatError on every malformed file: a bad magic or version,
-    truncation or trailing bytes, invalid dims or hyperparameters, no
-    layers, or layers that do not chain (_check_chain).  IoError when the
-    file cannot be read.
+    Raises FormatError on every malformed file: a bad magic, truncation
+    or trailing bytes, invalid dims, grid or hyperparameters, no layers,
+    layers that do not chain (_check_chain), or another version (1-3 do
+    not record the grid).  IoError when the file cannot be read.
     """
     buf = memoryview(_read_file(path))
     head, off = _take(buf, 0, 8)
     if bytes(head[:4]) != _MAGIC:
         raise FormatError("bad magic; not a model file")
     version, count = struct.unpack("<HH", head[4:])
-    if version not in _HP_SLOTS:
-        raise FormatError(f"unsupported model file version {version}")
-    slots = _HP_SLOTS[version]
+    if version != _VERSION:
+        raise FormatError(f"model file version {version} is not {_VERSION}, "
+                          "the one that records the grid; retrain the model")
 
     layers = []
     for _ in range(count):
-        raw, off = _take(buf, off, 16)
-        p, k, d, n = struct.unpack("<IIII", raw)
+        raw, off = _take(buf, off, 20)
+        p, k, d, rows, cols = struct.unpack("<5I", raw)
         try:
-            dims = LayerDims(p, k, d, n)
+            dims = LayerDims(p, k, d, (rows, cols))
         except ValueError as exc:
             raise FormatError(f"invalid dims in model file: {exc}") from None
-        raw, off = _take(buf, off, len(slots) * 8)
-        values = struct.unpack(f"<{len(slots)}d", raw)
+        raw, off = _take(buf, off, len(_HP_FIELDS) * 8)
+        values = struct.unpack(f"<{len(_HP_FIELDS)}d", raw)
         try:
             hp = HyperParams(**{
                 name: int(round(value)) if name in _INT_HP else value
-                for name, value in zip(slots, values) if name is not None})
+                for name, value in zip(_HP_FIELDS, values)})
         except (ValueError, OverflowError) as exc:
             raise FormatError(f"invalid hyperparameters in model file: {exc}") from None
 
         mats = []
         for shape in ((k, k), (k, d), (p, k)):
-            nbytes = shape[0] * shape[1] * 8
-            raw, off = _take(buf, off, nbytes)
+            raw, off = _take(buf, off, shape[0] * shape[1] * 8)
             mats.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
         layers.append(Layer(LayerModel(dims, *mats), hp))
     if off != len(buf):

@@ -15,7 +15,7 @@ def scalar_model():
     # One-pixel patches with an effective scalar code: the second state
     # component has a zero dictionary column contribution and stays unused,
     # satisfying the overcompleteness requirement input_dim < state_dim.
-    dims = LayerDims(input_dim=1, state_dim=2, cause_dim=1, patch_count=1)
+    dims = LayerDims(input_dim=1, state_dim=2, cause_dim=1)
     return LayerModel(dims,
                       transition=np.eye(2),
                       coupling=np.array([[1.0], [0.0]]),

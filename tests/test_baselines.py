@@ -21,7 +21,7 @@ def lipschitz_step(model):
 def random_instance(rng, p_max=10, k_max=16):
     p = int(rng.integers(2, p_max + 1))
     k = int(rng.integers(p + 1, k_max + 1))
-    dims = LayerDims(p, k, 1, 1)
+    dims = LayerDims(p, k, 1)
     model = LayerModel(dims,
                        transition=rng.standard_normal((k, k)) / np.sqrt(k),
                        coupling=np.ones((k, 1)),
@@ -115,7 +115,7 @@ def test_finished_row_leaves_the_batch(method):
     # contracts slowly (curvature 4e-4).  Row 0 meets tol at update 1, and
     # row 1 takes longer than row 0 would take to overflow.  Neither
     # raises alone, so the batch must not.
-    dims = LayerDims(2, 3, 1, 1)
+    dims = LayerDims(2, 3, 1)
     model = LayerModel(dims, np.eye(3), np.ones((3, 1)),
                        np.array([[1.0, 0.0, 0.0], [0.0, 0.02, 0.0]]))
     hp = HyperParams(state_sparsity=1e-3)
@@ -240,7 +240,7 @@ def test_all_methods_agree_when_smooth_dominates():
     for _ in range(5):
         p = int(rng.integers(3, 7))
         k = p + 1
-        dims = LayerDims(p, k, 1, 1)
+        dims = LayerDims(p, k, 1)
         model = LayerModel(dims, np.eye(k), np.ones((k, 1)),
                            column_normalize(rng.standard_normal((p, k))))
         y = rng.standard_normal(p)

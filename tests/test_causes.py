@@ -21,7 +21,7 @@ def scalar_pooled(value):
 def random_instance(rng, nonneg=False):
     k = int(rng.integers(3, 12))
     d = int(rng.integers(1, 6))
-    dims = LayerDims(k - 1, k, d, 1)
+    dims = LayerDims(k - 1, k, d)
     b = rng.standard_normal((k, d))
     if nonneg:
         b = np.abs(b)
@@ -213,7 +213,7 @@ def test_topdown_reduces_to_plain_when_pull_negligible():
 
 def test_top_down_prediction_gate_always_open():
     rng = np.random.default_rng(24)
-    dims = LayerDims(2, 4, 2, 1)
+    dims = LayerDims(2, 4, 2)
     model = LayerModel(dims,
                        transition=rng.standard_normal((4, 4)),
                        coupling=column_normalize(rng.standard_normal((4, 2))),
@@ -227,7 +227,7 @@ def test_top_down_prediction_gate_always_open():
 
 def test_top_down_prediction_gate_never_opens_at_zero_weight():
     rng = np.random.default_rng(25)
-    dims = LayerDims(2, 4, 2, 1)
+    dims = LayerDims(2, 4, 2)
     model = LayerModel(dims,
                        transition=rng.standard_normal((4, 4)),
                        coupling=rng.standard_normal((4, 2)),
@@ -239,7 +239,7 @@ def test_top_down_prediction_gate_never_opens_at_zero_weight():
 
 
 def test_top_down_prediction_selective_gate():
-    dims = LayerDims(1, 2, 1, 1)
+    dims = LayerDims(1, 2, 1)
     model = LayerModel(dims,
                        transition=np.array([[2.0, 0.0], [0.0, 3.0]]),
                        coupling=np.array([[1.0], [-1.0]]),
@@ -308,7 +308,7 @@ def test_every_cause_entry_checks_its_inputs(entry):
 
 @pytest.mark.parametrize("topdown", [False, True])
 def test_overflowing_drive_raises_nonfinite(topdown):
-    dims = LayerDims(1, 2, 1, 1)
+    dims = LayerDims(1, 2, 1)
     model = LayerModel(dims, transition=np.eye(2),
                        coupling=np.array([[1.0], [1.0]]),
                        dictionary=np.array([[1.0, 0.0]]))

@@ -9,12 +9,14 @@ from mmdpcn.baselines import (BaselineConfig, adam_solve, fista_solve,
 from mmdpcn.cli import _BENCH_ADAM_STEP, _BENCH_CURVATURE, _bench_hp, \
     _bench_model, _bench_patches, main, run_benchmark
 from mmdpcn.config import BenchSettings
-from mmdpcn.frames import (read_frames_dir, read_labels_csv, write_frames,
-                           write_labels_csv)
+from mmdpcn.errors import ConfigError
+from mmdpcn.frames import (format_float, read_frames_dir, read_labels_csv,
+                           write_frames, write_labels_csv)
 from mmdpcn.learning import _MAX_BLOCKS, init_model
-from mmdpcn.metrics import sparsity
+from mmdpcn.metrics import evaluate_clustering, per_frame_mse, sparsity
 from mmdpcn.model import HyperParams, LayerDims
-from mmdpcn.network import Layer, save_network
+from mmdpcn.network import (Layer, infer_variables, load_network,
+                            reconstruct_frames, save_network)
 from mmdpcn.states import infer_state
 
 from helpers import read_metrics_csv
@@ -31,7 +33,7 @@ def zero_frame_setup(tmp_path, seed=5):
     labels_path = tmp_path / "labels.csv"
     write_labels_csv(labels_path, ["diamond", "triangle", "square"])
     model_path = tmp_path / "model.dpcn"
-    model = init_model(LayerDims(4, 6, 2, 4), np.random.default_rng(seed))
+    model = init_model(LayerDims(4, 6, 2, (2, 2)), np.random.default_rng(seed))
     save_network([Layer(model, HyperParams(max_inner_iter=40))], model_path)
     return frames_dir, labels_path, model_path
 
@@ -81,12 +83,15 @@ def test_domain_errors_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert run("gen-shapes", "--out", tmp_path / "x", "--noise", "nan") == 2
     assert "noise_level" in capsys.readouterr().err
-    # cluster with a malformed --grid.
+    # cluster with a version-3 model file, which does not record its grid.
     frames_dir, labels_path, model_path = zero_frame_setup(tmp_path)
+    blob = bytearray(model_path.read_bytes())
+    blob[4:6] = (3).to_bytes(2, "little")
+    model_path.write_bytes(bytes(blob))
     assert run("cluster", "--model", model_path, "--frames", frames_dir,
-               "--labels", labels_path, "--out", tmp_path / "z",
-               "--grid", "2by2") == 2
-    assert "error:" in capsys.readouterr().err
+               "--labels", labels_path, "--out", tmp_path / "z") == 2
+    assert "version 3 is not 4, the one that records the grid" in \
+        capsys.readouterr().err
     # train with --out naming a directory, not the model file.
     ini = tmp_path / "net.ini"
     ini.write_text(TINY_INI)
@@ -248,7 +253,7 @@ def test_train_cluster_reconstruct_pipeline(tmp_path):
     cl = tmp_path / "cl"
     assert run("cluster", "--model", model_path, "--frames", data / "frames",
                "--labels", data / "labels.csv", "--out", cl,
-               "--grid", "2x2", "--seed", 0) == 0
+               "--seed", 0) == 0
     metrics = read_metrics_csv(cl / "metrics.csv")
     for key in ("completeness_acc", "adjusted_rand_index",
                 "cause_sparsity_pct", "matching_accuracy"):
@@ -259,13 +264,58 @@ def test_train_cluster_reconstruct_pipeline(tmp_path):
 
     rec = tmp_path / "rec"
     assert run("reconstruct", "--model", model_path, "--frames",
-               data / "frames", "--out", rec, "--grid", "2x2") == 0
+               data / "frames", "--out", rec) == 0
     recon = read_frames_dir(rec / "frames")
     assert recon.shape == (9, 16, 16)
     mse_lines = (rec / "mse.csv").read_text().splitlines()
     assert mse_lines[0] == "frame_index,mse"
     assert len(mse_lines) == 10
     assert "reconstruction_mse" in read_metrics_csv(rec / "metrics.csv")
+
+
+def test_cluster_and_reconstruct_run_at_the_grid_the_model_records(tmp_path):
+    # On 16x16 frames a 1x4 grid cuts four 64-pixel patches, as 2x2 does,
+    # so only the model file can tell cluster and reconstruct the grid a
+    # model was trained at.
+    data = tmp_path / "data"
+    assert run("gen-shapes", "--out", data, "--frames-per-shape", 2,
+               "--noise", 0.0, "--seed", 2) == 0
+    cfg = tmp_path / "net.ini"
+    cfg.write_text(TRAIN_INI.replace("grid = 2x2", "grid = 1x4"))
+    model_path = tmp_path / "fit" / "model.dpcn"
+    assert run("train", "--config", cfg, "--frames", data / "frames",
+               "--out", model_path) == 0
+    assert run("cluster", "--model", model_path, "--frames", data / "frames",
+               "--labels", data / "labels.csv", "--out", tmp_path / "cl") == 0
+    assert run("reconstruct", "--model", model_path, "--frames",
+               data / "frames", "--out", tmp_path / "rec") == 0
+
+    layers = load_network(model_path)
+    assert layers[0].model.dims.grid == (1, 4)
+    frames = read_frames_dir(data / "frames")
+    labels = read_labels_csv(data / "labels.csv")
+    cuts = [t for t in range(1, len(labels)) if labels[t] != labels[t - 1]]
+    top = np.vstack([causes[-1].values for causes in infer_variables(
+        frames, layers, (1, 4), segment_starts=cuts).causes])
+    report = evaluate_clustering(top, labels, k=3, seed=0,
+                                 threshold=layers[-1].hp.clamp_cause)
+    rows = (tmp_path / "cl" / "assignments.csv").read_text().splitlines()
+    assert [int(row.split(",")[1]) for row in rows[1:]] == \
+        report.assignments.tolist()
+    result = infer_variables(frames, layers, (1, 4))
+    recon = reconstruct_frames(frames.shape[1:], layers, result, (1, 4))
+    assert np.array_equal(read_frames_dir(tmp_path / "rec" / "frames"),
+                          np.rint(np.clip(recon, 0.0, 1.0) * 255) / 255)
+    mses = per_frame_mse(frames, recon)
+    assert (tmp_path / "rec" / "mse.csv").read_text().splitlines()[1:] == \
+        [f"{t},{format_float(v)}" for t, v in enumerate(mses)]
+
+    # Any other grid is refused, even one that cuts patches of the
+    # model's count and length.
+    with pytest.raises(ConfigError, match="grid 2x2 is not the model's 1x4"):
+        infer_variables(frames, layers, (2, 2))
+    with pytest.raises(ConfigError, match="grid 2x2 is not the model's 1x4"):
+        reconstruct_frames(frames.shape[1:], layers, result, (2, 2))
 
 
 SHAPES_INI = """
@@ -353,7 +403,7 @@ def test_cluster_single_cluster_on_blank_frames(tmp_path, capsys):
     frames_dir, labels_path, model_path = zero_frame_setup(tmp_path)
     out = tmp_path / "cl"
     assert run("cluster", "--model", model_path, "--frames", frames_dir,
-               "--labels", labels_path, "--out", out, "--grid", "2x2") == 0
+               "--labels", labels_path, "--out", out) == 0
     # Three label classes make k = 3, but blank frames give all-zero
     # causes, which fall in one cluster: completeness is then
     # definition-forced to 1 and the adjusted Rand index is 0.
@@ -376,7 +426,7 @@ def test_reconstruct_blank_frames_zero_mse(tmp_path):
     for frames in (frames_dir, colour_dir):
         out = tmp_path / "rec" / frames.name
         assert run("reconstruct", "--model", model_path, "--frames", frames,
-                   "--out", out, "--grid", "2x2") == 0
+                   "--out", out) == 0
         metrics = read_metrics_csv(out / "metrics.csv")
         assert metrics["reconstruction_mse"] == (0.0, 0.0)
         assert read_frames_dir(out / "frames").shape == (3, 4, 4)
@@ -415,7 +465,7 @@ def test_each_command_writes_its_manifest(tmp_path, command):
                     "", [model, frames, labels],
                     ["--labels", short_labels]),
         "reconstruct": (["--model", model, "--frames", frames], "",
-                        [model, frames], ["--grid", "0x0"]),
+                        [model, frames], ["--frames", tmp_path / "none"]),
     }[command]
     # train's --out names the model file; the manifest goes beside it.
     leaf = "model.dpcn" if command == "train" else ""

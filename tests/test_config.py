@@ -41,7 +41,7 @@ def test_two_layer_config(tmp_path):
     assert bottom.dims.input_dim == 64
     assert bottom.dims.state_dim == 96
     assert bottom.dims.cause_dim == 24
-    assert bottom.dims.patch_count == 4  # grid rows * cols
+    assert bottom.dims.grid == (2, 2) and bottom.dims.patch_count == 4
     assert bottom.hp.pool_gain == 1.0
     assert bottom.learn.max_outer_iter == 5
     # Untouched keys keep package defaults.
@@ -50,13 +50,17 @@ def test_two_layer_config(tmp_path):
 
     # Upper layer input defaults to the cause dimension below, one patch.
     assert top.dims.input_dim == 24
-    assert top.dims.patch_count == 1
+    assert top.dims.grid == (1, 1) and top.dims.patch_count == 1
     assert top.hp.state_sparsity == 0.2
     assert top.learn.lr == 0.002
 
     # Section names take any case, as layer names always did.
     text = TWO_LAYER.replace("[network]\ngrid = 2x2", "[Network]\ngrid = 1x4")
-    assert parse_network_config(write(tmp_path, text)).grid == (1, 4)
+    layers = parse_network_config(write(tmp_path, text)).layers
+    assert [spec.dims.grid for spec in layers] == [(1, 4), (1, 1)]
+    # Without a [network] section layer1 takes the 2x2 grid.
+    text = TWO_LAYER.replace("[network]\ngrid = 2x2", "")
+    assert parse_network_config(write(tmp_path, text)).grid == (2, 2)
 
 
 def test_upper_layer_input_dim_must_agree(tmp_path):

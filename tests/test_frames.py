@@ -100,6 +100,17 @@ def test_write_and_read_frames_dir(tmp_path, monkeypatch):
         [os.path.basename(p) for p in paths]
     assert os.path.basename(paths[-1]) == "frame_00003.pgm"
 
+    # A rerun that would leave some of these files behind, for
+    # read_frames_dir to read with its own, is refused before it writes:
+    # a shorter stack, or colour frames over gray ones.  A rerun of the
+    # same length overwrites.
+    for stale in (np.zeros((2, 6, 6)), np.zeros((4, 6, 6, 3))):
+        with pytest.raises(IoError, match="stack already holds frame_0000"):
+            write_frames(out, stale)
+        assert np.array_equal(read_frames_dir(out), back)
+    write_frames(out, frames[::-1])
+    assert np.array_equal(read_frames_dir(out), back[::-1])
+
     # Past 100,000 frames every name of the stack takes 6 digits, so the
     # names still sort in frame order.  No file is written.
     monkeypatch.setattr("mmdpcn.frames.write_image", lambda path, frame: None)

@@ -25,7 +25,7 @@ def pass_energy(a, b, c, y, x, x_prev, u, pooled, lam):
 
 def random_learn_instance(rng, with_temporal=True):
     p, k, d, n = 3, 5, 2, 3
-    dims = LayerDims(p, k, d, n)
+    dims = LayerDims(p, k, d, (1, n))
     model = LayerModel(dims,
                        transition=rng.standard_normal((k, k)) / np.sqrt(k),
                        coupling=column_normalize(rng.standard_normal((k, d))),
@@ -190,7 +190,7 @@ def test_update_model_proximity_pulls_toward_previous():
 
 
 def test_fit_layer_zero_frame_keeps_model():
-    dims = LayerDims(3, 5, 2, 2)
+    dims = LayerDims(3, 5, 2, (1, 2))
     hp = HyperParams(temporal_sparsity=0.0)
     cfg = LearnConfig(max_outer_iter=5)
     frames = [np.zeros((2, 3))]
@@ -204,7 +204,7 @@ def test_fit_layer_zero_frame_keeps_model():
 
 
 def test_fit_layer_rejects_bad_frames():
-    dims = LayerDims(3, 5, 2, 2)
+    dims = LayerDims(3, 5, 2, (1, 2))
     with pytest.raises(ValueError):
         fit_layer([], dims, HyperParams(), LearnConfig())
     from mmdpcn.errors import DimensionMismatch
@@ -214,7 +214,7 @@ def test_fit_layer_rejects_bad_frames():
 
 def test_fit_layer_energy_trace_nonincreasing():
     rng = np.random.default_rng(37)
-    dims = LayerDims(4, 8, 2, 2)
+    dims = LayerDims(4, 8, 2, (1, 2))
     truth = column_normalize(rng.standard_normal((4, 8)))
     frames = []
     for t in range(4):
@@ -235,7 +235,7 @@ def test_fit_layer_recovers_generative_dictionary():
     rng = np.random.default_rng(38)
     p, k, noise = 16, 24, 0.05
     truth = column_normalize(rng.standard_normal((p, k)))
-    dims = LayerDims(p, k, 3, 4)
+    dims = LayerDims(p, k, 3, (2, 2))
     frames = []
     for t in range(12):
         x = rng.standard_normal((4, k)) * (rng.random((4, k)) < 0.2)
@@ -260,7 +260,7 @@ def test_fit_layer_recovers_generative_dictionary():
 
 def test_interleaving_settles():
     rng = np.random.default_rng(39)
-    dims = LayerDims(4, 6, 2, 2)
+    dims = LayerDims(4, 6, 2, (1, 2))
     model = init_model(dims, rng)
     hp = HyperParams(temporal_sparsity=0.0, inner_tol=1e-6)
     batch = 0.5 * rng.standard_normal((2, 4))
@@ -290,7 +290,7 @@ def test_state_and_cause_blocks_never_raise_the_frame_energy(monkeypatch):
     # raised the energy; they leave no state nonzero, so the second frame
     # runs under layer 1's shipped settings as well, where they live on.
     frames = generate_shapes(frames_per_shape=1, seed=4).frames[:2]
-    model = init_model(LayerDims(64, 72, 16, 4), np.random.default_rng(0))
+    model = init_model(LayerDims(64, 72, 16, (2, 2)), np.random.default_rng(0))
     old = HyperParams(pool_gain=3.0, cause_sparsity=0.08, inner_tol=1e-3,
                       max_inner_iter=30)
     shipped = HyperParams(state_sparsity=0.25, pool_gain=0.03,
@@ -370,7 +370,7 @@ def restarted(states, hp):
 def test_first_pass_starts_cold_and_later_passes_from_the_accepted_states(
         monkeypatch):
     frames = shapes_patches()
-    dims = LayerDims(64, 72, 16, 4)
+    dims = LayerDims(64, 72, 16, (2, 2))
     passes, report = fit_with_starts(monkeypatch, frames, dims, SHIPPED_L1,
                                      LearnConfig(max_outer_iter=3))
     assert report.rejected_steps == 0 and len(passes) == 3
@@ -387,7 +387,7 @@ def test_first_pass_starts_cold_and_later_passes_from_the_accepted_states(
 
 def test_a_rejected_pass_is_never_a_start(monkeypatch):
     frames = shapes_patches()
-    dims = LayerDims(64, 72, 16, 4)
+    dims = LayerDims(64, 72, 16, (2, 2))
     passes, report = fit_with_starts(
         monkeypatch, frames, dims, SHIPPED_L1,
         LearnConfig(lr=50.0, max_outer_iter=6))
@@ -410,7 +410,7 @@ def test_a_rejected_pass_is_never_a_start(monkeypatch):
 
 def test_first_accepted_energy_is_that_of_a_cold_sweep():
     frames = shapes_patches(seed=2)
-    dims = LayerDims(64, 72, 16, 4)
+    dims = LayerDims(64, 72, 16, (2, 2))
     _, _, report = fit_layer(frames, dims, SHIPPED_L1,
                              LearnConfig(max_outer_iter=2), seed=3)
     model = init_model(dims, np.random.default_rng(3))

@@ -166,7 +166,7 @@ def test_infer_states_batch_raises_non_finite_on_an_overflowing_solve():
     # r = |x| / mu = 1e308, so its first support system overflows.
     rng = np.random.default_rng(10)
     p, k = 8, 12
-    model = LayerModel(LayerDims(p, k, 3, 2), np.eye(k), np.zeros((k, 3)),
+    model = LayerModel(LayerDims(p, k, 3, (1, 2)), np.eye(k), np.zeros((k, 3)),
                        near_parallel_dictionary(rng, p, k))
     hp = HyperParams(state_sparsity=1.0, max_inner_iter=5)
     inits = np.full((2, k), 0.1)
@@ -246,7 +246,7 @@ def test_shapes_sized_solves_never_take_cg_steps(monkeypatch):
     rng = np.random.default_rng(22)
     c = rng.standard_normal((64, 72))
     c /= np.linalg.norm(c, axis=0)
-    model = LayerModel(LayerDims(64, 72, 16, 4), np.eye(72), np.zeros((72, 16)), c)
+    model = LayerModel(LayerDims(64, 72, 16, (2, 2)), np.eye(72), np.zeros((72, 16)), c)
     hp = HyperParams(state_sparsity=0.25, max_inner_iter=30)
     _, traces = infer_states_batch(rng.standard_normal((4, 64)),
                                    rng.standard_normal((4, 72)), model, hp,

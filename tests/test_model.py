@@ -18,11 +18,11 @@ def scalar_hp(**kw):
     return HyperParams(**base)
 
 
-def random_model(rng, p=None, k=None, d=None, n=1):
+def random_model(rng, p=None, k=None, d=None, grid=(1, 1)):
     p = p or int(rng.integers(2, 9))
     k = k or p + int(rng.integers(1, 9))
     d = d or int(rng.integers(1, 6))
-    dims = LayerDims(p, k, d, n)
+    dims = LayerDims(p, k, d, grid)
     return LayerModel(dims,
                       transition=rng.standard_normal((k, k)) / np.sqrt(k),
                       coupling=rng.standard_normal((k, d)),
@@ -97,7 +97,7 @@ def test_cause_energy_convex_in_cause():
 def test_state_energy_convex_in_state():
     rng = np.random.default_rng(2)
     for _ in range(200):
-        model = random_model(rng, n=2)
+        model = random_model(rng, grid=(1, 2))
         hp = HyperParams(temporal_sparsity=0.2)
         k = model.dims.state_dim
         batch = rng.standard_normal((2, model.dims.input_dim))
@@ -173,14 +173,25 @@ def test_hyperparams_validation():
 
 def test_layer_dims_requires_overcomplete_code():
     with pytest.raises(ValueError):
-        LayerDims(input_dim=4, state_dim=4, cause_dim=1, patch_count=1)
+        LayerDims(input_dim=4, state_dim=4, cause_dim=1)
     with pytest.raises(ValueError):
-        LayerDims(input_dim=0, state_dim=4, cause_dim=1, patch_count=1)
-    LayerDims(input_dim=4, state_dim=5, cause_dim=1, patch_count=1)
+        LayerDims(input_dim=0, state_dim=4, cause_dim=1)
+    LayerDims(input_dim=4, state_dim=5, cause_dim=1)
+
+
+def test_layer_dims_grid_is_a_pair_of_positive_ints():
+    dims = LayerDims(4, 5, 1, (1, 3))
+    assert dims.patch_count == 3
+    assert LayerDims(4, 5, 1).grid == (1, 1)
+    for grid, message in ((4, "pair of ints"), ((4,), "pair of ints"),
+                          ((2, 2.0), "pair of ints"), ((0, 2), "positive"),
+                          ((2, -1), "positive")):
+        with pytest.raises(ValueError, match=message):
+            LayerDims(4, 5, 1, grid)
 
 
 def test_layer_model_shape_checks():
-    dims = LayerDims(2, 4, 3, 1)
+    dims = LayerDims(2, 4, 3)
     good = dict(transition=np.eye(4), coupling=np.ones((4, 3)),
                 dictionary=np.ones((2, 4)))
     LayerModel(dims, **good)

@@ -26,18 +26,18 @@ SHAPES_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
 def tiny_config(max_outer_iter=4):
     hp = HyperParams(max_inner_iter=40)
     return NetworkConfig(layers=(
-        LayerSpec(dims=LayerDims(4, 6, 2, 4), hp=hp,
+        LayerSpec(dims=LayerDims(4, 6, 2, (2, 2)), hp=hp,
                   learn=LearnConfig(max_outer_iter=max_outer_iter)),
-        LayerSpec(dims=LayerDims(2, 4, 1, 1), hp=hp,
+        LayerSpec(dims=LayerDims(2, 4, 1), hp=hp,
                   learn=LearnConfig(max_outer_iter=max_outer_iter)),
-    ), grid=(2, 2))
+    ))
 
 
-def random_stack(seed=0, hp=HyperParams()):
+def random_stack(seed=0, hp=HyperParams(), grid=(2, 2)):
     rng = np.random.default_rng(seed)
     return [
-        Layer(init_model(LayerDims(4, 6, 2, 4), rng), hp),
-        Layer(init_model(LayerDims(2, 4, 1, 1), rng), hp),
+        Layer(init_model(LayerDims(4, 6, 2, grid), rng), hp),
+        Layer(init_model(LayerDims(2, 4, 1), rng), hp),
     ]
 
 
@@ -99,41 +99,39 @@ def test_decompose_errors():
 def test_network_config_validation():
     hp = HyperParams()
     learn = LearnConfig()
-    good = LayerSpec(dims=LayerDims(4, 6, 2, 4), hp=hp, learn=learn)
+    good = LayerSpec(dims=LayerDims(4, 6, 2, (2, 2)), hp=hp, learn=learn)
     with pytest.raises(ConfigError):
         NetworkConfig(layers=())
     with pytest.raises(ConfigError):  # chain: upper input != lower cause
         NetworkConfig(layers=(
-            good, LayerSpec(dims=LayerDims(3, 5, 1, 1), hp=hp, learn=learn)))
+            good, LayerSpec(dims=LayerDims(3, 5, 1), hp=hp, learn=learn)))
     with pytest.raises(ConfigError):  # upper layers take a single patch
         NetworkConfig(layers=(
-            good, LayerSpec(dims=LayerDims(2, 4, 1, 2), hp=hp, learn=learn)))
+            good, LayerSpec(dims=LayerDims(2, 4, 1, (1, 2)), hp=hp, learn=learn)))
 
-    cfg = NetworkConfig(layers=(good,), grid=(2, 2))
+    cfg = NetworkConfig(layers=(good,))
     with pytest.raises(GridMismatch):
         train_network(np.zeros((2, 5, 4)), cfg)
     with pytest.raises(ConfigError):  # 16 pixels gray, 48 colour; not 4
         train_network(np.zeros((2, 8, 8, 3)), cfg)
     with pytest.raises(ConfigError):
         train_network(np.zeros((2, 8, 8)), cfg)  # patch pixels != input dim
-    with pytest.raises(ConfigError):  # 2 patches; layer 1 takes 4
-        train_network(np.zeros((2, 4, 4)),
-                      NetworkConfig(layers=(good,), grid=(1, 2)))
+    with pytest.raises(ConfigError):  # a 1x2 grid cuts 8-pixel patches
+        train_network(np.zeros((2, 4, 4)), NetworkConfig(layers=(
+            LayerSpec(dims=LayerDims(4, 6, 2, (1, 2)), hp=hp, learn=learn),)))
     # input_dim is patch pixels times channels, so 2x2 patches of colour
     # frames take input_dim 12: such a stack trains and infers on them.
-    color = LayerSpec(dims=LayerDims(12, 16, 2, 4),
+    color = LayerSpec(dims=LayerDims(12, 16, 2, (2, 2)),
                       hp=HyperParams(max_inner_iter=10),
                       learn=LearnConfig(max_outer_iter=2))
     frames = np.random.default_rng(21).random((2, 4, 4, 3))
-    layers, _ = train_network(frames,
-                              NetworkConfig(layers=(color,), grid=(2, 2)))
+    layers, _ = train_network(frames, NetworkConfig(layers=(color,)))
     result = infer_variables(frames, layers, (2, 2))
     assert result.states[1][0].shape == (4, 16)
     assert result.causes[1][0].values.shape == (2,)
     # Gray frames cannot fill a colour layer's patches.
     with pytest.raises(ConfigError):
-        train_network(frames[..., 0],
-                      NetworkConfig(layers=(color,), grid=(2, 2)))
+        train_network(frames[..., 0], NetworkConfig(layers=(color,)))
     with pytest.raises(ConfigError):
         infer_variables(frames[..., 0], layers, (2, 2))
 
@@ -145,10 +143,10 @@ def test_colour_frames_for_a_gray_model_run_as_their_luma(size, grid):
     # to Rec. 601 luma, with the bits of collapsing each frame on its own.
     hp, learn = HyperParams(max_inner_iter=20), LearnConfig(max_outer_iter=2)
     cfg = NetworkConfig(layers=(
-        LayerSpec(dims=LayerDims(4, 6, 2, grid[0] * grid[1]), hp=hp,
+        LayerSpec(dims=LayerDims(4, 6, 2, grid), hp=hp,
                   learn=learn),
-        LayerSpec(dims=LayerDims(2, 4, 1, 1), hp=hp, learn=learn),
-    ), grid=grid)
+        LayerSpec(dims=LayerDims(2, 4, 1), hp=hp, learn=learn),
+    ))
     colour = np.random.default_rng(40).random((3, size, size, 3))
     gray = np.stack([to_grayscale(f) for f in colour])
     (layers, reports), (gray_layers, gray_reports) = (
@@ -189,7 +187,7 @@ def test_stacking_leaves_lower_layer_untouched():
     rng = np.random.default_rng(23)
     frames = rng.random((3, 4, 4))
     cfg2 = tiny_config()
-    cfg1 = NetworkConfig(layers=cfg2.layers[:1], grid=cfg2.grid)
+    cfg1 = NetworkConfig(layers=cfg2.layers[:1])
     solo, _ = train_network(frames, cfg1)
     stacked, _ = train_network(frames, cfg2)
     assert np.array_equal(solo[0].model.dictionary,
@@ -205,11 +203,13 @@ def test_train_frame_shape_validation():
 
 
 def test_save_load_roundtrip(tmp_path):
-    layers = random_stack(seed=30)
+    layers = random_stack(seed=30, grid=(1, 4))
     path = tmp_path / "net.dpcn"
     save_network(layers, path)
     back = load_network(path)
     assert len(back) == 2
+    # The file keeps each layer's grid, rows before cols.
+    assert [layer.model.dims.grid for layer in back] == [(1, 4), (1, 1)]
     for orig, got in zip(layers, back):
         assert got.model.dims == orig.model.dims
         assert got.hp == orig.hp
@@ -241,12 +241,13 @@ def test_every_model_carries_its_gram_matrix_and_files_omit_it(tmp_path):
     save_network(layers, path)
     for layer in load_network(path):
         check(layer.model)
-    # Version 3 layout: header, then per layer dims, 8 hyperparameters and
-    # the transition, coupling and dictionary only.
+    # Version 4 layout: header, then per layer 3 dims and the grid's rows
+    # and cols, 8 hyperparameters and the transition, coupling and
+    # dictionary only.
     size = 8
     for layer in layers:
         p, k, d = layer.model.dictionary.shape + (layer.model.dims.cause_dim,)
-        size += 16 + 8 * 8 + 8 * (k * k + k * d + p * k)
+        size += 20 + 8 * 8 + 8 * (k * k + k * d + p * k)
     assert path.stat().st_size == size
 
 
@@ -269,7 +270,7 @@ def test_every_model_keeps_its_matrices_on_64_byte_boundaries(tmp_path):
         assert model.gram.tobytes() == (c.T @ c).tobytes()
 
     rng = np.random.default_rng(38)
-    dims = LayerDims(4, 6, 2, 4)
+    dims = LayerDims(4, 6, 2, (2, 2))
     inputs = (misaligned(rng.standard_normal((6, 6))),
               np.asfortranarray(rng.standard_normal((6, 2))),
               misaligned(rng.standard_normal((4, 6))))
@@ -308,7 +309,7 @@ def test_load_rejects_corrupt_files(tmp_path):
     with pytest.raises(FormatError):
         load_network(bad)
     bad.write_bytes(blob[:4] + b"\x09\x00" + blob[6:])
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="version 9 is not 4"):
         load_network(bad)
     bad.write_bytes(blob[:len(blob) // 2])
     with pytest.raises(FormatError):
@@ -316,13 +317,34 @@ def test_load_rejects_corrupt_files(tmp_path):
     bad.write_bytes(blob + b"\x00")
     with pytest.raises(FormatError):
         load_network(bad)
-    # Invalid dims: layer 1's input_dim is not below its state_dim.
-    bad.write_bytes(blob[:8] + struct.pack("<IIII", 6, 6, 2, 4) + blob[24:])
-    with pytest.raises(FormatError, match="invalid dims"):
-        load_network(bad)
+    # Invalid dims: layer 1's input_dim is not below its state_dim, or its
+    # grid has no rows.
+    for dims in ((6, 6, 2, 2, 2), (4, 6, 2, 0, 2)):
+        bad.write_bytes(blob[:8] + struct.pack("<5I", *dims) + blob[28:])
+        with pytest.raises(FormatError, match="invalid dims"):
+            load_network(bad)
+    # Versions 1-3 do not record the grid.  A version-3 file holds four
+    # dims per layer, the last the patch count; versions 1 and 2 also
+    # held training-only hyperparameters, but the header alone refuses
+    # them all.
+    old = bytearray(blob[:8])
+    off = 8
+    for layer in layers:
+        d = layer.model.dims
+        p, k = d.input_dim, d.state_dim
+        end = off + 20 + 8 * 8 + 8 * (k * k + k * d.cause_dim + p * k)
+        old += struct.pack("<IIII", p, k, d.cause_dim, d.patch_count)
+        old += blob[off + 20:end]
+        off = end
+    assert off == len(blob)
+    for version in (1, 2, 3):
+        old[4:6] = struct.pack("<H", version)
+        bad.write_bytes(bytes(old))
+        with pytest.raises(FormatError, match=f"version {version} is not 4"):
+            load_network(bad)
     # A file of no layers would load as an empty stack that no command
     # can run.
-    bad.write_bytes(b"DPCN" + struct.pack("<HH", 3, 0))
+    bad.write_bytes(b"DPCN" + struct.pack("<HH", 4, 0))
     with pytest.raises(FormatError, match="at least one layer"):
         load_network(bad)
     # Well-formed layers that do not chain: layer 2's input is not layer
@@ -335,10 +357,10 @@ def test_load_rejects_corrupt_files(tmp_path):
         save_network([layer], path)
         return path.read_bytes()[8:]
 
-    lower = Layer(init_model(LayerDims(64, 72, 16, 4), rng), HyperParams())
-    for dims in (LayerDims(10, 20, 5, 1), LayerDims(16, 20, 5, 2)):
+    lower = Layer(init_model(LayerDims(64, 72, 16, (2, 2)), rng), HyperParams())
+    for dims in (LayerDims(10, 20, 5), LayerDims(16, 20, 5, (1, 2))):
         upper = Layer(init_model(dims, rng), HyperParams())
-        bad.write_bytes(b"DPCN" + struct.pack("<HH", 3, 2) + layer_bytes(lower)
+        bad.write_bytes(b"DPCN" + struct.pack("<HH", 4, 2) + layer_bytes(lower)
                         + layer_bytes(upper))
         with pytest.raises(FormatError, match="input dim|single patch"):
             load_network(bad)
@@ -361,8 +383,8 @@ def test_load_rejects_non_finite_hyperparameters(tmp_path):
     path = tmp_path / "net.dpcn"
     save_network(random_stack(seed=32), path)
     blob = path.read_bytes()
-    # Layer 1's 8 hyperparameters follow the 8-byte header and its 4 dims.
-    start = 8 + 16
+    # Layer 1's 8 hyperparameters follow the 8-byte header and its 5 u32.
+    start = 8 + 20
     bad = tmp_path / "bad.dpcn"
     for values in ([float("nan")] + [0.5] * 7, [float("nan")] * 8,
                    [0.3, float("inf")] + [0.5] * 6):
@@ -370,60 +392,6 @@ def test_load_rejects_non_finite_hyperparameters(tmp_path):
                         + blob[start + 64:])
         with pytest.raises(FormatError, match="hyperparameters"):
             load_network(bad)
-
-
-# The hyperparameter slots of the older writers, in file order.  Version 2
-# stored the two block pass counts, which only training read; version 1
-# also a smoothing margin after cause_sparsity.  Loading drops those slots.
-_V2_SLOTS = ("state_sparsity", "temporal_sparsity", "pool_gain",
-             "cause_sparsity", "clamp_state", "clamp_cause", "state_passes",
-             "cause_passes", "inner_tol", "max_inner_iter")
-_OLD_LAYOUTS = {2: _V2_SLOTS,
-                1: _V2_SLOTS[:4] + ("smooth_margin",) + _V2_SLOTS[4:]}
-_TRAINING_ONLY = {"smooth_margin": 0.1, "state_passes": 2.0,
-                  "cause_passes": 5.0}
-
-
-@pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
-def test_load_reads_older_versions(tmp_path, version):
-    layers = random_stack(seed=33, hp=HyperParams(
-        state_sparsity=0.05, pool_gain=0.03, cause_sparsity=0.001,
-        max_inner_iter=40))
-    path = tmp_path / "net.dpcn"
-    save_network(layers, path)
-    blob = path.read_bytes()
-    assert struct.unpack("<H", blob[4:6]) == (3,)
-    slots = _OLD_LAYOUTS[version]
-    old = bytearray(blob[:4] + struct.pack("<HH", version, len(layers)))
-    off = 8
-    for layer in layers:
-        p, k, d = layer.model.dictionary.shape + (layer.model.dims.cause_dim,)
-        old += blob[off:off + 16] + struct.pack(
-            f"<{len(slots)}d", *(_TRAINING_ONLY[f] if f in _TRAINING_ONLY
-                                 else float(getattr(layer.hp, f))
-                                 for f in slots))
-        end = off + 16 + 8 * 8 + 8 * (k * k + k * d + p * k)
-        old += blob[off + 16 + 8 * 8:end]
-        off = end
-    assert off == len(blob)
-    older = tmp_path / f"v{version}.dpcn"
-    older.write_bytes(bytes(old))
-    # The older file is 8 bytes longer per dropped slot and layer.
-    assert len(old) - len(blob) == 8 * (len(slots) - 8) * len(layers)
-    back, v3 = load_network(older), load_network(path)
-    for orig, got in zip(v3, back):
-        assert got.model.dims == orig.model.dims
-        assert got.hp == orig.hp
-        assert np.array_equal(got.model.transition, orig.model.transition)
-        assert np.array_equal(got.model.coupling, orig.model.coupling)
-        assert np.array_equal(got.model.dictionary, orig.model.dictionary)
-    frames = np.random.default_rng(33).random((3, 4, 4))
-    want = infer_variables(frames, v3, (2, 2)).causes
-    got = infer_variables(frames, back, (2, 2)).causes
-    assert np.count_nonzero(want[-1][-1].values) > 0
-    for cw, cg in zip(want, got):
-        for a, b in zip(cw, cg):
-            assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_infer_variables_shapes_and_zero_frames():
@@ -464,15 +432,18 @@ def test_infer_variables_rejects_frames_the_model_was_not_trained_for():
     rng = np.random.default_rng(38)
     hp = HyperParams()
     frames = np.zeros((2, 4, 4))
-    # A layer trained on a 4x4 grid of 4-pixel patches, given 2x2-grid
-    # frames that also cut into 4-pixel patches.
-    sixteen = [Layer(init_model(LayerDims(4, 6, 2, 16), rng), hp)]
-    with pytest.raises(ConfigError, match="4 patches of length 4; layer 1 "
-                                          "expects 16 of length 4"):
+    # A layer trained on a 4x4 grid of 4-pixel patches, given a 2x2 grid
+    # that also cuts these frames into 4-pixel patches, then its own grid,
+    # which cuts them into 1-pixel patches.
+    sixteen = [Layer(init_model(LayerDims(4, 6, 2, (4, 4)), rng), hp)]
+    with pytest.raises(ConfigError, match="grid 2x2 is not the model's 4x4"):
         infer_variables(frames, sixteen, (2, 2))
-    # Right patch count, wrong patch length.
-    with pytest.raises(ConfigError, match="4 patches of length 16; layer 1 "
-                                          "expects 4 of length 4"):
+    with pytest.raises(ConfigError, match="patches of length 1; layer 1 "
+                                          "expects length 4"):
+        infer_variables(frames, sixteen, (4, 4))
+    # The right grid, the wrong patch length.
+    with pytest.raises(ConfigError, match="patches of length 16; layer 1 "
+                                          "expects length 4"):
         infer_variables(np.zeros((2, 8, 8)), random_stack(seed=38), (2, 2))
     with pytest.raises(ConfigError, match="at least one layer"):
         infer_variables(frames, [], (2, 2))
@@ -496,7 +467,7 @@ def test_train_and_infer_reject_misfit_frames_alike(monkeypatch):
             infer_variables(np.zeros(shape), layers, cfg.grid)
     # A stack that does not chain (layer 2 takes 3 values, layer 1 gives 2)
     # is refused as NetworkConfig refuses it for training.
-    unchained = [layers[0], Layer(init_model(LayerDims(3, 4, 1, 1),
+    unchained = [layers[0], Layer(init_model(LayerDims(3, 4, 1),
                                              np.random.default_rng(39)),
                                   HyperParams())]
     with pytest.raises(ConfigError, match="layer 2 input dim 3"):

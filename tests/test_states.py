@@ -18,7 +18,7 @@ from helpers import scalar_model
 def random_instance(rng, p_max=16, k_max=32):
     p = int(rng.integers(2, p_max + 1))
     k = int(rng.integers(p + 1, k_max + 1))
-    dims = LayerDims(p, k, 1, 1)
+    dims = LayerDims(p, k, 1)
     model = LayerModel(dims,
                        transition=rng.standard_normal((k, k)) / np.sqrt(k),
                        coupling=np.ones((k, 1)),
@@ -147,7 +147,7 @@ def test_reaches_one_percent_of_final_quickly():
     for _ in range(20):
         p = int(rng.integers(32, 65))
         k = int(round(p * float(rng.uniform(1.2, 1.6))))
-        dims = LayerDims(p, k, 1, 1)
+        dims = LayerDims(p, k, 1)
         model = LayerModel(dims, np.eye(k), np.ones((k, 1)),
                            column_normalize(rng.standard_normal((p, k))))
         y = rng.standard_normal(p)
@@ -329,7 +329,7 @@ def test_weighted_rows_sum_to_total_energy():
     # innovation that total_energy charges.  No clamp, so each last
     # objective is that of the returned row.
     rng = np.random.default_rng(50)
-    dims = LayerDims(input_dim=6, state_dim=9, cause_dim=3, patch_count=4)
+    dims = LayerDims(input_dim=6, state_dim=9, cause_dim=3, grid=(2, 2))
     model = LayerModel(dims,
                        transition=np.eye(9),
                        coupling=column_normalize(rng.standard_normal((9, 3))),

@@ -22,7 +22,10 @@ two source trees with the same --models and --seed give a paired table.
 Standard output has one JSON line per model, then each figure's median
 [quartiles] and mean over the models.
 
-The state solves' bits depend on the BLAS thread count, so the script runs
+BLAS rounding can depend on the thread count.  On a 2-core host with
+OpenBLAS, train, cluster and reconstruct wrote the same bytes pinned to 1
+thread and unpinned at 2; only bench's MM outputs differed, from its
+k = 300 products.  CI's shipped-config step checks this.  The script runs
 at 1 thread, as perfbench does, unless the environment sets a count.
 """
 
