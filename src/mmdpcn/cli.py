@@ -141,22 +141,20 @@ def _bench_hp(settings: BenchSettings) -> HyperParams:
 
 
 def run_benchmark(settings: BenchSettings, methods, seed: int):
-    """Run every requested solver on the same patches.
+    """Run MM, ISTA, FISTA and Adam on the same patches.
 
-    Each method solves all patches as one batch of independent rows, whose
-    states and traces equal those of a solve on each patch alone.  Returns
-    a dict per method with final objectives, sparsity percentages,
-    iterations to reach 1% above the best final objective, wall times (each
+    methods must be _BENCH_METHODS, or ConfigError is raised before any
+    solve; perfbench still passes it (ROADMAP.md item 7).  Each method
+    solves all patches as one batch of independent rows, whose states and
+    traces equal those of a solve on each patch alone.  Returns a dict per
+    method with final objectives, sparsity percentages, iterations to
+    reach 1% above the best final objective of the four, wall times (each
     patch an equal share of its method's batch), and the padded
-    per-iteration mean objective trace.  An unknown or repeated method
-    raises ConfigError.
+    per-iteration mean objective trace.
     """
-    for m in methods:
-        if m not in _BENCH_METHODS:
-            raise ConfigError(f"unknown method {m!r}; choose from "
-                              f"{', '.join(_BENCH_METHODS)}")
-        if methods.count(m) > 1:
-            raise ConfigError(f"method {m!r} is named more than once")
+    if tuple(methods) != _BENCH_METHODS:
+        raise ConfigError(f"bench runs {', '.join(_BENCH_METHODS)} in that "
+                          f"order; methods {methods!r} are not those")
     rng = np.random.default_rng(seed)
     model = _bench_model(settings, rng)
     patches = _bench_patches(settings, model, rng)
@@ -179,13 +177,13 @@ def run_benchmark(settings: BenchSettings, methods, seed: int):
 
     # (final objective, state, trace) per patch, for each method.
     runs = {}
-    for m in methods:
+    for m in _BENCH_METHODS:
         states, traces = solve[m]()
         runs[m] = [(state_objective(x, y, model, hp), x, trace)
                    for x, y, trace in zip(states, patches, traces)]
 
     # Reference objective per patch: best final value any method reached.
-    refs = [min(runs[m][i][0] for m in methods) for i in range(len(patches))]
+    refs = [min(f for f, _, _ in row) for row in zip(*runs.values())]
 
     def iters_to(objectives, ref):
         threshold = 1.01 * ref if ref > 0 else ref
@@ -193,7 +191,7 @@ def run_benchmark(settings: BenchSettings, methods, seed: int):
                     settings.max_iter)
 
     out = {}
-    for m in methods:
+    for m in _BENCH_METHODS:
         finals, states, traces = zip(*runs[m])
         objs = [tr.objective_per_iter for tr in traces]
         longest = max(map(len, objs))
@@ -215,15 +213,14 @@ def _write_trace_csv(path, trace):
 
 
 def cmd_bench(args) -> list:
-    settings = parse_bench_config(args.config)
-    methods = [m.strip().lower() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise ConfigError("--methods must name at least one method")
-    results = run_benchmark(settings, methods, args.seed)
+    """Run the four state solvers (run_benchmark); write metrics.csv,
+    timings.csv and each method's trace_<method>.csv."""
+    results = run_benchmark(parse_bench_config(args.config), _BENCH_METHODS,
+                            args.seed)
 
     os.makedirs(args.out, exist_ok=True)
     metric_rows, timing_rows = [], []
-    for m in methods:
+    for m in _BENCH_METHODS:
         r = results[m]
         for name in ("final_energy", "sparsity", "iters_to_1pct"):
             metric_rows.append((f"{m}_{name}",
@@ -388,11 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pixel noise standard deviation")
     p.set_defaults(fn=cmd_gen_shapes)
 
-    p = sub.add_parser("bench", help="compare state solvers on one problem")
+    p = sub.add_parser("bench", help="compare four state solvers on one problem")
     common(p, config="optional")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--methods", default="mm,ista,fista,adam",
-                   help="comma-separated subset of mm,ista,fista,adam")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("train", help="fit a layer stack on a frame directory")

@@ -179,11 +179,13 @@ def infer_variables(frames, layers, grid: tuple,
     frame) and then its cause, pulled toward the prediction rendered by
     the layer above; the top layer is pulled toward its own previous-frame
     cause.  The states pay the weights total_energy charges them under the
-    frame's cause from the last sweep, in the first sweep the previous
-    frame's (model.state_weights).  The first frame has no temporal
-    context, so it gets one plain bottom-up pass without preferences, its
-    states weighted at the cause solver's start.  A frame stops sweeping
-    once no layer's cause moved by layer 1's inner_tol or more.
+    frame's cause (model.state_weights), and each cause solve starts fresh
+    in the first sweep and from the last sweep's cause after it.  Until a
+    layer solves this frame's cause, the frame's solves read the previous
+    frame's.  The first frame has no temporal context, so it gets one
+    plain bottom-up pass without preferences, its states weighted at the
+    cause solver's start.  A frame stops sweeping once no layer's cause
+    moved by layer 1's inner_tol or more.
 
     segment_starts lists frame indices where the temporal context resets:
     frames at a scene cut between independent clips carry no information
@@ -208,6 +210,7 @@ def infer_variables(frames, layers, grid: tuple,
     n_layers = len(layers)
     frames = _fit_frames(frames, layers[0].model.dims, grid)
     t_count = frames.shape[0]
+    segment_starts = list(segment_starts)
     for s in segment_starts:
         if not isinstance(s, numbers.Integral) or not 0 <= s < t_count:
             raise ConfigError(
@@ -225,7 +228,8 @@ def infer_variables(frames, layers, grid: tuple,
         patches = {t: decompose_frame(frames[t], grid) for t in step}
         for t in step:
             result.states[t] = [None] * n_layers
-            result.causes[t] = [None] * n_layers
+            result.causes[t] = [None] * n_layers if fresh \
+                else list(result.causes[t - 1])
 
         sweeping = step
         for sweep in range(1 if fresh else _SWEEPS):
@@ -236,11 +240,7 @@ def infer_variables(frames, layers, grid: tuple,
                     np.vstack([result.states[t - 1][l] for t in sweeping])
                 inits = None if sweep == 0 else \
                     np.vstack([result.states[t][l] for t in sweeping])
-                # Each frame's states are weighted by its current cause, in
-                # sweep 0 by the previous frame's, and on a fresh frame by
-                # the cause solver's start.
-                causes = [None if fresh else result.causes[t if sweep else t - 1][l]
-                          for t in sweeping]
+                causes = [result.causes[t][l] for t in sweeping]
                 weights = state_weights(layer.model, causes,
                                         batch.shape[0] // len(sweeping),
                                         layer.hp)
@@ -257,18 +257,16 @@ def infer_variables(frames, layers, grid: tuple,
                             preference = last[l].values
                         else:
                             upper = layers[l + 1]
-                            upper_u = cur[l + 1] if cur[l + 1] is not None \
-                                else last[l + 1]
                             preference = top_down_prediction(
                                 upper.model, result.states[t - 1][l + 1][0],
-                                upper_u, upper.hp)
+                                cur[l + 1], upper.hp)
                         # Fresh default init on the first sweep: zeros are
                         # absorbing, so seeding from the previous frame's
                         # cause would freeze its support across the whole
                         # sequence.
                         cause, _ = infer_cause_topdown(
                             pooled, preference, layer.model, layer.hp,
-                            u_init=cur[l])
+                            u_init=cur[l] if sweep else None)
                     result.states[t][l] = x
                     cur[l] = cause
                 batch = np.vstack([result.causes[t][l].values

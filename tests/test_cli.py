@@ -75,6 +75,9 @@ def test_argparse_rejects_unknown_usage(tmp_path):
     with pytest.raises(SystemExit) as exc:  # train requires --config
         run("train", "--frames", tmp_path, "--out", tmp_path / "y")
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # bench always runs all four
+        run("bench", "--out", tmp_path / "z", "--methods", "mm")
+    assert exc.value.code == 2
 
 
 def test_domain_errors_exit_2(tmp_path, capsys):
@@ -126,22 +129,23 @@ generator_sparsity = 0.3
 """
 
 
+METHODS = ("mm", "ista", "fista", "adam")
+
+
 def test_bench_writes_split_csvs(tmp_path):
     cfg = tmp_path / "bench.ini"
     cfg.write_text(BENCH_INI)
     out = tmp_path / "run"
-    assert run("bench", "--config", cfg, "--out", out, "--seed", 1,
-               "--methods", "mm,ista") == 0
+    assert run("bench", "--config", cfg, "--out", out, "--seed", 1) == 0
     metrics = read_metrics_csv(out / "metrics.csv")
-    assert set(metrics) == {
-        "mm_final_energy", "mm_sparsity", "mm_iters_to_1pct",
-        "ista_final_energy", "ista_sparsity", "ista_iters_to_1pct"}
+    assert set(metrics) == {f"{m}_{name}" for m in METHODS for name in
+                            ("final_energy", "sparsity", "iters_to_1pct")}
     # Some patch carries a code, so the run pins more than noise.
     assert metrics["mm_sparsity"][0] < 100
     timings = read_metrics_csv(out / "timings.csv")
-    assert set(timings) == {"mm_wall_seconds", "ista_wall_seconds"}
-    assert timings["mm_wall_seconds"][0] > 0
-    for method in ("mm", "ista"):
+    assert set(timings) == {f"{m}_wall_seconds" for m in METHODS}
+    assert all(value > 0 for value, _ in timings.values())
+    for method in METHODS:
         lines = (out / f"trace_{method}.csv").read_text().splitlines()
         assert lines[0] == "iteration,mean_objective"
         assert len(lines) >= 2
@@ -153,26 +157,27 @@ def test_bench_metrics_are_bitwise_reproducible(tmp_path):
     cfg.write_text(BENCH_INI)
     for name in ("r1", "r2"):
         assert run("bench", "--config", cfg, "--out", tmp_path / name,
-                   "--seed", 4, "--methods", "mm,fista") == 0
-    for fname in ("metrics.csv", "trace_mm.csv", "trace_fista.csv"):
+                   "--seed", 4) == 0
+    for fname in ("metrics.csv", *(f"trace_{m}.csv" for m in METHODS)):
         assert (tmp_path / "r1" / fname).read_bytes() == \
             (tmp_path / "r2" / fname).read_bytes()
 
 
-def test_bench_rejects_unknown_method(tmp_path, capsys):
-    # The default settings: the methods are checked before any solve, so
-    # a list that names a method the bench lacks, or none, fails at once.
-    for methods, message in (("mm,magic", "unknown method 'magic'"),
-                             (",", "must name at least one method")):
-        assert run("bench", "--out", tmp_path / "x", "--methods", methods) == 2
-        assert message in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
+def test_run_benchmark_refuses_other_methods_before_solving(monkeypatch):
+    # Each method's iters_to_1pct is measured against the best of all
+    # four, so any other set or order would change what the others report.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started")
 
-
-def test_bench_rejects_repeated_method(tmp_path, capsys):
-    assert run("bench", "--out", tmp_path / "x", "--methods", "mm,ista,mm") == 2
-    assert "named more than once" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
+    for name in ("infer_states_batch", "ista_solve", "fista_solve",
+                 "adam_solve", "_bench_model"):
+        monkeypatch.setattr(f"mmdpcn.cli.{name}", no_solve)
+    settings = BenchSettings(patch_dim=6, state_dim=9, max_iter=30,
+                             patch_count=3, generator_sparsity=0.3)
+    for methods in (("mm",), ("mm", "magic"), METHODS + ("mm",),
+                    ("mm", "fista", "ista", "adam"), ()):
+        with pytest.raises(ConfigError, match="bench runs mm, ista, fista"):
+            run_benchmark(settings, methods, seed=0)
 
 
 def test_run_benchmark_matches_per_patch_solves():
@@ -457,8 +462,8 @@ def test_each_command_writes_its_manifest(tmp_path, command):
     # argv, config path, input paths, and arguments that make it fail.
     argv, config, inputs, breaks = {
         "gen-shapes": (["--frames-per-shape", 1], "", [], ["--size", 8]),
-        "bench": (["--config", bench_cfg, "--methods", "mm"], bench_cfg, [],
-                  ["--methods", "magic"]),
+        "bench": (["--config", bench_cfg], bench_cfg, [],
+                  ["--config", tmp_path / "missing.ini"]),
         "train": (["--config", net_cfg, "--frames", frames], net_cfg, [frames],
                   ["--config", tmp_path / "missing.ini"]),
         "cluster": (["--model", model, "--frames", frames, "--labels", labels],

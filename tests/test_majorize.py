@@ -15,13 +15,13 @@ def support_solve(c, r, rhs):
     return _solve_on_support(c.T @ c, r[None], rhs[None])[0]
 
 
-def test_woodbury_scalar_closed_form():
+def test_support_solve_scalar_closed_form():
     for rho in (0.2, 1.0, 7.5):
         out = support_solve(np.array([[1.0]]), np.array([rho]), np.array([1.0]))
         assert abs(out[0] - rho / (1.0 + rho)) < 1e-12
 
 
-def test_woodbury_matches_dense_solve():
+def test_support_solve_full_support_matches_dense_solve():
     rng = np.random.default_rng(5)
     c = rng.standard_normal((4, 9))
     r = rng.uniform(0.1, 2.0, size=9)
@@ -30,7 +30,7 @@ def test_woodbury_matches_dense_solve():
     assert np.allclose(support_solve(c, r, rhs), expected, atol=1e-10)
 
 
-def test_woodbury_zero_diagonal_components_return_zero():
+def test_support_solve_zero_weights_return_zero():
     rng = np.random.default_rng(6)
     c = rng.standard_normal((5, 8))
     r = rng.uniform(0.1, 1.0, size=8)
@@ -46,12 +46,12 @@ def test_woodbury_zero_diagonal_components_return_zero():
     assert np.allclose(out[live], expected, atol=1e-10)
 
 
-def test_woodbury_all_zero_diagonal():
+def test_support_solve_empty_support_returns_zero():
     c = np.ones((3, 4))
     assert np.array_equal(support_solve(c, np.zeros(4), np.ones(4)), np.zeros(4))
 
 
-def test_woodbury_support_solve_matches_dense_solve():
+def test_support_solve_matches_reduced_normal_equations():
     # Supports smaller than, equal to and larger than the input dimension,
     # full and empty, with well- and ill-scaled weights: the support solve
     # must match the reduced normal equations and keep dead components zero.

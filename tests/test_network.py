@@ -477,20 +477,24 @@ def test_train_and_infer_reject_misfit_frames_alike(monkeypatch):
 def test_segment_reset_matches_separate_inference():
     # A segment start severs all temporal coupling, so inferring a stitched
     # sequence with resets must reproduce the per-segment runs bit for bit.
+    # A one-shot iterable of starts cuts where the same list does.
     rng = np.random.default_rng(36)
     layers = random_stack(seed=36)
     frames = rng.random((5, 4, 4))
     stitched = infer_variables(frames, layers, (2, 2),
                                segment_starts=[3])
+    generated = infer_variables(frames, layers, (2, 2),
+                                segment_starts=(c for c in [3]))
     first = infer_variables(frames[:3], layers, (2, 2))
     second = infer_variables(frames[3:], layers, (2, 2))
     for t in range(5):
         part = first if t < 3 else second
         s = t if t < 3 else t - 3
         for l in range(2):
-            assert np.array_equal(stitched.causes[t][l].values,
-                                  part.causes[s][l].values)
-            assert np.array_equal(stitched.states[t][l], part.states[s][l])
+            for run in (stitched, generated):
+                assert np.array_equal(run.causes[t][l].values,
+                                      part.causes[s][l].values)
+                assert np.array_equal(run.states[t][l], part.states[s][l])
 
 
 def test_uneven_segments_match_separate_inference(monkeypatch):
