@@ -163,21 +163,34 @@ def test_bench_metrics_are_bitwise_reproducible(tmp_path):
             (tmp_path / "r2" / fname).read_bytes()
 
 
-def test_run_benchmark_refuses_other_methods_before_solving(monkeypatch):
-    # Each method's iters_to_1pct is measured against the best of all
-    # four, so any other set or order would change what the others report.
+BENCH_SETTINGS = BenchSettings(patch_dim=6, state_dim=9, max_iter=30,
+                               patch_count=3, generator_sparsity=0.3)
+
+
+def forbid_solves(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve started")
 
     for name in ("infer_states_batch", "ista_solve", "fista_solve",
                  "adam_solve", "_bench_model"):
         monkeypatch.setattr(f"mmdpcn.cli.{name}", no_solve)
-    settings = BenchSettings(patch_dim=6, state_dim=9, max_iter=30,
-                             patch_count=3, generator_sparsity=0.3)
-    for methods in (("mm",), ("mm", "magic"), METHODS + ("mm",),
+
+
+def test_bench_rejects_unknown_method(monkeypatch):
+    # Each method's iters_to_1pct is measured against the best of all
+    # four, so any other set or order would change what the others report;
+    # the methods are checked before any solve.
+    forbid_solves(monkeypatch)
+    for methods in (("mm",), ("mm", "magic"),
                     ("mm", "fista", "ista", "adam"), ()):
         with pytest.raises(ConfigError, match="bench runs mm, ista, fista"):
-            run_benchmark(settings, methods, seed=0)
+            run_benchmark(BENCH_SETTINGS, methods, seed=0)
+
+
+def test_bench_rejects_repeated_method(monkeypatch):
+    forbid_solves(monkeypatch)
+    with pytest.raises(ConfigError, match="bench runs mm, ista, fista"):
+        run_benchmark(BENCH_SETTINGS, METHODS + ("mm",), seed=0)
 
 
 def test_run_benchmark_matches_per_patch_solves():
